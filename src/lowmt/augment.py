@@ -1,5 +1,4 @@
-"""Training-set augmentation: EDA operations, embedding-based replacement,
-and round-trip paraphrase through a forward/backward translator pair.
+"""Training-set augmentation: EDA operations and embedding-based replacement.
 
 Only one-to-one train pairs are augmented; variable-length units and the
 test/validation partitions pass through untouched. Each pair gets its own
@@ -15,7 +14,7 @@ from .analysis import most_similar
 from .util import derive_seed
 
 EDA_OPS = ("synonym_replace", "random_delete", "random_swap", "synonym_insert")
-ALL_OPS = EDA_OPS + ("embed_replace", "round_trip")
+ALL_OPS = EDA_OPS + ("embed_replace",)
 
 
 class AugmentError(ValueError):
@@ -119,15 +118,6 @@ def embed_replace(tokens, model, mask_prob, k_candidates, rng):
     return out
 
 
-def round_trip_paraphrase(sentence, forward, backward):
-    """backward(forward(sentence)); translators expose translate(text) -> text."""
-    try:
-        intermediate = forward.translate(sentence)
-        return backward.translate(intermediate)
-    except Exception as e:
-        raise AugmentError(f"round-trip translation failed: {e}") from e
-
-
 def _augment_tokens(tokens, policy, lexicon, model, rng):
     n = max(1, round(policy.alpha * len(tokens)))
     out = list(tokens)
@@ -145,8 +135,7 @@ def _augment_tokens(tokens, policy, lexicon, model, rng):
     return out
 
 
-def augment_training_set(split, side, policy, lexicon=None, model=None,
-                         forward=None, backward=None):
+def augment_training_set(split, side, policy, lexicon=None, model=None):
     """Return a new DatasetSplit with augmented variants appended to train."""
     if side not in ("src", "tgt"):
         raise AugmentError(f"unknown side {side!r}")
@@ -157,8 +146,6 @@ def augment_training_set(split, side, policy, lexicon=None, model=None,
         raise AugmentError(f"ops {sorted(needs_lexicon)} require a synonym lexicon")
     if "embed_replace" in policy.ops and model is None:
         raise AugmentError("embed_replace requires an embedding model")
-    if "round_trip" in policy.ops and (forward is None or backward is None):
-        raise AugmentError("round_trip requires forward and backward translators")
 
     candidates = [i for i, p in enumerate(split.train) if p.group == GROUP_ONE2ONE]
     if policy.max_pairs is not None and policy.max_pairs < len(candidates):
@@ -172,10 +159,7 @@ def augment_training_set(split, side, policy, lexicon=None, model=None,
             continue
         for variant in range(policy.n_aug):
             rng = random.Random(derive_seed(policy.seed, "pair", idx, variant))
-            text = getattr(pair, side)
-            if "round_trip" in policy.ops:
-                text = round_trip_paraphrase(text, forward, backward)
-            tokens = _augment_tokens(text.split(), policy,
+            tokens = _augment_tokens(getattr(pair, side).split(), policy,
                                      lexicon or {}, model, rng)
             fields = {"src": pair.src, "tgt": pair.tgt,
                       "origin_id": pair.origin_id, "group": pair.group,

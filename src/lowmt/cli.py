@@ -1,18 +1,20 @@
 """Pipeline command line: ingest -> split -> stats/embed -> tokenize ->
 augment -> train -> translate -> evaluate -> export-ft.
 
-A single top-level seed deterministically derives every stage seed via
-derive_seed(seed, stage_name); every stage writes a manifest with the config
-hash and input digests so runs are auditable and reproducible.
+Every stage is one entry of STAGES, run by run_stage() with a StageContext
+that checks what the stage reads and records it, with what it writes and the
+seeds it draws, in <stage>.manifest.json. A single top-level seed derives
+every stage seed via derive_seed(seed, stage_name).
 """
 
 import argparse
+import copy
+import dataclasses
 import json
 import os
 import random
 import sys
 
-import numpy as np
 import yaml
 
 from . import aligner, analysis, augment, bleu, corpus, nmt, subword
@@ -41,7 +43,7 @@ DEFAULT_CONFIG = {
 
 DATA_ERRORS = (corpus.CorpusError, aligner.AlignError, analysis.AnalysisError,
                subword.SubwordError, augment.AugmentError, bleu.BleuError,
-               nmt.NmtError, FileNotFoundError, ValueError)
+               nmt.NmtError, OSError, ValueError)
 
 EXPORT_SCHEMA = {
     "type": "object",
@@ -57,6 +59,9 @@ EXPORT_SCHEMA = {
     "additionalProperties": False,
 }
 
+MANIFEST_SUFFIX = ".manifest.json"
+SPLIT_FILES = ("train.jsonl", "test.jsonl", "validation.jsonl", "manifest.json")
+
 
 def _deep_merge(base, override):
     merged = dict(base)
@@ -69,13 +74,15 @@ def _deep_merge(base, override):
 
 
 def load_config(path=None):
-    config = DEFAULT_CONFIG
+    """Built-in defaults, deep-merged with the YAML file at path; always a
+    fresh object that the caller may change."""
+    config = copy.deepcopy(DEFAULT_CONFIG)
     if path:
         with open(path, "r", encoding="utf-8") as f:
             user = yaml.safe_load(f) or {}
         if not isinstance(user, dict):
             raise ValueError(f"{path}: config must be a mapping")
-        config = _deep_merge(DEFAULT_CONFIG, user)
+        config = _deep_merge(config, user)
     return config
 
 
@@ -83,45 +90,159 @@ def stage_seed(config, stage):
     return derive_seed(config["seed"], stage)
 
 
-def _workdir(config, args):
-    wd = args.workdir or os.environ.get("LOWMT_WORKDIR") or config["workdir"]
-    os.makedirs(wd, exist_ok=True)
-    return wd
+# --- stage runner -----------------------------------------------------------
+
+class StageContext:
+    """One stage run: its config and workdir, and the inputs, outputs and
+    seeds recorded for its manifest.
+
+    read() checks each artifact against the manifest of the stage that wrote
+    it: that stage must have run under the same config, and every file it
+    recorded that this stage also reads must still have the recorded digest.
+    A mismatch warns, or raises under --strict.
+    """
+
+    def __init__(self, stage, config, workdir, strict):
+        self.stage = stage
+        self.config = config
+        self.workdir = workdir
+        self.strict = strict
+        self.inputs = {}      # path relative to the workdir -> sha256
+        self.outputs = []     # paths, in write order
+        self.seeds = {}
+        self._manifests = None
+        self._upstream = {}   # manifest name -> the artifact read from it
+
+    def path(self, *parts):
+        return os.path.join(self.workdir, *parts)
+
+    def seed(self, label=None, value=None):
+        """The seed for label (default: this stage), derived from the config
+        seed unless value is given; recorded in the manifest."""
+        label = label or self.stage
+        self.seeds[label] = stage_seed(self.config, label) if value is None else value
+        return self.seeds[label]
+
+    def write(self, path):
+        self.outputs.append(path)
+        return path
+
+    def read(self, path, what):
+        if not os.path.isfile(path):
+            raise FileNotFoundError(f"missing {what}: expected artifact at {path}")
+        key = os.path.relpath(path, self.workdir)
+        self.inputs[key] = sha256_file(path)
+        source = self._producer(key)
+        if source is not None and source not in self._upstream:
+            self._upstream[source] = key
+            if self._manifests[source]["config_hash"] != config_hash(self.config):
+                self._complain(f"config hash mismatch with {source}: {key} was "
+                               f"produced by a different config")
+            for earlier in self.inputs:
+                if earlier != key:
+                    self._check_digest(source, earlier)
+        for upstream in self._upstream:
+            self._check_digest(upstream, key)
+        return path
+
+    def write_manifest(self):
+        manifest = {
+            "stage": self.stage,
+            "config_hash": config_hash(self.config),
+            "seeds": self.seeds,
+            "inputs": self.inputs,
+            "outputs": {os.path.relpath(p, self.workdir): sha256_file(p)
+                        for p in self.outputs},
+        }
+        with open(self.path(self.stage + MANIFEST_SUFFIX), "w", encoding="utf-8") as f:
+            json.dump(manifest, f, indent=2)
+
+    def _producer(self, key):
+        """Name of the manifest in the workdir that lists key as an output."""
+        if self._manifests is None:
+            self._manifests = {}
+            for name in sorted(os.listdir(self.workdir)):
+                if name.endswith(MANIFEST_SUFFIX):
+                    with open(self.path(name), "r", encoding="utf-8") as f:
+                        try:
+                            self._manifests[name] = json.load(f)
+                        except json.JSONDecodeError as e:
+                            # Its outputs cannot be checked; re-running its
+                            # stage rewrites it.
+                            self._complain(f"{f.name}: malformed manifest: {e}")
+        for name, manifest in self._manifests.items():
+            if key in manifest["outputs"]:
+                return name
+        return None
+
+    def _check_digest(self, source, key):
+        manifest = self._manifests[source]
+        outputs = manifest["outputs"]
+        recorded = outputs.get(key, manifest["inputs"].get(key))
+        if recorded is None or recorded == self.inputs[key]:
+            return
+        stage = manifest["stage"]
+        if key in outputs:
+            self._complain(f"{key} has changed since {stage} wrote it (see {source})")
+        else:
+            self._complain(f"{self._upstream[source]} is stale: {key} has changed "
+                           f"since {stage} read it (see {source})")
+
+    def _complain(self, message):
+        if self.strict:
+            raise ValueError(message)
+        print(f"warning: {message}", file=sys.stderr)
 
 
-def _write_manifest(workdir, stage, config, inputs, outputs):
-    manifest = {
-        "stage": stage,
-        "config_hash": config_hash(config),
-        "seed": stage_seed(config, stage),
-        "inputs": {p: sha256_file(p) for p in inputs if os.path.exists(p)},
-        "outputs": {p: sha256_file(p) for p in outputs if os.path.exists(p)},
-    }
-    with open(os.path.join(workdir, f"{stage}.manifest.json"), "w",
-              encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2)
+def arg(*flags, **kwargs):
+    return flags, kwargs
 
 
-def _check_stage_inputs(workdir, config, upstream_stages, strict):
-    current = config_hash(config)
-    for stage in upstream_stages:
-        path = os.path.join(workdir, f"{stage}.manifest.json")
-        if not os.path.exists(path):
-            continue
-        with open(path, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
-        if manifest.get("config_hash") != current:
-            msg = (f"config hash mismatch with {stage} manifest "
-                   f"(stage was produced by a different config)")
-            if strict:
-                raise ValueError(msg)
-            print(f"warning: {msg}", file=sys.stderr)
+SIDE = arg("--side", choices=["src", "tgt"], default="src")
+TOP_K = arg("--top-k", type=int, default=10)
+SPLIT_DIR = arg("--split-dir")
 
 
-def _require(path, what):
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"missing {what}: expected artifact at {path}")
-    return path
+def run_stage(name, config, args):
+    """Run one stage, then write its manifest if it wrote any artifact."""
+    workdir = args.workdir or os.environ.get("LOWMT_WORKDIR") or config["workdir"]
+    os.makedirs(workdir, exist_ok=True)
+    ctx = StageContext(name, config, workdir, args.strict)
+    STAGES[name][0](ctx, args)
+    if ctx.outputs:
+        ctx.write_manifest()
+
+
+def _load_split(ctx, args):
+    split_dir = ctx.path(args.split_dir or "split")
+    for name in SPLIT_FILES:
+        path = os.path.join(split_dir, name)
+        if name != "manifest.json" or os.path.exists(path):  # manifest is optional
+            ctx.read(path, "dataset split file")
+    return aligner.load_split(split_dir)
+
+
+def _save_split(ctx, split, name):
+    split_dir = ctx.path(name)
+    aligner.save_split(split, split_dir)
+    for file_name in SPLIT_FILES:
+        ctx.write(os.path.join(split_dir, file_name))
+    return split_dir
+
+
+def _load_vocab(ctx, side):
+    return subword.load_vocab(ctx.read(ctx.path(f"vocab.{side}.tsv"),
+                                       f"{side} subword vocab"))
+
+
+def _input_lines(ctx, args):
+    """--text as one line, or the lines of the --input file."""
+    if args.text is not None:
+        return [args.text]
+    if args.input is None:
+        raise ValueError(f"{ctx.stage} requires --text or --input")
+    with open(ctx.read(args.input, "input text"), "r", encoding="utf-8") as f:
+        return [ln.rstrip("\n") for ln in f]
 
 
 # --- synthetic corpus -------------------------------------------------------
@@ -153,69 +274,47 @@ def generate_synthetic_corpus(n_units, seed=0, variable_fraction=0.25):
     return units
 
 
-# --- stage implementations --------------------------------------------------
+# --- stages -----------------------------------------------------------------
 
-def cmd_ingest(config, args):
-    wd = _workdir(config, args)
-    out_path = os.path.join(wd, "corpus.jsonl")
+def cmd_ingest(ctx, args):
     if args.synthetic:
-        records = generate_synthetic_corpus(args.synthetic, stage_seed(config, "ingest"))
-        tmp = os.path.join(wd, "synthetic_raw.jsonl")
-        write_jsonl(tmp, records)
-        corp = corpus.load_corpus(tmp, "jsonl")
-        inputs = [tmp]
+        raw = ctx.write(ctx.path("synthetic_raw.jsonl"))
+        write_jsonl(raw, generate_synthetic_corpus(args.synthetic, ctx.seed()))
+        corp = corpus.load_corpus(raw, "jsonl")
+    elif args.input:
+        corp = corpus.load_corpus(ctx.read(args.input, "input corpus"),
+                                  args.format or ctx.config["corpus"]["format"])
     else:
-        if not args.input:
-            raise ValueError("ingest requires --input or --synthetic N")
-        corp = corpus.load_corpus(args.input, args.format or config["corpus"]["format"])
-        inputs = [args.input]
+        raise ValueError("ingest requires --input or --synthetic N")
+    out_path = ctx.write(ctx.path("corpus.jsonl"))
     corpus.save_corpus(corp, out_path)
-    _write_manifest(wd, "ingest", config, inputs, [out_path])
     print(f"ingested {len(corp.units)} units -> {out_path}")
 
 
-def cmd_stats(config, args):
-    wd = _workdir(config, args)
-    corp = corpus.load_corpus(_require(os.path.join(wd, "corpus.jsonl"), "corpus"))
+def cmd_stats(ctx, args):
+    corp = corpus.load_corpus(ctx.read(ctx.path("corpus.jsonl"), "corpus"))
     stats = corpus.corpus_stats(corp, side=args.side, k=args.top_k)
-    out_path = os.path.join(wd, f"stats.{args.side}.json")
+    out_path = ctx.write(ctx.path(f"stats.{args.side}.json"))
     with open(out_path, "w", encoding="utf-8") as f:
-        json.dump({
-            "unit_count": stats.unit_count, "sentence_count": stats.sentence_count,
-            "word_count": stats.word_count, "unique_word_count": stats.unique_word_count,
-            "count_histogram": {str(k): v for k, v in stats.count_histogram.items()},
-            "top_k": stats.top_k, "bottom_k": stats.bottom_k,
-        }, f, indent=2, ensure_ascii=False)
-    _write_manifest(wd, "stats", config, [os.path.join(wd, "corpus.jsonl")], [out_path])
+        json.dump(dataclasses.asdict(stats), f, indent=2, ensure_ascii=False)
     print(f"units={stats.unit_count} sentences={stats.sentence_count} "
           f"words={stats.word_count} unique={stats.unique_word_count}")
     print(f"stats -> {out_path}")
 
 
-def cmd_split(config, args):
-    wd = _workdir(config, args)
-    _check_stage_inputs(wd, config, ["ingest"], args.strict)
-    corp = corpus.load_corpus(_require(os.path.join(wd, "corpus.jsonl"), "corpus"))
+def cmd_split(ctx, args):
+    corp = corpus.load_corpus(ctx.read(ctx.path("corpus.jsonl"), "corpus"))
     ratios = tuple(float(r) for r in args.ratios.split(",")) if args.ratios \
-        else tuple(config["split"]["ratios"])
-    seed = args.seed if args.seed is not None else stage_seed(config, "split")
+        else tuple(ctx.config["split"]["ratios"])
     pairs, variables = aligner.explode_corpus(corp)
-    split = aligner.split_dataset(pairs, variables, ratios=ratios, seed=seed)
+    split = aligner.split_dataset(pairs, variables, ratios=ratios,
+                                  seed=ctx.seed(value=args.seed))
     split.manifest["pre_explosion_units"] = len(corp.units)
     split.manifest["post_explosion"] = {"one2one": len(pairs),
                                         "variable": len(variables)}
-    split_dir = os.path.join(wd, "split")
-    aligner.save_split(split, split_dir)
-    outputs = [os.path.join(split_dir, n) for n in
-               ("train.jsonl", "test.jsonl", "validation.jsonl", "manifest.json")]
-    _write_manifest(wd, "split", config, [os.path.join(wd, "corpus.jsonl")], outputs)
+    split_dir = _save_split(ctx, split, "split")
     print(f"split: train={len(split.train)} test={len(split.test)} "
           f"validation={len(split.validation)} -> {split_dir}")
-
-
-def _split_dir(config, args, wd):
-    name = getattr(args, "split_dir", None) or "split"
-    return _require(os.path.join(wd, name), f"dataset split directory '{name}'")
 
 
 def _side_sentences(pairs, side):
@@ -228,138 +327,103 @@ def _side_sentences(pairs, side):
     return sentences
 
 
-def cmd_embed(config, args):
-    wd = _workdir(config, args)
-    split = aligner.load_split(_split_dir(config, args, wd))
+def cmd_embed(ctx, args):
+    split = _load_split(ctx, args)
     sentences = _side_sentences(split.train, args.side)
-    ecfg = config["embeddings"]
+    ecfg = ctx.config["embeddings"]
     model = analysis.train_embeddings(
         sentences, dim=args.dim or ecfg["dim"], window=ecfg["window"],
         negatives=ecfg["negatives"], epochs=args.epochs or ecfg["epochs"],
-        min_count=ecfg["min_count"], seed=stage_seed(config, "embed"))
-    out_path = os.path.join(wd, f"embeddings.{args.side}.bin")
+        min_count=ecfg["min_count"], seed=ctx.seed())
+    out_path = ctx.write(ctx.path(f"embeddings.{args.side}.bin"))
     analysis.save_embeddings(model, out_path)
-    _write_manifest(wd, "embed", config, [], [out_path])
     print(f"trained {len(model.words)}-word embeddings (dim {model.dim}) -> {out_path}")
     if args.query:
         for word, sim in analysis.most_similar(model, args.query, k=10):
             print(f"  {word}\t{sim:.4f}")
 
 
-def cmd_report(config, args):
-    wd = _workdir(config, args)
-    corp = corpus.load_corpus(_require(os.path.join(wd, "corpus.jsonl"), "corpus"))
+def cmd_report(ctx, args):
+    corp = corpus.load_corpus(ctx.read(ctx.path("corpus.jsonl"), "corpus"))
     tokens = corpus.side_tokens(corp, args.side)
-    outputs = []
     for direction in ("most", "least"):
         report = analysis.frequency_report(tokens, args.top_k, direction)
-        path = os.path.join(wd, f"freq.{args.side}.{direction}.tsv")
-        with open(path, "w", encoding="utf-8") as f:
+        with open(ctx.write(ctx.path(f"freq.{args.side}.{direction}.tsv")), "w",
+                  encoding="utf-8") as f:
             f.write("word\tcount\n")
             for word, count in report.ranked:
                 f.write(f"{word}\t{count}\n")
-        outputs.append(path)
     if args.project_word:
         model = analysis.load_embeddings(
-            _require(os.path.join(wd, f"embeddings.{args.side}.bin"), "embedding model"))
+            ctx.read(ctx.path(f"embeddings.{args.side}.bin"), "embedding model"))
         rows = analysis.project_2d(model, args.project_word, args.top_k, args.top_k)
-        path = os.path.join(wd, f"projection.{args.side}.tsv")
-        with open(path, "w", encoding="utf-8") as f:
+        with open(ctx.write(ctx.path(f"projection.{args.side}.tsv")), "w",
+                  encoding="utf-8") as f:
             f.write("word\tx\ty\tclass\n")
             for word, x, y, cls in rows:
                 f.write(f"{word}\t{x:.6f}\t{y:.6f}\t{cls}\n")
-        outputs.append(path)
-    _write_manifest(wd, "report", config, [os.path.join(wd, "corpus.jsonl")], outputs)
-    print("report ->", ", ".join(outputs))
+    print("report ->", ", ".join(ctx.outputs))
 
 
-def cmd_tok_train(config, args):
-    wd = _workdir(config, args)
-    split = aligner.load_split(_split_dir(config, args, wd))
-    vocab_size = args.vocab_size or config["tokenizer"]["vocab_size"]
-    outputs = []
+def cmd_tok_train(ctx, args):
+    split = _load_split(ctx, args)
+    vocab_size = args.vocab_size or ctx.config["tokenizer"]["vocab_size"]
+    seed = ctx.seed()
     for side in ("src", "tgt"):
         sentences = [getattr(p, side) for p in split.train]
-        vocab = subword.train_tokenizer(sentences, vocab_size,
-                                        seed=stage_seed(config, "tok-train"))
-        path = os.path.join(wd, f"vocab.{side}.tsv")
+        vocab = subword.train_tokenizer(sentences, vocab_size, seed=seed)
+        path = ctx.write(ctx.path(f"vocab.{side}.tsv"))
         subword.save_vocab(vocab, path)
-        outputs.append(path)
         print(f"{side}: {len(vocab)} pieces -> {path}")
-    _write_manifest(wd, "tok-train", config, [], outputs)
 
 
-def cmd_tok_apply(config, args):
-    wd = _workdir(config, args)
-    vocab = subword.load_vocab(
-        _require(os.path.join(wd, f"vocab.{args.side}.tsv"), "subword vocab"))
-    if args.text is not None:
-        lines = [args.text]
-    else:
-        with open(_require(args.input, "input text"), "r", encoding="utf-8") as f:
-            lines = [ln.rstrip("\n") for ln in f]
-    for line in lines:
+def cmd_tok_apply(ctx, args):
+    vocab = _load_vocab(ctx, args.side)
+    for line in _input_lines(ctx, args):
         ids = subword.encode(vocab, corpus.normalize_text(line))
         print(" ".join(str(i) for i in ids))
 
 
-def cmd_augment(config, args):
-    wd = _workdir(config, args)
-    _check_stage_inputs(wd, config, ["split"], args.strict)
-    split = aligner.load_split(_split_dir(config, args, wd))
-    acfg = config["augment"]
+def cmd_augment(ctx, args):
+    split = _load_split(ctx, args)
+    acfg = ctx.config["augment"]
     policy = augment.AugmentPolicy(
         ops=tuple(acfg["ops"]), alpha=acfg["alpha"], n_aug=acfg["n_aug"],
-        max_pairs=acfg["max_pairs"], seed=stage_seed(config, "augment"))
-    lexicon = augment.load_lexicon(args.lexicon or acfg["lexicon"]) \
-        if (args.lexicon or acfg["lexicon"]) else None
+        max_pairs=acfg["max_pairs"], seed=ctx.seed())
+    lexicon_path = args.lexicon or acfg["lexicon"]
+    lexicon = augment.load_lexicon(ctx.read(lexicon_path, "synonym lexicon")) \
+        if lexicon_path else None
     model = None
     if "embed_replace" in policy.ops:
         model = analysis.load_embeddings(
-            _require(os.path.join(wd, f"embeddings.{acfg['side']}.bin"),
-                     "embedding model"))
+            ctx.read(ctx.path(f"embeddings.{acfg['side']}.bin"), "embedding model"))
     augmented = augment.augment_training_set(split, acfg["side"], policy,
                                              lexicon=lexicon, model=model)
-    out_dir = os.path.join(wd, "augmented")
-    aligner.save_split(augmented, out_dir)
-    outputs = [os.path.join(out_dir, n) for n in
-               ("train.jsonl", "test.jsonl", "validation.jsonl", "manifest.json")]
-    _write_manifest(wd, "augment", config, [], outputs)
+    out_dir = _save_split(ctx, augmented, "augmented")
     print(f"augment: train {len(split.train)} -> {len(augmented.train)} pairs "
           f"-> {out_dir}")
 
 
 def _encode_pairs(pairs, src_vocab, tgt_vocab, max_len):
-    encoded = []
-    skipped = 0
-    for p in pairs:
-        src_ids = subword.encode(src_vocab, p.src)
-        tgt_ids = subword.encode(tgt_vocab, p.tgt)
-        if 1 <= len(src_ids) <= max_len and len(tgt_ids) + 1 <= max_len:
-            encoded.append((src_ids, tgt_ids))
-        else:
-            skipped += 1
-    return encoded, skipped
+    encoded = [(subword.encode(src_vocab, p.src), subword.encode(tgt_vocab, p.tgt))
+               for p in pairs]
+    kept = [pair for pair in encoded if nmt.length_error(max_len, *pair) is None]
+    return kept, len(encoded) - len(kept)
 
 
-def cmd_train(config, args):
-    wd = _workdir(config, args)
-    _check_stage_inputs(wd, config, ["split", "tok-train"], args.strict)
-    split = aligner.load_split(_split_dir(config, args, wd))
-    src_vocab = subword.load_vocab(_require(os.path.join(wd, "vocab.src.tsv"),
-                                            "source subword vocab"))
-    tgt_vocab = subword.load_vocab(_require(os.path.join(wd, "vocab.tgt.tsv"),
-                                            "target subword vocab"))
-    mcfg = config["model"]
-    tcfg = config["train"]
+def cmd_train(ctx, args):
+    split = _load_split(ctx, args)
+    src_vocab, tgt_vocab = _load_vocab(ctx, "src"), _load_vocab(ctx, "tgt")
+    mcfg = ctx.config["model"]
+    tcfg = ctx.config["train"]
     model_config = nmt.ModelConfig(
         src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab),
         hidden=args.hidden or mcfg["hidden"], max_len=mcfg["max_len"],
-        dropout_p=mcfg["dropout_p"], seed=stage_seed(config, "model-init"))
+        dropout_p=mcfg["dropout_p"], seed=ctx.seed("model-init"))
     train_config = nmt.TrainConfig(
         epochs=args.epochs or tcfg["epochs"], learning_rate=tcfg["learning_rate"],
         teacher_forcing_ratio=tcfg["teacher_forcing_ratio"],
-        grad_clip_norm=tcfg["grad_clip_norm"], seed=stage_seed(config, "train"))
+        grad_clip_norm=tcfg["grad_clip_norm"], seed=ctx.seed())
 
     pairs, skipped = _encode_pairs(split.train, src_vocab, tgt_vocab,
                                    model_config.max_len)
@@ -370,37 +434,25 @@ def cmd_train(config, args):
     model = nmt.init_model(model_config)
     model, history = nmt.train(model, pairs, train_config,
                                validation_pairs=val_pairs or None)
-    ckpt = os.path.join(wd, "model.ckpt")
-    loss_csv = os.path.join(wd, "loss.csv")
+    ckpt = ctx.write(ctx.path("model.ckpt"))
     nmt.save_checkpoint(model, ckpt)
-    nmt.save_loss_history(history, loss_csv)
-    _write_manifest(wd, "train", config, [os.path.join(wd, "vocab.src.tsv"),
-                                          os.path.join(wd, "vocab.tgt.tsv")],
-                    [ckpt, loss_csv])
+    nmt.save_loss_history(history, ctx.write(ctx.path("loss.csv")))
     print(f"trained {train_config.epochs} epochs, "
           f"final loss {history[-1]['mean_loss']:.4f} -> {ckpt}")
 
 
-def cmd_translate(config, args):
-    wd = _workdir(config, args)
-    model = nmt.load_checkpoint(_require(os.path.join(wd, "model.ckpt"), "model checkpoint"))
-    src_vocab = subword.load_vocab(_require(os.path.join(wd, "vocab.src.tsv"),
-                                            "source subword vocab"))
-    tgt_vocab = subword.load_vocab(_require(os.path.join(wd, "vocab.tgt.tsv"),
-                                            "target subword vocab"))
-    if args.text is not None:
-        lines = [args.text]
-    else:
-        with open(_require(args.input, "input text"), "r", encoding="utf-8") as f:
-            lines = [ln.rstrip("\n") for ln in f]
+def cmd_translate(ctx, args):
+    model = nmt.load_checkpoint(ctx.read(ctx.path("model.ckpt"), "model checkpoint"))
+    src_vocab, tgt_vocab = _load_vocab(ctx, "src"), _load_vocab(ctx, "tgt")
     out = []
-    for line in lines:
+    for line in _input_lines(ctx, args):
         src_ids = subword.encode(src_vocab, corpus.normalize_text(line))
         src_ids = src_ids[:model.config.max_len]
-        tgt_ids, _ = nmt.translate(model, src_ids)
+        # A blank line translates to a blank line, keeping one output per input.
+        tgt_ids = nmt.translate(model, src_ids)[0] if src_ids else []
         out.append(subword.decode(tgt_vocab, tgt_ids))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
+        with open(ctx.write(args.output), "w", encoding="utf-8") as f:
             f.write("\n".join(out) + "\n")
         print(f"translated {len(out)} lines -> {args.output}")
     else:
@@ -408,21 +460,15 @@ def cmd_translate(config, args):
             print(line)
 
 
-def cmd_evaluate(config, args):
-    wd = _workdir(config, args)
-    with open(_require(args.hyp, "hypothesis file"), "r", encoding="utf-8") as f:
+def cmd_evaluate(ctx, args):
+    with open(ctx.read(args.hyp, "hypothesis file"), "r", encoding="utf-8") as f:
         hyps = [corpus.normalize_text(ln).split() for ln in f.read().splitlines()]
-    with open(_require(args.ref, "reference file"), "r", encoding="utf-8") as f:
+    with open(ctx.read(args.ref, "reference file"), "r", encoding="utf-8") as f:
         refs = [corpus.normalize_text(ln).split() for ln in f.read().splitlines()]
-    smoothing = args.smoothing or config["evaluation"]["smoothing"]
+    smoothing = args.smoothing or ctx.config["evaluation"]["smoothing"]
     report = bleu.corpus_bleu(hyps, refs, smoothing=smoothing)
-    out_path = os.path.join(wd, "bleu.json")
-    with open(out_path, "w", encoding="utf-8") as f:
-        json.dump({"score": report.score, "precisions": report.precisions,
-                   "brevity_penalty": report.brevity_penalty,
-                   "hyp_length": report.hyp_length, "ref_length": report.ref_length,
-                   "smoothing": report.smoothing}, f, indent=2)
-    _write_manifest(wd, "evaluate", config, [args.hyp, args.ref], [out_path])
+    with open(ctx.write(ctx.path("bleu.json")), "w", encoding="utf-8") as f:
+        json.dump(dataclasses.asdict(report), f, indent=2)
     print(report.summary_line())
 
 
@@ -447,18 +493,48 @@ def validate_export(records):
             raise ValueError(f"export record {i} invalid: {errors[0].message}")
 
 
-def cmd_export_ft(config, args):
-    wd = _workdir(config, args)
-    split = aligner.load_split(_split_dir(config, args, wd))
-    records = export_records(split)
+def cmd_export_ft(ctx, args):
+    records = export_records(_load_split(ctx, args))
     validate_export(records)
-    out_path = os.path.join(wd, "finetune.jsonl")
+    out_path = ctx.write(ctx.path("finetune.jsonl"))
     write_jsonl(out_path, records)
-    _write_manifest(wd, "export-ft", config, [], [out_path])
     print(f"exported {len(records)} records -> {out_path}")
 
 
 # --- argument parsing -------------------------------------------------------
+
+STAGES = {  # name -> (run(ctx, args), help, argparse option specs...)
+    "ingest": (cmd_ingest, "load (or synthesize) a parallel corpus",
+               arg("--input"), arg("--format", choices=["jsonl", "tsv"]),
+               arg("--synthetic", type=int, metavar="N",
+                   help="generate N synthetic units instead of reading a file")),
+    "stats": (cmd_stats, "corpus-level word statistics", SIDE, TOP_K),
+    "split": (cmd_split, "segment, classify and split the corpus",
+              arg("--ratios", help="comma-separated train,test,validation ratios"),
+              arg("--seed", type=int)),
+    "embed": (cmd_embed, "train word embeddings on the train split", SIDE,
+              arg("--dim", type=int), arg("--epochs", type=int), SPLIT_DIR,
+              arg("--query", help="print nearest neighbors of this word")),
+    "report": (cmd_report, "frequency and projection TSVs for plotting", SIDE, TOP_K,
+               arg("--project-word")),
+    "tok-train": (cmd_tok_train, "train subword vocabularies per side",
+                  arg("--vocab-size", type=int), SPLIT_DIR),
+    "tok-apply": (cmd_tok_apply, "encode text with a trained vocab", SIDE,
+                  arg("--text"), arg("--input")),
+    "augment": (cmd_augment, "augment one-to-one train pairs",
+                arg("--lexicon", help="synonym lexicon file (word TAB syn,syn,...)"),
+                SPLIT_DIR),
+    "train": (cmd_train, "train the seq2seq model", SPLIT_DIR,
+              arg("--epochs", type=int), arg("--hidden", type=int)),
+    "translate": (cmd_translate, "greedy-decode text with the trained model",
+                  arg("--text"), arg("--input"), arg("--output")),
+    "evaluate": (cmd_evaluate, "corpus BLEU-4 of hypothesis vs reference",
+                 arg("--hyp", required=True), arg("--ref", required=True),
+                 arg("--smoothing", choices=list(bleu.SMOOTHING_MODES))),
+    "export-ft": (cmd_export_ft, "emit fine-tuning-ready JSONL", SPLIT_DIR),
+}
+
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -466,87 +542,19 @@ def build_parser():
     parser.add_argument("--config", help="YAML pipeline config")
     parser.add_argument("--workdir", help="artifact directory (or $LOWMT_WORKDIR)")
     parser.add_argument("--strict", action="store_true",
-                        help="treat manifest/config hash mismatches as errors")
+                        help="treat stale inputs and config hash mismatches as errors")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="load (or synthesize) a parallel corpus")
-    p.add_argument("--input")
-    p.add_argument("--format", choices=["jsonl", "tsv"])
-    p.add_argument("--synthetic", type=int, metavar="N",
-                   help="generate N synthetic units instead of reading a file")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("stats", help="corpus-level word statistics")
-    p.add_argument("--side", choices=["src", "tgt"], default="src")
-    p.add_argument("--top-k", type=int, default=10)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("split", help="segment, classify and split the corpus")
-    p.add_argument("--ratios", help="comma-separated train,test,validation ratios")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_split)
-
-    p = sub.add_parser("embed", help="train word embeddings on the train split")
-    p.add_argument("--side", choices=["src", "tgt"], default="src")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--split-dir")
-    p.add_argument("--query", help="print nearest neighbors of this word")
-    p.set_defaults(func=cmd_embed)
-
-    p = sub.add_parser("report", help="frequency and projection TSVs for plotting")
-    p.add_argument("--side", choices=["src", "tgt"], default="src")
-    p.add_argument("--top-k", type=int, default=10)
-    p.add_argument("--project-word")
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("tok-train", help="train subword vocabularies per side")
-    p.add_argument("--vocab-size", type=int)
-    p.add_argument("--split-dir")
-    p.set_defaults(func=cmd_tok_train)
-
-    p = sub.add_parser("tok-apply", help="encode text with a trained vocab")
-    p.add_argument("--side", choices=["src", "tgt"], default="src")
-    p.add_argument("--text")
-    p.add_argument("--input")
-    p.set_defaults(func=cmd_tok_apply)
-
-    p = sub.add_parser("augment", help="augment one-to-one train pairs")
-    p.add_argument("--lexicon", help="synonym lexicon file (word TAB syn,syn,...)")
-    p.add_argument("--split-dir")
-    p.set_defaults(func=cmd_augment)
-
-    p = sub.add_parser("train", help="train the seq2seq model")
-    p.add_argument("--split-dir")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--hidden", type=int)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("translate", help="greedy-decode text with the trained model")
-    p.add_argument("--text")
-    p.add_argument("--input")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_translate)
-
-    p = sub.add_parser("evaluate", help="corpus BLEU-4 of hypothesis vs reference")
-    p.add_argument("--hyp", required=True)
-    p.add_argument("--ref", required=True)
-    p.add_argument("--smoothing", choices=list(bleu.SMOOTHING_MODES))
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("export-ft", help="emit fine-tuning-ready JSONL")
-    p.add_argument("--split-dir")
-    p.set_defaults(func=cmd_export_ft)
-
+    for name, (_, help, *options) in STAGES.items():
+        p = sub.add_parser(name, help=help)
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        args.func(config, args)
+        run_stage(args.command, load_config(args.config), args)
     except nmt.NmtNumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL

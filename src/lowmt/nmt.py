@@ -165,8 +165,7 @@ def _gru_backward(p, g, prefix, dh_new, cache):
 def encode_sequence(model, src_ids):
     """Run the encoder; returns (max_len x d outputs, final hidden, caches)."""
     cfg = model.config
-    if not (1 <= len(src_ids) <= cfg.max_len):
-        raise NmtError(f"source length {len(src_ids)} outside [1, max_len={cfg.max_len}]")
+    _check_pair(cfg, src_ids)
     p = model.params
     d = cfg.hidden
     h = np.zeros(d)
@@ -311,11 +310,19 @@ def _clip_gradients(grads, max_norm):
     return total
 
 
-def _check_pair(cfg, src_ids, tgt_ids):
-    if len(src_ids) < 1 or len(src_ids) > cfg.max_len:
-        raise NmtError(f"source length {len(src_ids)} outside [1, max_len={cfg.max_len}]")
-    if len(tgt_ids) + 1 > cfg.max_len:
-        raise NmtError(f"target length {len(tgt_ids)}+eos exceeds max_len={cfg.max_len}")
+def length_error(max_len, src_ids, tgt_ids=()):
+    """Why a pair does not fit a model of this max_len, or None if it does:
+    the source needs 1..max_len tokens and the target room for </s>."""
+    if not 1 <= len(src_ids) <= max_len:
+        return f"source length {len(src_ids)} outside [1, max_len={max_len}]"
+    if len(tgt_ids) + 1 > max_len:
+        return f"target length {len(tgt_ids)}+eos exceeds max_len={max_len}"
+    return None
+
+
+def _check_pair(cfg, src_ids, tgt_ids=()):
+    if error := length_error(cfg.max_len, src_ids, tgt_ids):
+        raise NmtError(error)
 
 
 def train(model, pairs, train_config, validation_pairs=None):

@@ -111,33 +111,6 @@ class TestEmbedReplace:
             assert out[0] != "red"
 
 
-class _FnTranslator:
-    def __init__(self, fn):
-        self.fn = fn
-
-    def translate(self, text):
-        return self.fn(text)
-
-
-class TestRoundTrip:
-    def test_identity_translators(self):
-        ident = _FnTranslator(lambda t: t)
-        assert augment.round_trip_paraphrase("hello there", ident, ident) == \
-            "hello there"
-
-    def test_composition_contract(self):
-        up = _FnTranslator(str.upper)
-        low = _FnTranslator(str.lower)
-        assert augment.round_trip_paraphrase("MiXeD", up, low) == "mixed"
-
-    def test_failure_propagates_with_context(self):
-        def boom(_):
-            raise RuntimeError("backend down")
-        with pytest.raises(augment.AugmentError, match="backend down"):
-            augment.round_trip_paraphrase("x", _FnTranslator(boom),
-                                          _FnTranslator(lambda t: t))
-
-
 def make_split(n_one2one, n_variable):
     train = [TextPair(src=f"s{i} tok tok", tgt=f"good day t{i}",
                       origin_id=f"o{i}", group="one2one")
@@ -230,8 +203,9 @@ class TestPolicyValidation:
             augment.AugmentPolicy(n_aug=0)
 
     def test_unknown_op(self):
-        with pytest.raises(augment.AugmentError):
-            augment.AugmentPolicy(ops=("grammar_rewrite",))
+        for op in ("grammar_rewrite", "round_trip"):
+            with pytest.raises(augment.AugmentError, match="unknown augmentation ops"):
+                augment.AugmentPolicy(ops=(op,))
 
 
 class TestLexiconFile:

@@ -164,3 +164,153 @@ class TestSmallPipeline:
         assert cli.main(base + ["translate", "--text", "ba ce di fo."]) == 0
         out = capsys.readouterr().out
         assert isinstance(out, str)
+
+
+SMALL_CONFIG = (
+    "model:\n  hidden: 16\n  max_len: 24\n  dropout_p: 0.0\n"
+    "train:\n  epochs: 1\n  learning_rate: 0.05\n"
+    "embeddings:\n  dim: 8\n  epochs: 1\n"
+    "augment:\n  ops: [random_delete, random_swap]\n"
+)
+
+
+@pytest.fixture
+def small(work, tmp_path):
+    """Runs stages in work under SMALL_CONFIG; returns the exit code."""
+    cfg = tmp_path / "small.yaml"
+    cfg.write_text(SMALL_CONFIG)
+
+    def run_small(*args, strict=False):
+        flags = ["--strict"] if strict else []
+        return cli.main(["--workdir", str(work), "--config", str(cfg)] + flags
+                        + list(args))
+    return run_small
+
+
+def manifest(work, stage):
+    return json.loads((work / f"{stage}.manifest.json").read_text())
+
+
+def train_small(small):
+    for args in (["ingest", "--synthetic", "30"], ["split"],
+                 ["tok-train", "--vocab-size", "80"], ["train"]):
+        assert small(*args) == 0
+
+
+class TestRunContext:
+    def test_manifests_list_split_files_read(self, small, work):
+        assert small("ingest", "--synthetic", "30") == 0
+        assert small("split") == 0
+        for stage in ("embed", "tok-train", "augment", "export-ft"):
+            assert small(stage) == 0
+            inputs = manifest(work, stage)["inputs"]
+            for name in ("train.jsonl", "test.jsonl", "validation.jsonl",
+                         "manifest.json"):
+                key = f"split/{name}"
+                assert inputs[key] == sha256_file(work / key), (stage, key)
+
+    def test_manifest_records_seed_used(self, small, work):
+        assert small("ingest", "--synthetic", "30") == 0
+        assert small("split", "--seed", "99") == 0
+        assert manifest(work, "split")["seeds"] == {"split": 99}
+        assert small("split") == 0
+        config = cli.load_config(None)
+        assert manifest(work, "split")["seeds"] == {
+            "split": cli.stage_seed(config, "split")}
+
+    def test_stale_checkpoint_exits_3_under_strict(self, small, capsys):
+        train_small(small)
+        assert small("tok-train", "--vocab-size", "60") == 0
+        capsys.readouterr()
+        code = small("translate", "--text", "ba ce di fo.", strict=True)
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert "model.ckpt is stale" in err and "vocab.src.tsv" in err
+
+    def test_stale_checkpoint_warns_by_default(self, small, capsys):
+        train_small(small)
+        assert small("tok-train", "--vocab-size", "60") == 0
+        capsys.readouterr()
+        assert small("translate", "--text", "ba ce di fo.") == 0
+        err = capsys.readouterr().err
+        assert "warning: model.ckpt is stale" in err
+
+    def test_resplit_makes_vocab_stale(self, small, capsys):
+        for args in (["ingest", "--synthetic", "30"], ["split"],
+                     ["tok-train", "--vocab-size", "80"], ["split", "--seed", "5"]):
+            assert small(*args) == 0
+        capsys.readouterr()
+        assert small("train", strict=True) == cli.EXIT_DATA
+        assert ("vocab.src.tsv is stale: split/train.jsonl has changed since "
+                "tok-train read it") in capsys.readouterr().err
+
+    def test_edited_artifact_warns(self, small, work, capsys):
+        assert small("ingest", "--synthetic", "30") == 0
+        with open(work / "corpus.jsonl", "a") as f:
+            f.write("\n")
+        capsys.readouterr()
+        assert small("stats") == 0
+        assert ("warning: corpus.jsonl has changed since ingest wrote it"
+                in capsys.readouterr().err)
+
+    def test_malformed_manifest_warns_or_fails_strict(self, small, work, capsys):
+        assert small("ingest", "--synthetic", "30") == 0
+        (work / "ingest.manifest.json").write_text('{"stage": "ing')
+        assert small("split", strict=True) == cli.EXIT_DATA
+        assert "ingest.manifest.json: malformed manifest" in capsys.readouterr().err
+        assert small("split") == 0
+        assert small("ingest", "--synthetic", "30") == 0
+        assert small("split", strict=True) == 0
+
+    def test_unreadable_paths_are_data_errors(self, small, work, tmp_path):
+        assert small("evaluate", "--hyp", str(tmp_path), "--ref",
+                     str(tmp_path)) == cli.EXIT_DATA
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        assert run(["ingest", "--synthetic", "3"], not_a_dir) == cli.EXIT_DATA
+
+    def test_fresh_chain_passes_strict(self, small, work, tmp_path, capsys):
+        train_small(small)
+        src = tmp_path / "src.txt"
+        src.write_text("ba ce.\n")
+        hyp = tmp_path / "hyp.txt"
+        assert small("translate", "--input", str(src), "--output", str(hyp),
+                     strict=True) == 0
+        assert small("evaluate", "--hyp", str(hyp), "--ref", str(src),
+                     strict=True) == 0
+        assert "warning" not in capsys.readouterr().err
+        assert manifest(work, "evaluate")["inputs"] == {
+            os.path.relpath(hyp, work): sha256_file(hyp),
+            os.path.relpath(src, work): sha256_file(src)}
+
+    def test_translate_blank_line_keeps_its_place(self, small, tmp_path):
+        train_small(small)
+        src = tmp_path / "src.txt"
+        src.write_text("ba ce di.\n\nfo gu.\n")
+        hyp = tmp_path / "hyp.txt"
+        assert small("translate", "--input", str(src), "--output", str(hyp)) == 0
+        lines = hyp.read_text().split("\n")
+        assert len(lines) == 4 and lines[1] == "" and lines[3] == ""
+
+    def test_tok_apply_writes_no_manifest(self, small, work):
+        assert small("ingest", "--synthetic", "30") == 0
+        assert small("split") == 0
+        assert small("tok-train", "--vocab-size", "80") == 0
+        assert small("tok-apply", "--text", "ba ce.") == 0
+        assert not (work / "tok-apply.manifest.json").exists()
+
+
+class TestConfigCopy:
+    def test_load_returns_fresh_copy(self):
+        first = cli.load_config(None)
+        first["model"]["hidden"] = 7
+        first["augment"]["ops"].append("embed_replace")
+        second = cli.load_config(None)
+        assert second["model"]["hidden"] == 256
+        assert "embed_replace" not in second["augment"]["ops"]
+
+    def test_merged_load_does_not_share_defaults(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("seed: 9\n")
+        cli.load_config(cfg)["model"]["hidden"] = 7
+        assert cli.load_config(None)["model"]["hidden"] == 256
