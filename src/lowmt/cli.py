@@ -2,9 +2,10 @@
 augment -> train -> translate -> evaluate -> export-ft.
 
 Every stage is one entry of STAGES, run by run_stage() with a StageContext
-that checks what the stage reads and records it, with what it writes and the
-seeds it draws, in <stage>.manifest.json. A single top-level seed derives
-every stage seed via derive_seed(seed, stage_name).
+that checks what the stage reads and records it, with what it writes, the
+seeds it draws and the lowmt and numpy versions, in <stage>.manifest.json
+(<stage>.<side>.manifest.json for a stage run with --side). A single
+top-level seed derives every stage seed via derive_seed(seed, stage_name).
 """
 
 import argparse
@@ -15,9 +16,10 @@ import os
 import random
 import sys
 
+import numpy as np
 import yaml
 
-from . import aligner, analysis, augment, bleu, corpus, nmt, subword
+from . import __version__, aligner, analysis, augment, bleu, corpus, nmt, subword
 from .util import config_hash, derive_seed, sha256_file, write_jsonl
 
 EXIT_OK = 0
@@ -102,8 +104,9 @@ class StageContext:
     A mismatch warns, or raises under --strict.
     """
 
-    def __init__(self, stage, config, workdir, strict):
+    def __init__(self, stage, config, workdir, strict, manifest_name):
         self.stage = stage
+        self.manifest_name = manifest_name
         self.config = config
         self.workdir = workdir
         self.strict = strict
@@ -150,12 +153,18 @@ class StageContext:
             "stage": self.stage,
             "config_hash": config_hash(self.config),
             "seeds": self.seeds,
+            "versions": {"lowmt": __version__, "numpy": np.__version__},
             "inputs": self.inputs,
             "outputs": {os.path.relpath(p, self.workdir): sha256_file(p)
                         for p in self.outputs},
         }
-        with open(self.path(self.stage + MANIFEST_SUFFIX), "w", encoding="utf-8") as f:
+        with open(self.path(self.manifest_name), "w", encoding="utf-8") as f:
             json.dump(manifest, f, indent=2)
+        shared = self.stage + MANIFEST_SUFFIX
+        if self.manifest_name != shared and os.path.exists(self.path(shared)):
+            # Left by a lowmt before per-side names; it would be found first
+            # and its stale digests checked instead of this manifest's.
+            os.remove(self.path(shared))
 
     def _producer(self, key):
         """Name of the manifest in the workdir that lists key as an output."""
@@ -204,10 +213,13 @@ SPLIT_DIR = arg("--split-dir")
 
 
 def run_stage(name, config, args):
-    """Run one stage, then write its manifest if it wrote any artifact."""
+    """Run one stage, then write its manifest if it wrote any artifact; a
+    stage run with --side gets one manifest per side."""
     workdir = args.workdir or os.environ.get("LOWMT_WORKDIR") or config["workdir"]
     os.makedirs(workdir, exist_ok=True)
-    ctx = StageContext(name, config, workdir, args.strict)
+    side = getattr(args, "side", None)
+    manifest_name = (f"{name}.{side}" if side else name) + MANIFEST_SUFFIX
+    ctx = StageContext(name, config, workdir, args.strict, manifest_name)
     STAGES[name][0](ctx, args)
     if ctx.outputs:
         ctx.write_manifest()
@@ -444,13 +456,20 @@ def cmd_train(ctx, args):
 def cmd_translate(ctx, args):
     model = nmt.load_checkpoint(ctx.read(ctx.path("model.ckpt"), "model checkpoint"))
     src_vocab, tgt_vocab = _load_vocab(ctx, "src"), _load_vocab(ctx, "tgt")
+    max_len = model.config.max_len
     out = []
-    for line in _input_lines(ctx, args):
+    truncated = []
+    for lineno, line in enumerate(_input_lines(ctx, args), start=1):
         src_ids = subword.encode(src_vocab, corpus.normalize_text(line))
-        src_ids = src_ids[:model.config.max_len]
+        if len(src_ids) > max_len:
+            truncated.append(lineno)
+            src_ids = src_ids[:max_len]
         # A blank line translates to a blank line, keeping one output per input.
         tgt_ids = nmt.translate(model, src_ids)[0] if src_ids else []
         out.append(subword.decode(tgt_vocab, tgt_ids))
+    if truncated:
+        print(f"warning: truncated {len(truncated)} source lines longer than "
+              f"max_len={max_len} tokens (first: line {truncated[0]})", file=sys.stderr)
     if args.output:
         with open(ctx.write(args.output), "w", encoding="utf-8") as f:
             f.write("\n".join(out) + "\n")

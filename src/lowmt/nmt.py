@@ -15,6 +15,14 @@ Decoder step: embed previous token (dropout in train mode), attention weights
 softmax(W_attn [x; h] + b) over encoder positions, context = weights @
 encoder_outputs, combined = relu(W_comb [x; context] + b), GRU step on the
 combined vector, log-softmax output layer.
+
+Backward (BPTT): only the dh recurrence runs step by step, in reverse. Each
+step stores its gate pre-activation, comb and attention gradients as rows of
+T x d arrays; after the loop every weight gradient is one product over the
+whole sequence (e.g. dWh = DA_h^T X) and every bias gradient a column sum.
+The output layer does not depend on the recurrence and is done before the
+loop. Embedding gradients are sparse (touched rows, row gradients); they
+count in the clip norm and train updates only those rows.
 """
 
 import json
@@ -130,36 +138,58 @@ def _gru_forward(p, prefix, x, h):
     return h_new, {"x": x, "h": h, "z": z, "r": r, "rh": rh, "c": c}
 
 
-def _gru_backward(p, g, prefix, dh_new, cache):
-    x, h, z, r, rh, c = (cache["x"], cache["h"], cache["z"], cache["r"],
-                         cache["rh"], cache["c"])
-    dz = dh_new * (c - h)
-    dc = dh_new * z
-    dh = dh_new * (1.0 - z)
+def _gru_tape(p, prefix, caches):
+    """Stack one sequence's GRU step caches into T x d arrays for the backward.
 
-    da_c = dc * (1.0 - c * c)
-    g[f"{prefix}_Wh"] += np.outer(da_c, x)
-    g[f"{prefix}_Uh"] += np.outer(da_c, rh)
-    g[f"{prefix}_bh"] += da_c
-    dx = p[f"{prefix}_Wh"].T @ da_c
-    drh = p[f"{prefix}_Uh"].T @ da_c
-    dr = drh * h
-    dh += drh * r
+    Precomputes, per step, the factors that turn dL/dh' into the gate
+    pre-activation gradients, and allocates DA (T x 3d), whose row t
+    _gru_step_back fills with [da_h | da_r | da_z].
+    """
+    X, H, Z, R, RH, C = (np.stack([c[k] for c in caches])
+                         for k in ("x", "h", "z", "r", "rh", "c"))
+    return {
+        "X": X, "H": H, "RH": RH, "R": R, "carry": 1.0 - Z,
+        "kh": Z * (1.0 - C * C), "kr": H * R * (1.0 - R),
+        "kz": (C - H) * Z * (1.0 - Z),
+        "DA": np.empty((len(caches), 3 * H.shape[1])),
+        "U": [p[f"{prefix}_U{gate}"] for gate in "hrz"],
+        "W": [p[f"{prefix}_W{gate}"] for gate in "hrz"],
+    }
 
-    da_r = dr * r * (1.0 - r)
-    g[f"{prefix}_Wr"] += np.outer(da_r, x)
-    g[f"{prefix}_Ur"] += np.outer(da_r, h)
-    g[f"{prefix}_br"] += da_r
-    dx += p[f"{prefix}_Wr"].T @ da_r
-    dh += p[f"{prefix}_Ur"].T @ da_r
 
-    da_z = dz * z * (1.0 - z)
-    g[f"{prefix}_Wz"] += np.outer(da_z, x)
-    g[f"{prefix}_Uz"] += np.outer(da_z, h)
-    g[f"{prefix}_bz"] += da_z
-    dx += p[f"{prefix}_Wz"].T @ da_z
-    dh += p[f"{prefix}_Uz"].T @ da_z
-    return dx, dh
+def _gru_step_back(tape, t, dh_new):
+    """Fill tape["DA"][t] from dL/dh' of step t; returns dL/dh through the GRU."""
+    d = dh_new.shape[0]
+    da = tape["DA"][t]
+    Uh, Ur, Uz = tape["U"]
+    np.multiply(dh_new, tape["kh"][t], out=da[:d])
+    drh = da[:d] @ Uh
+    np.multiply(drh, tape["kr"][t], out=da[d:2 * d])
+    np.multiply(dh_new, tape["kz"][t], out=da[2 * d:])
+    return (dh_new * tape["carry"][t] + drh * tape["R"][t]
+            + da[d:2 * d] @ Ur + da[2 * d:] @ Uz)
+
+
+def _gru_input_grad(tape, da):
+    """dL/dx from gate gradients da: one row of tape["DA"] or all of them."""
+    d = da.shape[-1] // 3
+    Wh, Wr, Wz = tape["W"]
+    return da[..., :d] @ Wh + da[..., d:2 * d] @ Wr + da[..., 2 * d:] @ Wz
+
+
+def _gru_weight_grads(g, prefix, tape):
+    """The GRU's weight and bias gradients over the whole sequence, from
+    three products of the stacked gate gradients with the step inputs."""
+    DA = tape["DA"]
+    d = tape["H"].shape[1]
+    dW = DA.T @ tape["X"]
+    db = DA.sum(axis=0)
+    dUrz = DA[:, d:].T @ tape["H"]
+    g[f"{prefix}_Uh"] = DA[:, :d].T @ tape["RH"]
+    for i, gate in enumerate("hrz"):
+        g[f"{prefix}_W{gate}"] = dW[i * d:(i + 1) * d]
+        g[f"{prefix}_b{gate}"] = db[i * d:(i + 1) * d]
+    g[f"{prefix}_Ur"], g[f"{prefix}_Uz"] = dUrz[:d], dUrz[d:]
 
 
 def encode_sequence(model, src_ids):
@@ -208,6 +238,12 @@ def _decode_step(model, prev_id, hidden, encoder_outputs, dropout_mask=None):
     return logp, h_new, a, cache
 
 
+def _dropout_mask(cfg, rng):
+    """Inverted-dropout mask for one step's embedding (one rng.random draw)."""
+    keep = 1.0 - cfg.dropout_p
+    return (rng.random(cfg.hidden) < keep).astype(np.float64) / keep
+
+
 def decode_step(model, prev_token_id, hidden, encoder_outputs, train_mode=False,
                 rng=None):
     """One decoder step; dropout only in train_mode with a supplied rng."""
@@ -215,8 +251,7 @@ def decode_step(model, prev_token_id, hidden, encoder_outputs, train_mode=False,
     if train_mode and model.config.dropout_p > 0.0:
         if rng is None:
             raise NmtError("train_mode dropout requires an rng")
-        keep = 1.0 - model.config.dropout_p
-        mask = (rng.random(model.config.hidden) < keep).astype(np.float64) / keep
+        mask = _dropout_mask(model.config, rng)
     logp, h_new, a, _ = _decode_step(model, prev_token_id, hidden,
                                      encoder_outputs, mask)
     return logp, h_new, a
@@ -251,63 +286,103 @@ def _forward_pair(model, src_ids, tgt_ids, tf_gold, dropout_masks=None):
                   "src_ids": list(src_ids), "steps": steps}
 
 
-def _zero_grads(model):
-    return {k: np.zeros_like(v) for k, v in model.params.items()}
+def _row_grads(ids, grads):
+    """Sparse embedding gradient: (unique rows, summed row gradients)."""
+    # A dict, not np.unique: its first call costs 0.75 MiB of peak RSS.
+    index = {row: i for i, row in enumerate(sorted(set(ids)))}
+    summed = np.zeros((len(index), grads.shape[1]))
+    np.add.at(summed, [index[row] for row in ids], grads)
+    return np.array(list(index)), summed
 
 
 def _backward_pair(model, fwd):
+    """Gradients of the pair's mean NLL.
+
+    Only the dh recurrence runs step by step in reverse; each step records
+    its gate, comb and attention gradients as rows, and every weight
+    gradient is then one product over the whole sequence. The embedding
+    gradients are sparse (rows, row grads) pairs; see _dense_grads.
+    """
     p = model.params
-    g = _zero_grads(model)
+    d = model.config.hidden
     steps = fwd["steps"]
     T = len(steps)
-    d = model.config.hidden
-    denc_out = np.zeros_like(fwd["enc_out"])
+
+    # The output layer does not depend on the recurrence.
+    dlogits = np.stack([s["probs"] for s in steps]) / T
+    dlogits[np.arange(T), [s["gold"] for s in steps]] -= 1.0 / T
+    g = {"out_W": dlogits.T @ np.stack([s["h_new"] for s in steps]),
+         "out_b": dlogits.sum(axis=0)}
+    dh_out = dlogits @ p["out_W"]
+
+    tape = _gru_tape(p, "dec", [s["gru"] for s in steps])
+    comb_ctx = p["comb_W"][:, d:]
+    attn_h = p["attn_W"][:, d:]
+    relu = np.stack([s["comb_pre"] for s in steps]) > 0.0
+    A = np.stack([s["a"] for s in steps])
+    enc_out = fwd["enc_out"]
+    dcomb_pre = np.empty((T, d))
+    dcontext = np.empty((T, d))
+    dattn = np.empty_like(A)
     dh_next = np.zeros(d)
+    for t in range(T - 1, -1, -1):
+        dh_prev = _gru_step_back(tape, t, dh_out[t] + dh_next)
+        np.multiply(_gru_input_grad(tape, tape["DA"][t]), relu[t], out=dcomb_pre[t])
+        np.matmul(dcomb_pre[t], comb_ctx, out=dcontext[t])
+        da = enc_out @ dcontext[t]
+        np.multiply(A[t], da - np.dot(A[t], da), out=dattn[t])
+        dh_next = dh_prev + dattn[t] @ attn_h
 
-    for cache in reversed(steps):
-        probs = cache["probs"]
-        dlogits = probs / T
-        dlogits[cache["gold"]] -= 1.0 / T
-        g["out_W"] += np.outer(dlogits, cache["h_new"])
-        g["out_b"] += dlogits
-        dh_new = p["out_W"].T @ dlogits + dh_next
+    _gru_weight_grads(g, "dec", tape)
+    g["comb_W"] = dcomb_pre.T @ np.stack([s["xc"] for s in steps])
+    g["comb_b"] = dcomb_pre.sum(axis=0)
+    g["attn_W"] = dattn.T @ np.stack([s["eh"] for s in steps])
+    g["attn_b"] = dattn.sum(axis=0)
+    dxd = dcomb_pre @ p["comb_W"][:, :d] + dattn @ p["attn_W"][:, :d]
+    g["dec_embed"] = _row_grads([s["prev_id"] for s in steps],
+                                dxd * np.stack([s["mask"] for s in steps]))
 
-        dcomb, dh_prev = _gru_backward(p, g, "dec", dh_new, cache["gru"])
-        dcomb_pre = dcomb * (cache["comb_pre"] > 0.0)
-        g["comb_W"] += np.outer(dcomb_pre, cache["xc"])
-        g["comb_b"] += dcomb_pre
-        dxc = p["comb_W"].T @ dcomb_pre
-        dxd = dxc[:d].copy()
-        dcontext = dxc[d:]
-
-        a = cache["a"]
-        da = cache["enc_out"] @ dcontext
-        denc_out += np.outer(a, dcontext)
-        dattn_logits = a * (da - np.dot(a, da))
-        g["attn_W"] += np.outer(dattn_logits, cache["eh"])
-        g["attn_b"] += dattn_logits
-        deh = p["attn_W"].T @ dattn_logits
-        dxd += deh[:d]
-        dh_prev += deh[d:]
-
-        g["dec_embed"][cache["prev_id"]] += dxd * cache["mask"]
-        dh_next = dh_prev
-
+    src_ids = fwd["src_ids"]
+    S = len(src_ids)
+    denc_out = A[:, :S].T @ dcontext
+    tape = _gru_tape(p, "enc", fwd["enc_caches"])
     dh_carry = dh_next
-    for t in range(len(fwd["src_ids"]) - 1, -1, -1):
-        dh_t = denc_out[t] + dh_carry
-        dx, dh_carry = _gru_backward(p, g, "enc", dh_t, fwd["enc_caches"][t])
-        g["enc_embed"][fwd["src_ids"][t]] += dx
+    for t in range(S - 1, -1, -1):
+        dh_carry = _gru_step_back(tape, t, denc_out[t] + dh_carry)
+    _gru_weight_grads(g, "enc", tape)
+    g["enc_embed"] = _row_grads(src_ids, _gru_input_grad(tape, tape["DA"]))
     return g
 
 
-def _clip_gradients(grads, max_norm):
-    total = math.sqrt(sum(float(np.sum(v * v)) for v in grads.values()))
-    if max_norm > 0 and total > max_norm:
-        scale = max_norm / total
-        for v in grads.values():
-            v *= scale
-    return total
+def _dense_grads(model, grads):
+    """grads with each sparse embedding gradient as a full-size array."""
+    dense = dict(grads)
+    for name in ("enc_embed", "dec_embed"):
+        rows, row_grads = grads[name]
+        dense[name] = np.zeros_like(model.params[name])
+        dense[name][rows] = row_grads
+    return dense
+
+
+def _sgd_step(params, grads, learning_rate, max_norm):
+    """Clip grads to L2 norm max_norm (sparse embedding rows included) and
+    take one SGD step in place; grads are scaled in place too.
+
+    Returns (pre-clip norm, whether it was clipped).
+    """
+    arrays = [grad[1] if isinstance(grad, tuple) else grad for grad in grads.values()]
+    total = math.sqrt(sum(float(np.vdot(v, v)) for v in arrays))
+    clipped = max_norm > 0 and total > max_norm
+    step = learning_rate * (max_norm / total if clipped else 1.0)
+    for name, grad in grads.items():
+        if isinstance(grad, tuple):
+            rows, row_grads = grad
+            row_grads *= step
+            params[name][rows] -= row_grads
+        else:
+            grad *= step
+            params[name] -= grad
+    return total, clipped
 
 
 def length_error(max_len, src_ids, tgt_ids=()):
@@ -326,7 +401,12 @@ def _check_pair(cfg, src_ids, tgt_ids=()):
 
 
 def train(model, pairs, train_config, validation_pairs=None):
-    """Per-pair SGD with teacher forcing; returns (model, loss_history)."""
+    """Per-pair SGD with teacher forcing; returns (model, history).
+
+    Each history entry has the epoch, its mean_loss, the mean pre-clip
+    gradient L2 norm (grad_norm), the fraction of pairs whose gradient was
+    clipped (clip_rate) and, with validation pairs, val_loss.
+    """
     cfg = model.config
     if not pairs:
         raise NmtError("no training pairs")
@@ -339,7 +419,8 @@ def train(model, pairs, train_config, validation_pairs=None):
     for epoch in range(train_config.epochs):
         order = list(range(len(pairs)))
         random.Random(derive_seed(train_config.seed, "order", epoch)).shuffle(order)
-        epoch_loss = 0.0
+        epoch_loss = norm_sum = 0.0
+        n_clipped = 0
         for idx in order:
             src_ids, tgt_ids = pairs[idx]
             n_steps = len(tgt_ids) + 1
@@ -347,19 +428,20 @@ def train(model, pairs, train_config, validation_pairs=None):
                        for _ in range(n_steps)]
             masks = None
             if cfg.dropout_p > 0.0:
-                keep = 1.0 - cfg.dropout_p
-                masks = [(drop_rng.random(cfg.hidden) < keep).astype(np.float64) / keep
-                         for _ in range(n_steps)]
+                masks = [_dropout_mask(cfg, drop_rng) for _ in range(n_steps)]
             loss, fwd = _forward_pair(model, src_ids, tgt_ids, tf_gold, masks)
             if not np.isfinite(loss):
                 raise NmtNumericalError(
                     f"non-finite loss at epoch {epoch}, pair {idx}: {loss}")
-            grads = _backward_pair(model, fwd)
-            _clip_gradients(grads, train_config.grad_clip_norm)
-            for name, grad in grads.items():
-                model.params[name] -= train_config.learning_rate * grad
+            norm, clipped = _sgd_step(model.params, _backward_pair(model, fwd),
+                                      train_config.learning_rate,
+                                      train_config.grad_clip_norm)
             epoch_loss += loss
-        entry = {"epoch": epoch, "mean_loss": epoch_loss / len(pairs)}
+            norm_sum += norm
+            n_clipped += clipped
+        entry = {"epoch": epoch, "mean_loss": epoch_loss / len(pairs),
+                 "grad_norm": norm_sum / len(pairs),
+                 "clip_rate": n_clipped / len(pairs)}
         if validation_pairs:
             entry["val_loss"] = mean_loss(model, validation_pairs)
         history.append(entry)
@@ -408,9 +490,10 @@ def pair_loss(model, src_ids, tgt_ids):
 
 
 def pair_gradients(model, src_ids, tgt_ids):
+    """(loss, dense gradients) from the backward pass that train uses."""
     loss, fwd = _forward_pair(model, src_ids, tgt_ids,
                               [True] * (len(tgt_ids) + 1), None)
-    return loss, _backward_pair(model, fwd)
+    return loss, _dense_grads(model, _backward_pair(model, fwd))
 
 
 def gradient_check(model, pair, epsilon=1e-5, n_params_sampled=200, seed=0):

@@ -1,8 +1,10 @@
 import json
 import os
 
+import numpy
 import pytest
 
+import lowmt
 from lowmt import cli
 from lowmt.util import sha256_file
 
@@ -201,9 +203,10 @@ class TestRunContext:
     def test_manifests_list_split_files_read(self, small, work):
         assert small("ingest", "--synthetic", "30") == 0
         assert small("split") == 0
-        for stage in ("embed", "tok-train", "augment", "export-ft"):
+        for stage, name in (("embed", "embed.src"), ("tok-train", "tok-train"),
+                            ("augment", "augment"), ("export-ft", "export-ft")):
             assert small(stage) == 0
-            inputs = manifest(work, stage)["inputs"]
+            inputs = manifest(work, name)["inputs"]
             for name in ("train.jsonl", "test.jsonl", "validation.jsonl",
                          "manifest.json"):
                 key = f"split/{name}"
@@ -291,6 +294,49 @@ class TestRunContext:
         assert small("translate", "--input", str(src), "--output", str(hyp)) == 0
         lines = hyp.read_text().split("\n")
         assert len(lines) == 4 and lines[1] == "" and lines[3] == ""
+
+    def test_manifest_records_versions(self, small, work):
+        assert small("ingest", "--synthetic", "30") == 0
+        assert manifest(work, "ingest")["versions"] == {
+            "lowmt": lowmt.__version__, "numpy": numpy.__version__}
+
+    def test_each_side_keeps_its_manifest(self, small, work, capsys):
+        assert small("ingest", "--synthetic", "30") == 0
+        assert small("split") == 0
+        assert small("embed", "--side", "src") == 0
+        assert small("embed", "--side", "tgt") == 0
+        for side in ("src", "tgt"):
+            out = f"embeddings.{side}.bin"
+            assert manifest(work, f"embed.{side}")["outputs"] == {
+                out: sha256_file(work / out)}
+        with open(work / "embeddings.src.bin", "ab") as f:
+            f.write(b"\0")
+        capsys.readouterr()
+        assert small("report", "--side", "src", "--project-word", "ba",
+                     "--top-k", "3", strict=True) == cli.EXIT_DATA
+        assert ("embeddings.src.bin has changed since embed wrote it"
+                in capsys.readouterr().err)
+
+    def test_side_manifest_replaces_shared_one(self, small, work):
+        assert small("ingest", "--synthetic", "30") == 0
+        assert small("split") == 0
+        (work / "embed.manifest.json").write_text(json.dumps(
+            {"stage": "embed", "config_hash": "old", "seeds": {}, "inputs": {},
+             "outputs": {"embeddings.src.bin": "0" * 64}}))
+        assert small("embed", "--side", "src") == 0
+        assert not (work / "embed.manifest.json").exists()
+        assert small("report", "--side", "src", "--project-word", "ba",
+                     "--top-k", "3", strict=True) == 0
+
+    def test_translate_warns_on_truncated_source(self, small, capsys):
+        train_small(small)
+        capsys.readouterr()
+        long_line = " ".join(["ba"] * 100) + "."
+        assert small("translate", "--text", long_line) == 0
+        assert ("warning: truncated 1 source lines longer than max_len=24 tokens "
+                "(first: line 1)") in capsys.readouterr().err
+        assert small("translate", "--text", "ba ce di.") == 0
+        assert "truncated" not in capsys.readouterr().err
 
     def test_tok_apply_writes_no_manifest(self, small, work):
         assert small("ingest", "--synthetic", "30") == 0

@@ -23,6 +23,113 @@ def tiny_model():
 PAIR = ([4, 5, 6, 7], [5, 6, 4])
 
 
+# Frozen copy of the per-step backward that the whole-sequence one replaced:
+# the reference the current backward must match.
+def _ref_gru_backward(p, g, prefix, dh_new, cache):
+    x, h, z, r, rh, c = (cache["x"], cache["h"], cache["z"], cache["r"],
+                         cache["rh"], cache["c"])
+    dz = dh_new * (c - h)
+    dc = dh_new * z
+    dh = dh_new * (1.0 - z)
+
+    da_c = dc * (1.0 - c * c)
+    g[f"{prefix}_Wh"] += np.outer(da_c, x)
+    g[f"{prefix}_Uh"] += np.outer(da_c, rh)
+    g[f"{prefix}_bh"] += da_c
+    dx = p[f"{prefix}_Wh"].T @ da_c
+    drh = p[f"{prefix}_Uh"].T @ da_c
+    dr = drh * h
+    dh += drh * r
+
+    da_r = dr * r * (1.0 - r)
+    g[f"{prefix}_Wr"] += np.outer(da_r, x)
+    g[f"{prefix}_Ur"] += np.outer(da_r, h)
+    g[f"{prefix}_br"] += da_r
+    dx += p[f"{prefix}_Wr"].T @ da_r
+    dh += p[f"{prefix}_Ur"].T @ da_r
+
+    da_z = dz * z * (1.0 - z)
+    g[f"{prefix}_Wz"] += np.outer(da_z, x)
+    g[f"{prefix}_Uz"] += np.outer(da_z, h)
+    g[f"{prefix}_bz"] += da_z
+    dx += p[f"{prefix}_Wz"].T @ da_z
+    dh += p[f"{prefix}_Uz"].T @ da_z
+    return dx, dh
+
+
+def _ref_backward_pair(model, fwd):
+    p = model.params
+    g = {k: np.zeros_like(v) for k, v in p.items()}
+    steps = fwd["steps"]
+    T = len(steps)
+    d = model.config.hidden
+    denc_out = np.zeros_like(fwd["enc_out"])
+    dh_next = np.zeros(d)
+
+    for cache in reversed(steps):
+        probs = cache["probs"]
+        dlogits = probs / T
+        dlogits[cache["gold"]] -= 1.0 / T
+        g["out_W"] += np.outer(dlogits, cache["h_new"])
+        g["out_b"] += dlogits
+        dh_new = p["out_W"].T @ dlogits + dh_next
+
+        dcomb, dh_prev = _ref_gru_backward(p, g, "dec", dh_new, cache["gru"])
+        dcomb_pre = dcomb * (cache["comb_pre"] > 0.0)
+        g["comb_W"] += np.outer(dcomb_pre, cache["xc"])
+        g["comb_b"] += dcomb_pre
+        dxc = p["comb_W"].T @ dcomb_pre
+        dxd = dxc[:d].copy()
+        dcontext = dxc[d:]
+
+        a = cache["a"]
+        da = cache["enc_out"] @ dcontext
+        denc_out += np.outer(a, dcontext)
+        dattn_logits = a * (da - np.dot(a, da))
+        g["attn_W"] += np.outer(dattn_logits, cache["eh"])
+        g["attn_b"] += dattn_logits
+        deh = p["attn_W"].T @ dattn_logits
+        dxd += deh[:d]
+        dh_prev += deh[d:]
+
+        g["dec_embed"][cache["prev_id"]] += dxd * cache["mask"]
+        dh_next = dh_prev
+
+    dh_carry = dh_next
+    for t in range(len(fwd["src_ids"]) - 1, -1, -1):
+        dh_t = denc_out[t] + dh_carry
+        dx, dh_carry = _ref_gru_backward(p, g, "enc", dh_t, fwd["enc_caches"][t])
+        g["enc_embed"][fwd["src_ids"][t]] += dx
+    return g
+
+
+def _ref_sgd_step(params, grads, learning_rate, max_norm):
+    total = np.sqrt(sum(float(np.sum(v * v)) for v in grads.values()))
+    if max_norm > 0 and total > max_norm:
+        for v in grads.values():
+            v *= max_norm / total
+    for name, grad in grads.items():
+        params[name] -= learning_rate * grad
+    return total
+
+
+def _random_case(seed):
+    """A random tiny model and pair with dropout masks, mixed teacher forcing
+    and few distinct token ids, so rows repeat on both sides."""
+    rng = random.Random(seed)
+    cfg = tiny_config(src_vocab_size=rng.randint(6, 10),
+                      tgt_vocab_size=rng.randint(6, 10),
+                      hidden=rng.randint(3, 9), max_len=rng.randint(5, 8),
+                      dropout_p=0.3, seed=seed)
+    model = nmt.init_model(cfg)
+    src = [rng.randrange(4, 6) for _ in range(rng.randint(1, cfg.max_len))]
+    tgt = [rng.randrange(4, 6) for _ in range(rng.randint(1, cfg.max_len - 1))]
+    tf_gold = [rng.random() < 0.5 for _ in range(len(tgt) + 1)]
+    drop_rng = np.random.default_rng(seed)
+    masks = [nmt._dropout_mask(cfg, drop_rng) for _ in tf_gold]
+    return model, src, tgt, tf_gold, masks
+
+
 class TestConfigValidation:
     def test_small_vocab_rejected(self):
         with pytest.raises(nmt.NmtError):
@@ -120,6 +227,16 @@ class TestDecodeStep:
         with pytest.raises(nmt.NmtError):
             nmt.decode_step(tiny_model, 99, h, enc_out)
 
+    def test_train_mode_dropout_draws_one_mask(self):
+        model = nmt.init_model(tiny_config(dropout_p=0.4))
+        enc_out, h, _ = nmt.encode_sequence(model, PAIR[0])
+        logp, _, _ = nmt.decode_step(model, SOS_ID, h, enc_out, train_mode=True,
+                                     rng=np.random.default_rng(5))
+        draw = np.random.default_rng(5).random(8)
+        mask = (draw < 0.6).astype(np.float64) / 0.6
+        expected, _, _, _ = nmt._decode_step(model, SOS_ID, h, enc_out, mask)
+        assert np.array_equal(logp, expected)
+
 
 class TestTraining:
     def test_zero_lr_leaves_params_unchanged(self, tiny_model):
@@ -146,6 +263,17 @@ class TestTraining:
             nmt.train(tiny_model, [([4] * 7, [5])], cfg)
         with pytest.raises(nmt.NmtError):
             nmt.train(tiny_model, [([4], [5] * 6)], cfg)
+
+    def test_history_records_grad_norm_and_clip_rate(self, tiny_model):
+        _, grads = nmt.pair_gradients(tiny_model, *PAIR)
+        norm = np.sqrt(sum(np.sum(g * g) for g in grads.values()))
+        for max_norm, clip_rate in ((0.0, 0.0), (norm / 2, 1.0)):
+            cfg = nmt.TrainConfig(epochs=1, learning_rate=0.0,
+                                  teacher_forcing_ratio=1.0,
+                                  grad_clip_norm=max_norm, seed=0)
+            _, history = nmt.train(tiny_model, [PAIR, PAIR], cfg)
+            assert abs(history[0]["grad_norm"] - norm) <= 1e-12
+            assert history[0]["clip_rate"] == clip_rate
 
     def test_loss_history_length(self, tiny_model):
         cfg = nmt.TrainConfig(epochs=3, learning_rate=0.01, seed=0)
@@ -225,6 +353,33 @@ class TestGradientCheck:
                 assert np.array_equal(grads["enc_embed"][row], np.zeros(8))
 
 
+class TestBackwardEquivalence:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_frozen_per_step_backward(self, seed):
+        model, src, tgt, tf_gold, masks = _random_case(seed)
+        _, fwd = nmt._forward_pair(model, src, tgt, tf_gold, masks)
+        assert len(set(src)) < len(src) or len(set(tgt)) < len(tgt) + 1
+        new = nmt._dense_grads(model, nmt._backward_pair(model, fwd))
+        ref = _ref_backward_pair(model, fwd)
+        assert new.keys() == ref.keys()
+        for name in nmt.PARAM_ORDER:
+            assert np.max(np.abs(new[name] - ref[name])) <= 1e-10, name
+
+    @pytest.mark.parametrize("max_norm", [0.0, 1e-3, 1e6])
+    def test_sgd_step_matches_dense_clip_and_update(self, max_norm):
+        model, src, tgt, tf_gold, masks = _random_case(3)
+        _, fwd = nmt._forward_pair(model, src, tgt, tf_gold, masks)
+        ref_params = copy.deepcopy(model.params)
+        ref_norm = _ref_sgd_step(ref_params, _ref_backward_pair(model, fwd), 0.1,
+                                 max_norm)
+        grads = nmt._backward_pair(model, fwd)
+        norm, clipped = nmt._sgd_step(model.params, grads, 0.1, max_norm)
+        assert abs(norm - ref_norm) <= 1e-12
+        assert clipped == (max_norm == 1e-3)
+        for name in nmt.PARAM_ORDER:
+            assert np.max(np.abs(model.params[name] - ref_params[name])) <= 1e-10
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tiny_model, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -249,3 +404,12 @@ class TestCheckpoint:
         lines = path.read_text().splitlines()
         assert lines[0] == "epoch,mean_loss"
         assert lines[1].startswith("0,1.5")
+
+    def test_loss_csv_keeps_its_columns(self, tiny_model, tmp_path):
+        cfg = nmt.TrainConfig(epochs=2, learning_rate=0.01, seed=0)
+        _, history = nmt.train(tiny_model, [PAIR], cfg, validation_pairs=[PAIR])
+        assert {"grad_norm", "clip_rate"} <= history[0].keys()
+        path = tmp_path / "loss.csv"
+        nmt.save_loss_history(history, path)
+        assert path.read_text() == "epoch,mean_loss,val_loss\n" + "".join(
+            f"{h['epoch']},{h['mean_loss']},{h['val_loss']}\n" for h in history)
