@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import top_words
+from .util import read_exact
+
 MAGIC = b"LMTE"
 FORMAT_VERSION = 1
 
@@ -32,12 +35,8 @@ def frequency_report(tokens, k, direction="most"):
         raise AnalysisError(f"k must be >= 1, got {k}")
     if direction not in ("most", "least"):
         raise AnalysisError(f"unknown direction {direction!r}")
-    counts = Counter(tokens)
-    if direction == "most":
-        ranked = sorted(counts.items(), key=lambda wc: (-wc[1], wc[0]))
-    else:
-        ranked = sorted(counts.items(), key=lambda wc: (wc[1], wc[0]))
-    return FrequencyReport(ranked=ranked[:k], direction=direction)
+    return FrequencyReport(ranked=top_words(Counter(tokens), k, direction),
+                           direction=direction)
 
 
 @dataclass
@@ -208,20 +207,27 @@ def save_embeddings(model, path):
 
 
 def load_embeddings(path):
+    """Read a save_embeddings file; a malformed one raises AnalysisError
+    naming it."""
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
             raise AnalysisError(f"{path}: not an embedding file")
-        version, n, dim = struct.unpack("<III", f.read(12))
+        version, n, dim, clen = struct.unpack(
+            "<IIII", read_exact(f, 16, AnalysisError, "header"))
         if version != FORMAT_VERSION:
             raise AnalysisError(f"{path}: unsupported version {version}")
-        (clen,) = struct.unpack("<I", f.read(4))
-        config = json.loads(f.read(clen).decode("utf-8"))
-        (vlen,) = struct.unpack("<I", f.read(4))
-        words = f.read(vlen).decode("utf-8").split("\n")
-        vectors = np.frombuffer(f.read(n * dim * 8), dtype="<f8").reshape(n, dim).copy()
+        config_blob = read_exact(f, clen, AnalysisError, "config")
+        (vlen,) = struct.unpack("<I", read_exact(f, 4, AnalysisError, "vocab length"))
+        words_blob = read_exact(f, vlen, AnalysisError, "vocab")
+        vectors = np.frombuffer(read_exact(f, n * dim * 8, AnalysisError, "vectors"),
+                                dtype="<f8").reshape(n, dim).copy()
+    try:
+        config = json.loads(config_blob)
+        hyper = {key: config[key]
+                 for key in ("window", "negatives", "epochs", "min_count", "seed")}
+        words = words_blob.decode("utf-8").split("\n")
+    except (ValueError, KeyError, TypeError) as e:
+        raise AnalysisError(f"{path}: malformed header: {e!r}") from e
     if len(words) != n:
         raise AnalysisError(f"{path}: vocab length mismatch")
-    return EmbeddingModel(words=words, vectors=vectors, dim=dim,
-                          window=config["window"], negatives=config["negatives"],
-                          epochs=config["epochs"], min_count=config["min_count"],
-                          seed=config["seed"])
+    return EmbeddingModel(words=words, vectors=vectors, dim=dim, **hyper)

@@ -7,9 +7,9 @@ depend on iteration order.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .aligner import DatasetSplit, TextPair, GROUP_ONE2ONE
+from .aligner import DatasetSplit, GROUP_ONE2ONE
 from .analysis import most_similar
 from .util import derive_seed
 
@@ -161,11 +161,8 @@ def augment_training_set(split, side, policy, lexicon=None, model=None):
             rng = random.Random(derive_seed(policy.seed, "pair", idx, variant))
             tokens = _augment_tokens(getattr(pair, side).split(), policy,
                                      lexicon or {}, model, rng)
-            fields = {"src": pair.src, "tgt": pair.tgt,
-                      "origin_id": pair.origin_id, "group": pair.group,
-                      "augmented": True, "aug_ops": tuple(policy.ops)}
-            fields[side] = " ".join(tokens)
-            new_train.append(TextPair(**fields))
+            new_train.append(replace(pair, augmented=True, aug_ops=tuple(policy.ops),
+                                     **{side: " ".join(tokens)}))
 
     manifest = dict(split.manifest)
     manifest["augmentation"] = {

@@ -380,10 +380,9 @@ def cmd_report(ctx, args):
 def cmd_tok_train(ctx, args):
     split = _load_split(ctx, args)
     vocab_size = args.vocab_size or ctx.config["tokenizer"]["vocab_size"]
-    seed = ctx.seed()
     for side in ("src", "tgt"):
         sentences = [getattr(p, side) for p in split.train]
-        vocab = subword.train_tokenizer(sentences, vocab_size, seed=seed)
+        vocab = subword.train_tokenizer(sentences, vocab_size)
         path = ctx.write(ctx.path(f"vocab.{side}.tsv"))
         subword.save_vocab(vocab, path)
         print(f"{side}: {len(vocab)} pieces -> {path}")
@@ -552,7 +551,6 @@ STAGES = {  # name -> (run(ctx, args), help, argparse option specs...)
                  arg("--smoothing", choices=list(bleu.SMOOTHING_MODES))),
     "export-ft": (cmd_export_ft, "emit fine-tuning-ready JSONL", SPLIT_DIR),
 }
-
 
 
 def build_parser():

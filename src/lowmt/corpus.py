@@ -76,8 +76,6 @@ class ParallelUnit:
 @dataclass
 class Corpus:
     units: list
-    src_lang: str = "src"
-    tgt_lang: str = "tgt"
 
     def __len__(self):
         return len(self.units)
@@ -115,7 +113,7 @@ def _unit_from_record(record, lineno, policy):
         raise CorpusError(f"line {lineno}: {e}") from e
 
 
-def load_corpus(path, format="jsonl", policy=None, src_lang="src", tgt_lang="tgt"):
+def load_corpus(path, format="jsonl", policy=None):
     """Read a corpus file, normalizing every text via normalize_text."""
     if format not in ("jsonl", "tsv"):
         raise CorpusError(f"unknown corpus format {format!r}")
@@ -156,7 +154,7 @@ def load_corpus(path, format="jsonl", policy=None, src_lang="src", tgt_lang="tgt
         units.append(unit)
     if not units:
         raise CorpusError(f"{path}: empty corpus file")
-    return Corpus(units=units, src_lang=src_lang, tgt_lang=tgt_lang)
+    return Corpus(units=units)
 
 
 def save_corpus(corpus, path, format="jsonl"):
@@ -191,6 +189,12 @@ def side_tokens(corpus, side):
     return tokens
 
 
+def top_words(counts, k, direction="most"):
+    """The k most (direction "least": fewest) frequent (word, count) pairs; ties by word."""
+    sign = -1 if direction == "most" else 1
+    return sorted(counts.items(), key=lambda wc: (sign * wc[1], wc[0]))[:k]
+
+
 def corpus_stats(corpus, side="src", k=10):
     """Word/sentence statistics for one side of the corpus."""
     from .aligner import segment_sentences
@@ -199,14 +203,12 @@ def corpus_stats(corpus, side="src", k=10):
     sentence_count = sum(len(segment_sentences(getattr(u, side))) for u in corpus.units)
     counts = Counter(tokens)
     histogram = Counter(counts.values())
-    most = sorted(counts.items(), key=lambda wc: (-wc[1], wc[0]))
-    least = sorted(counts.items(), key=lambda wc: (wc[1], wc[0]))
     return CorpusStats(
         unit_count=len(corpus.units),
         sentence_count=sentence_count,
         word_count=len(tokens),
         unique_word_count=len(counts),
         count_histogram=dict(sorted(histogram.items())),
-        top_k=most[:k],
-        bottom_k=least[:k],
+        top_k=top_words(counts, k),
+        bottom_k=top_words(counts, k, "least"),
     )

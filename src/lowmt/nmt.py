@@ -10,6 +10,8 @@ Gate equations, per step with input x and previous hidden h:
     r = sigmoid(Wr x + Ur h + br)
     c = tanh(Wh x + Uh (r*h) + bh)
     h' = (1 - z)*h + z*c
+Each GRU (enc, dec) stacks its gates in the order z|r|h: {side}_W and {side}_U
+are 3d x d ([Wz; Wr; Wh], [Uz; Ur; Uh]) and {side}_b is [bz; br; bh].
 
 Decoder step: embed previous token (dropout in train mode), attention weights
 softmax(W_attn [x; h] + b) over encoder positions, context = weights @
@@ -17,38 +19,40 @@ encoder_outputs, combined = relu(W_comb [x; context] + b), GRU step on the
 combined vector, log-softmax output layer.
 
 Backward (BPTT): only the dh recurrence runs step by step, in reverse. Each
-step stores its gate pre-activation, comb and attention gradients as rows of
-T x d arrays; after the loop every weight gradient is one product over the
-whole sequence (e.g. dWh = DA_h^T X) and every bias gradient a column sum.
-The output layer does not depend on the recurrence and is done before the
-loop. Embedding gradients are sparse (touched rows, row gradients); they
+step stores its gate pre-activation gradients as a row of DA (T x 3d, same
+z|r|h order) and its comb and attention gradients as rows of T x d arrays;
+after the loop every weight gradient is one product over the whole sequence
+(dW = DA^T X, the GRU input gradient DA W) and every bias gradient a column
+sum. The output layer does not depend on the recurrence and is done before
+the loop. Embedding gradients are sparse (touched rows, row gradients); they
 count in the clip norm and train updates only those rows.
+
+Checkpoint format 2 stores PARAM_ORDER; format 1 (lowmt 0.2.0 and earlier),
+with a separate W, U and b per gate, is still read.
 """
 
 import json
 import math
+import os
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .subword import PAD_ID, SOS_ID, EOS_ID, UNK_ID
-from .util import derive_seed
+from .util import derive_seed, read_exact
 
 MAGIC = b"LMTS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 PARAM_ORDER = [
-    "enc_embed",
-    "enc_Wz", "enc_Uz", "enc_bz", "enc_Wr", "enc_Ur", "enc_br",
-    "enc_Wh", "enc_Uh", "enc_bh",
-    "dec_embed",
-    "attn_W", "attn_b", "comb_W", "comb_b",
-    "dec_Wz", "dec_Uz", "dec_bz", "dec_Wr", "dec_Ur", "dec_br",
-    "dec_Wh", "dec_Uh", "dec_bh",
+    "enc_embed", "enc_W", "enc_U", "enc_b",
+    "dec_embed", "attn_W", "attn_b", "comb_W", "comb_b",
+    "dec_W", "dec_U", "dec_b",
     "out_W", "out_b",
 ]
+_GRU_PARAMS = {f"{side}_{kind}" for side in ("enc", "dec") for kind in "WUb"}
 
 
 class NmtError(ValueError):
@@ -100,28 +104,39 @@ class Seq2SeqModel:
     config: ModelConfig
 
 
+def param_shapes(config):
+    """The shape of every parameter, in the order init_model draws them."""
+    d, L, V = config.hidden, config.max_len, config.tgt_vocab_size
+    gru = {"W": (3 * d, d), "U": (3 * d, d), "b": (3 * d,)}
+    return {"enc_embed": (config.src_vocab_size, d), "dec_embed": (V, d),
+            "attn_W": (L, 2 * d), "attn_b": (L,), "comb_W": (d, 2 * d), "comb_b": (d,),
+            "out_W": (V, d), "out_b": (V,),
+            **{f"{side}_{k}": shape for side in ("enc", "dec") for k, shape in gru.items()}}
+
+
+def _gate_blocks(names, d):
+    """(name, rows) of each array in names, each GRU split gate by gate as
+    lowmt 0.2.0 drew and format 1 stored it: W U b of z, then r, then h."""
+    blocks = []
+    for name in names:
+        side, kind = name.split("_", 1)
+        if name not in _GRU_PARAMS:
+            blocks.append((name, slice(None)))
+        elif kind == "W":  # U and b come with it
+            blocks += [(f"{side}_{k}", slice(i * d, (i + 1) * d))
+                       for i in range(3) for k in "WUb"]
+    return blocks
+
+
 def init_model(config):
     """Allocate parameters uniformly in [-1/sqrt(hidden), +1/sqrt(hidden)]."""
-    d = config.hidden
-    L = config.max_len
     rng = np.random.default_rng(config.seed)
-    bound = 1.0 / math.sqrt(d)
-
-    def u(*shape):
-        return rng.uniform(-bound, bound, size=shape)
-
-    params = {
-        "enc_embed": u(config.src_vocab_size, d),
-        "dec_embed": u(config.tgt_vocab_size, d),
-        "attn_W": u(L, 2 * d), "attn_b": u(L),
-        "comb_W": u(d, 2 * d), "comb_b": u(d),
-        "out_W": u(config.tgt_vocab_size, d), "out_b": u(config.tgt_vocab_size),
-    }
-    for side in ("enc", "dec"):
-        for gate in ("z", "r", "h"):
-            params[f"{side}_W{gate}"] = u(d, d)
-            params[f"{side}_U{gate}"] = u(d, d)
-            params[f"{side}_b{gate}"] = u(d)
+    bound = 1.0 / math.sqrt(config.hidden)
+    shapes = param_shapes(config)
+    params = {name: np.empty(shape) for name, shape in shapes.items()}
+    for name, rows in _gate_blocks(shapes, config.hidden):
+        block = params[name][rows]
+        block[...] = rng.uniform(-bound, bound, size=block.shape)
     return Seq2SeqModel(params=params, config=config)
 
 
@@ -129,31 +144,33 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _gru_forward(p, prefix, x, h):
-    z = _sigmoid(p[f"{prefix}_Wz"] @ x + p[f"{prefix}_Uz"] @ h + p[f"{prefix}_bz"])
-    r = _sigmoid(p[f"{prefix}_Wr"] @ x + p[f"{prefix}_Ur"] @ h + p[f"{prefix}_br"])
+def _gru_forward(W, U, b, x, h):
+    d = h.shape[0]
+    a = W @ x + b
+    zr = _sigmoid(a[:2 * d] + U[:2 * d] @ h)
+    z, r = zr[:d], zr[d:]
     rh = r * h
-    c = np.tanh(p[f"{prefix}_Wh"] @ x + p[f"{prefix}_Uh"] @ rh + p[f"{prefix}_bh"])
+    c = np.tanh(a[2 * d:] + U[2 * d:] @ rh)
     h_new = (1.0 - z) * h + z * c
     return h_new, {"x": x, "h": h, "z": z, "r": r, "rh": rh, "c": c}
 
 
-def _gru_tape(p, prefix, caches):
+def _gru_tape(U, caches):
     """Stack one sequence's GRU step caches into T x d arrays for the backward.
 
     Precomputes, per step, the factors that turn dL/dh' into the gate
     pre-activation gradients, and allocates DA (T x 3d), whose row t
-    _gru_step_back fills with [da_h | da_r | da_z].
+    _gru_step_back fills with [da_z | da_r | da_h].
     """
     X, H, Z, R, RH, C = (np.stack([c[k] for c in caches])
                          for k in ("x", "h", "z", "r", "rh", "c"))
+    d = H.shape[1]
     return {
         "X": X, "H": H, "RH": RH, "R": R, "carry": 1.0 - Z,
-        "kh": Z * (1.0 - C * C), "kr": H * R * (1.0 - R),
-        "kz": (C - H) * Z * (1.0 - Z),
-        "DA": np.empty((len(caches), 3 * H.shape[1])),
-        "U": [p[f"{prefix}_U{gate}"] for gate in "hrz"],
-        "W": [p[f"{prefix}_W{gate}"] for gate in "hrz"],
+        "kz": (C - H) * Z * (1.0 - Z), "kr": H * R * (1.0 - R),
+        "kh": Z * (1.0 - C * C),
+        "DA": np.empty((len(caches), 3 * d)),
+        "Uzr": U[:2 * d], "Uh": U[2 * d:],
     }
 
 
@@ -161,35 +178,21 @@ def _gru_step_back(tape, t, dh_new):
     """Fill tape["DA"][t] from dL/dh' of step t; returns dL/dh through the GRU."""
     d = dh_new.shape[0]
     da = tape["DA"][t]
-    Uh, Ur, Uz = tape["U"]
-    np.multiply(dh_new, tape["kh"][t], out=da[:d])
-    drh = da[:d] @ Uh
+    np.multiply(dh_new, tape["kh"][t], out=da[2 * d:])
+    drh = da[2 * d:] @ tape["Uh"]
     np.multiply(drh, tape["kr"][t], out=da[d:2 * d])
-    np.multiply(dh_new, tape["kz"][t], out=da[2 * d:])
-    return (dh_new * tape["carry"][t] + drh * tape["R"][t]
-            + da[d:2 * d] @ Ur + da[2 * d:] @ Uz)
+    np.multiply(dh_new, tape["kz"][t], out=da[:d])
+    return dh_new * tape["carry"][t] + drh * tape["R"][t] + da[:2 * d] @ tape["Uzr"]
 
 
-def _gru_input_grad(tape, da):
-    """dL/dx from gate gradients da: one row of tape["DA"] or all of them."""
-    d = da.shape[-1] // 3
-    Wh, Wr, Wz = tape["W"]
-    return da[..., :d] @ Wh + da[..., d:2 * d] @ Wr + da[..., 2 * d:] @ Wz
-
-
-def _gru_weight_grads(g, prefix, tape):
-    """The GRU's weight and bias gradients over the whole sequence, from
-    three products of the stacked gate gradients with the step inputs."""
+def _gru_weight_grads(tape):
+    """(dW, dU, db) of the GRU over the whole sequence."""
     DA = tape["DA"]
     d = tape["H"].shape[1]
-    dW = DA.T @ tape["X"]
-    db = DA.sum(axis=0)
-    dUrz = DA[:, d:].T @ tape["H"]
-    g[f"{prefix}_Uh"] = DA[:, :d].T @ tape["RH"]
-    for i, gate in enumerate("hrz"):
-        g[f"{prefix}_W{gate}"] = dW[i * d:(i + 1) * d]
-        g[f"{prefix}_b{gate}"] = db[i * d:(i + 1) * d]
-    g[f"{prefix}_Ur"], g[f"{prefix}_Uz"] = dUrz[:d], dUrz[d:]
+    dU = np.empty((3 * d, d))
+    np.matmul(DA[:, :2 * d].T, tape["H"], out=dU[:2 * d])
+    np.matmul(DA[:, 2 * d:].T, tape["RH"], out=dU[2 * d:])
+    return DA.T @ tape["X"], dU, DA.sum(axis=0)
 
 
 def encode_sequence(model, src_ids):
@@ -197,6 +200,7 @@ def encode_sequence(model, src_ids):
     cfg = model.config
     _check_pair(cfg, src_ids)
     p = model.params
+    gru = p["enc_W"], p["enc_U"], p["enc_b"]
     d = cfg.hidden
     h = np.zeros(d)
     outputs = np.zeros((cfg.max_len, d))
@@ -204,7 +208,7 @@ def encode_sequence(model, src_ids):
     for t, tid in enumerate(src_ids):
         if not (0 <= tid < cfg.src_vocab_size):
             raise NmtError(f"source token id {tid} out of range")
-        h, cache = _gru_forward(p, "enc", p["enc_embed"][tid], h)
+        h, cache = _gru_forward(*gru, p["enc_embed"][tid], h)
         outputs[t] = h
         caches.append(cache)
     return outputs, h, caches
@@ -213,12 +217,10 @@ def encode_sequence(model, src_ids):
 def _decode_step(model, prev_id, hidden, encoder_outputs, dropout_mask=None):
     cfg = model.config
     p = model.params
-    d = cfg.hidden
     if not (0 <= prev_id < cfg.tgt_vocab_size):
         raise NmtError(f"target token id {prev_id} out of range")
-    x0 = p["dec_embed"][prev_id]
-    mask = dropout_mask if dropout_mask is not None else np.ones(d)
-    xd = x0 * mask
+    mask = dropout_mask if dropout_mask is not None else np.ones(cfg.hidden)
+    xd = p["dec_embed"][prev_id] * mask
     eh = np.concatenate([xd, hidden])
     attn_logits = p["attn_W"] @ eh + p["attn_b"]
     attn_logits = attn_logits - attn_logits.max()
@@ -228,7 +230,7 @@ def _decode_step(model, prev_id, hidden, encoder_outputs, dropout_mask=None):
     xc = np.concatenate([xd, context])
     comb_pre = p["comb_W"] @ xc + p["comb_b"]
     comb = np.maximum(comb_pre, 0.0)
-    h_new, gru_cache = _gru_forward(p, "dec", comb, hidden)
+    h_new, gru_cache = _gru_forward(p["dec_W"], p["dec_U"], p["dec_b"], comb, hidden)
     logits = p["out_W"] @ h_new + p["out_b"]
     logp = logits - (logits.max() + np.log(np.exp(logits - logits.max()).sum()))
     cache = {"prev_id": prev_id, "mask": mask, "xd": xd, "eh": eh, "a": a,
@@ -257,11 +259,12 @@ def decode_step(model, prev_token_id, hidden, encoder_outputs, train_mode=False,
     return logp, h_new, a
 
 
-def _forward_pair(model, src_ids, tgt_ids, tf_gold, dropout_masks=None):
+def _forward_pair(model, src_ids, tgt_ids, tf_gold=None, dropout_masks=None):
     """Teacher-forced/free decoding of one pair.
 
-    tf_gold[t] says whether step t consumes the gold previous token; step 0
-    always starts from SOS. Returns (mean NLL, caches for backward).
+    tf_gold[t] says whether step t consumes the gold previous token (default:
+    every step does); step 0 always starts from SOS. Returns (mean NLL,
+    caches for backward).
     """
     enc_out, h, enc_caches = encode_sequence(model, src_ids)
     gold = list(tgt_ids) + [EOS_ID]
@@ -275,15 +278,17 @@ def _forward_pair(model, src_ids, tgt_ids, tf_gold, dropout_masks=None):
         steps.append(cache)
         loss -= logp[gold_id]
         if t + 1 < len(gold):
-            if tf_gold[t + 1]:
-                prev = gold_id
-            else:
-                masked = logp.copy()
-                masked[PAD_ID] = masked[SOS_ID] = -np.inf
-                prev = int(np.argmax(masked))
+            prev = gold_id if tf_gold is None or tf_gold[t + 1] else _greedy_id(logp)
     loss /= len(gold)
     return loss, {"enc_caches": enc_caches, "enc_out": enc_out,
                   "src_ids": list(src_ids), "steps": steps}
+
+
+def _greedy_id(logp):
+    """The most likely next token that is neither PAD nor SOS."""
+    masked = logp.copy()
+    masked[PAD_ID] = masked[SOS_ID] = -np.inf
+    return int(np.argmax(masked))
 
 
 def _row_grads(ids, grads):
@@ -315,7 +320,7 @@ def _backward_pair(model, fwd):
          "out_b": dlogits.sum(axis=0)}
     dh_out = dlogits @ p["out_W"]
 
-    tape = _gru_tape(p, "dec", [s["gru"] for s in steps])
+    tape = _gru_tape(p["dec_U"], [s["gru"] for s in steps])
     comb_ctx = p["comb_W"][:, d:]
     attn_h = p["attn_W"][:, d:]
     relu = np.stack([s["comb_pre"] for s in steps]) > 0.0
@@ -327,13 +332,13 @@ def _backward_pair(model, fwd):
     dh_next = np.zeros(d)
     for t in range(T - 1, -1, -1):
         dh_prev = _gru_step_back(tape, t, dh_out[t] + dh_next)
-        np.multiply(_gru_input_grad(tape, tape["DA"][t]), relu[t], out=dcomb_pre[t])
+        np.multiply(tape["DA"][t] @ p["dec_W"], relu[t], out=dcomb_pre[t])
         np.matmul(dcomb_pre[t], comb_ctx, out=dcontext[t])
         da = enc_out @ dcontext[t]
         np.multiply(A[t], da - np.dot(A[t], da), out=dattn[t])
         dh_next = dh_prev + dattn[t] @ attn_h
 
-    _gru_weight_grads(g, "dec", tape)
+    g["dec_W"], g["dec_U"], g["dec_b"] = _gru_weight_grads(tape)
     g["comb_W"] = dcomb_pre.T @ np.stack([s["xc"] for s in steps])
     g["comb_b"] = dcomb_pre.sum(axis=0)
     g["attn_W"] = dattn.T @ np.stack([s["eh"] for s in steps])
@@ -345,12 +350,12 @@ def _backward_pair(model, fwd):
     src_ids = fwd["src_ids"]
     S = len(src_ids)
     denc_out = A[:, :S].T @ dcontext
-    tape = _gru_tape(p, "enc", fwd["enc_caches"])
+    tape = _gru_tape(p["enc_U"], fwd["enc_caches"])
     dh_carry = dh_next
     for t in range(S - 1, -1, -1):
         dh_carry = _gru_step_back(tape, t, denc_out[t] + dh_carry)
-    _gru_weight_grads(g, "enc", tape)
-    g["enc_embed"] = _row_grads(src_ids, _gru_input_grad(tape, tape["DA"]))
+    g["enc_W"], g["enc_U"], g["enc_b"] = _gru_weight_grads(tape)
+    g["enc_embed"] = _row_grads(src_ids, tape["DA"] @ p["enc_W"])
     return g
 
 
@@ -426,9 +431,8 @@ def train(model, pairs, train_config, validation_pairs=None):
             n_steps = len(tgt_ids) + 1
             tf_gold = [tf_rng.random() < train_config.teacher_forcing_ratio
                        for _ in range(n_steps)]
-            masks = None
-            if cfg.dropout_p > 0.0:
-                masks = [_dropout_mask(cfg, drop_rng) for _ in range(n_steps)]
+            masks = ([_dropout_mask(cfg, drop_rng) for _ in range(n_steps)]
+                     if cfg.dropout_p > 0.0 else None)
             loss, fwd = _forward_pair(model, src_ids, tgt_ids, tf_gold, masks)
             if not np.isfinite(loss):
                 raise NmtNumericalError(
@@ -452,9 +456,7 @@ def mean_loss(model, pairs):
     """Mean teacher-forced NLL without dropout (evaluation loss)."""
     total = 0.0
     for src_ids, tgt_ids in pairs:
-        loss, _ = _forward_pair(model, src_ids, tgt_ids,
-                                [True] * (len(tgt_ids) + 1), None)
-        total += loss
+        total += _forward_pair(model, src_ids, tgt_ids)[0]
     return total / len(pairs)
 
 
@@ -470,9 +472,7 @@ def translate(model, src_ids, max_out_len=None):
     prev = SOS_ID
     for _ in range(max_out_len):
         logp, h, a, _ = _decode_step(model, prev, h, enc_out, None)
-        logp = logp.copy()
-        logp[PAD_ID] = logp[SOS_ID] = -np.inf
-        nxt = int(np.argmax(logp))
+        nxt = _greedy_id(logp)
         attn_rows.append(a)
         if nxt == EOS_ID:
             break
@@ -484,15 +484,12 @@ def translate(model, src_ids, max_out_len=None):
 
 def pair_loss(model, src_ids, tgt_ids):
     """Deterministic loss (teacher forcing 1, no dropout). Used by gradient_check."""
-    loss, _ = _forward_pair(model, src_ids, tgt_ids,
-                            [True] * (len(tgt_ids) + 1), None)
-    return loss
+    return mean_loss(model, [(src_ids, tgt_ids)])
 
 
 def pair_gradients(model, src_ids, tgt_ids):
     """(loss, dense gradients) from the backward pass that train uses."""
-    loss, fwd = _forward_pair(model, src_ids, tgt_ids,
-                              [True] * (len(tgt_ids) + 1), None)
+    loss, fwd = _forward_pair(model, src_ids, tgt_ids)
     return loss, _dense_grads(model, _backward_pair(model, fwd))
 
 
@@ -502,8 +499,11 @@ def gradient_check(model, pair, epsilon=1e-5, n_params_sampled=200, seed=0):
     _check_pair(model.config, src_ids, tgt_ids)
     _, grads = pair_gradients(model, src_ids, tgt_ids)
 
-    sizes = [(name, model.params[name].size) for name in PARAM_ORDER]
-    total = sum(s for _, s in sizes)
+    # Flat indices run over the per-gate layout of checkpoint format 1, so a
+    # seed samples the same scalars as in lowmt 0.2.0.
+    blocks = [(model.params[name][rows], grads[name][rows])
+              for name, rows in _gate_blocks(PARAM_ORDER, model.config.hidden)]
+    total = sum(arr.size for arr, _ in blocks)
     rng = random.Random(seed)
     picks = (rng.sample(range(total), n_params_sampled)
              if n_params_sampled < total else range(total))
@@ -511,11 +511,10 @@ def gradient_check(model, pair, epsilon=1e-5, n_params_sampled=200, seed=0):
     max_err = 0.0
     for flat_idx in picks:
         offset = flat_idx
-        for name, size in sizes:
-            if offset < size:
+        for arr, grad in blocks:
+            if offset < arr.size:
                 break
-            offset -= size
-        arr = model.params[name]
+            offset -= arr.size
         orig = arr.flat[offset]
         arr.flat[offset] = orig + epsilon
         lp = pair_loss(model, src_ids, tgt_ids)
@@ -523,46 +522,44 @@ def gradient_check(model, pair, epsilon=1e-5, n_params_sampled=200, seed=0):
         lm = pair_loss(model, src_ids, tgt_ids)
         arr.flat[offset] = orig
         numeric = (lp - lm) / (2.0 * epsilon)
-        analytic = grads[name].flat[offset]
+        analytic = grad.flat[offset]
         err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-12)
         max_err = max(max_err, err)
     return max_err
 
 
 def save_checkpoint(model, path):
-    cfg = model.config
-    config_blob = json.dumps({
-        "src_vocab_size": cfg.src_vocab_size, "tgt_vocab_size": cfg.tgt_vocab_size,
-        "hidden": cfg.hidden, "max_len": cfg.max_len,
-        "dropout_p": cfg.dropout_p, "seed": cfg.seed,
-    }, sort_keys=True).encode("utf-8")
+    config_blob = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<I", len(config_blob)))
+        f.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(config_blob)))
         f.write(config_blob)
         for name in PARAM_ORDER:
             f.write(np.ascontiguousarray(model.params[name], dtype="<f8").tobytes())
 
 
 def load_checkpoint(path):
+    """Read a format 2 or format 1 checkpoint; a malformed file raises
+    NmtError naming it."""
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
             raise NmtError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", f.read(4))
-        if version != FORMAT_VERSION:
+        version, clen = struct.unpack("<II", read_exact(f, 8, NmtError, "header"))
+        if version not in (1, FORMAT_VERSION):
             raise NmtError(f"{path}: unsupported checkpoint version {version}")
-        (clen,) = struct.unpack("<I", f.read(4))
-        cfg = ModelConfig(**json.loads(f.read(clen).decode("utf-8")))
-        template = init_model(cfg)
-        params = {}
-        for name in PARAM_ORDER:
-            shape = template.params[name].shape
-            count = template.params[name].size
-            data = np.frombuffer(f.read(count * 8), dtype="<f8")
-            if data.size != count:
-                raise NmtError(f"{path}: truncated checkpoint at {name}")
-            params[name] = data.reshape(shape).copy()
+        blob = read_exact(f, clen, NmtError, "config")
+        try:
+            cfg = ModelConfig(**json.loads(blob))
+        except (TypeError, ValueError) as e:
+            raise NmtError(f"{path}: bad checkpoint config: {e}") from e
+        shapes = param_shapes(cfg)
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size != 8 * sum(math.prod(shape) for shape in shapes.values()):
+            raise NmtError(f"{path}: {size} bytes of parameters do not match its config")
+        params = {name: np.empty(shape, dtype="<f8") for name, shape in shapes.items()}
+        blocks = (_gate_blocks(PARAM_ORDER, cfg.hidden) if version == 1
+                  else [(name, slice(None)) for name in PARAM_ORDER])
+        for name, rows in blocks:
+            f.readinto(memoryview(params[name][rows]).cast("B"))
     return Seq2SeqModel(params=params, config=cfg)
 
 

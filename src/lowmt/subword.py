@@ -65,12 +65,9 @@ def _merge_sequence(symbols, pair, joined):
     return tuple(out)
 
 
-def train_tokenizer(sentences, vocab_size, seed=0):
-    """Learn a BPE vocab of exactly vocab_size pieces (or fewer if merges run out).
-
-    The seed is accepted for interface uniformity; training is deterministic
-    and does not consume randomness.
-    """
+def train_tokenizer(sentences, vocab_size):
+    """Learn a BPE vocab of exactly vocab_size pieces (or fewer if merges run
+    out). Training is deterministic and draws no randomness."""
     words = Counter()
     for sent in sentences:
         words.update(sent.split())
@@ -107,34 +104,25 @@ def train_tokenizer(sentences, vocab_size, seed=0):
         sequences = {_merge_sequence(s, pair, joined): c for s, c in sequences.items()}
         n_pieces += 1
 
-    pieces = []
-    for i, sp in enumerate(SPECIALS):
-        pieces.append((sp, i, 0.0))
-    next_id = len(SPECIALS)
-    for ch in alphabet:
-        pieces.append((ch, next_id, float(char_freq[ch])))
-        next_id += 1
-    for (left, right), score in zip(merges, merge_scores):
-        pieces.append((left + right, next_id, float(score)))
-        next_id += 1
+    scored = ([(sp, 0.0) for sp in SPECIALS]
+              + [(ch, float(char_freq[ch])) for ch in alphabet]
+              + [(left + right, float(score))
+                 for (left, right), score in zip(merges, merge_scores)])
+    pieces = [(piece, i, score) for i, (piece, score) in enumerate(scored)]
 
     return SubwordVocab(pieces=pieces, merges=merges, target_size=vocab_size)
 
 
 def _encode_word(vocab, word):
-    symbols = list(_word_symbols(word, vocab.marker))
+    symbols = _word_symbols(word, vocab.marker)
     rank = vocab._merge_rank
     while len(symbols) > 1:
-        best = None
-        for i in range(len(symbols) - 1):
-            r = rank.get((symbols[i], symbols[i + 1]))
-            if r is not None and (best is None or r < best[0]):
-                best = (r, (symbols[i], symbols[i + 1]))
-        if best is None:
+        pairs = [pair for pair in zip(symbols, symbols[1:]) if pair in rank]
+        if not pairs:
             break
-        pair = best[1]
-        symbols = list(_merge_sequence(tuple(symbols), pair, pair[0] + pair[1]))
-    return symbols
+        pair = min(pairs, key=rank.get)  # the earliest-learned merge
+        symbols = _merge_sequence(symbols, pair, pair[0] + pair[1])
+    return list(symbols)
 
 
 def encode(vocab, text, add_sos_eos=False):
@@ -180,21 +168,25 @@ def load_vocab(path):
     target_size = None
     marker = MARKER
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            if line.startswith("# "):
-                fields = line[2:].split("\t")
-                if fields[0] == "vocab_size":
-                    target_size = int(fields[1])
-                elif fields[0] == "marker":
-                    marker = fields[1]
-                elif fields[0] == "merge":
-                    merges.append((fields[1], fields[2]))
-                continue
-            piece, pid, score = line.split("\t")
-            pieces.append((piece, int(pid), float(score)))
+            try:
+                if line.startswith("# "):
+                    fields = line[2:].split("\t")
+                    if fields[0] == "vocab_size":
+                        target_size = int(fields[1])
+                    elif fields[0] == "marker":
+                        marker = fields[1]
+                    elif fields[0] == "merge":
+                        merges.append((fields[1], fields[2]))
+                    continue
+                piece, pid, score = line.split("\t")
+                pieces.append((piece, int(pid), float(score)))
+            except (ValueError, IndexError) as e:
+                raise SubwordError(f"{os.path.basename(path)}: malformed line "
+                                   f"{lineno}: {line!r}") from e
     if target_size is None:
         target_size = len(pieces)
     if not pieces:

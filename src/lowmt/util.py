@@ -1,7 +1,8 @@
-"""Shared helpers: seed derivation, file hashing, JSONL I/O."""
+"""Shared helpers: seed derivation, file hashing, binary reads, JSONL I/O."""
 
 import hashlib
 import json
+import os
 
 
 def derive_seed(base_seed, *labels):
@@ -24,6 +25,13 @@ def sha256_file(path):
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def read_exact(f, size, error, what):
+    """The next size bytes of binary file f, or error naming it if fewer remain."""
+    if size > os.fstat(f.fileno()).st_size - f.tell():
+        raise error(f"{f.name}: truncated at {what}")
+    return f.read(size)
 
 
 def config_hash(obj):

@@ -1,4 +1,6 @@
+import json
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -183,4 +185,27 @@ class TestPersistence:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"nope" * 10)
         with pytest.raises(analysis.AnalysisError):
+            analysis.load_embeddings(path)
+
+    @pytest.mark.parametrize("cut, what", [(10, "header"), (-8, "vectors")])
+    def test_truncated_file_names_it(self, tmp_path, cluster_model, cut, what):
+        path = tmp_path / "emb.bin"
+        analysis.save_embeddings(cluster_model[0], path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(analysis.AnalysisError,
+                           match=f"emb.bin: truncated at {what}"):
+            analysis.load_embeddings(path)
+
+    def test_config_missing_key_names_file(self, tmp_path, cluster_model):
+        path = tmp_path / "emb.bin"
+        analysis.save_embeddings(cluster_model[0], path)
+        blob = path.read_bytes()
+        (clen,) = struct.unpack("<I", blob[16:20])
+        config = json.loads(blob[20:20 + clen])
+        del config["window"]
+        new = json.dumps(config).encode("utf-8")
+        path.write_bytes(blob[:16] + struct.pack("<I", len(new)) + new
+                         + blob[20 + clen:])
+        with pytest.raises(analysis.AnalysisError,
+                           match="emb.bin: malformed header: KeyError"):
             analysis.load_embeddings(path)

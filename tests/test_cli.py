@@ -338,6 +338,21 @@ class TestRunContext:
         assert small("translate", "--text", "ba ce di.") == 0
         assert "truncated" not in capsys.readouterr().err
 
+    def test_tok_train_records_no_seed(self, small, work):
+        for args in (["ingest", "--synthetic", "30"], ["split"],
+                     ["tok-train", "--vocab-size", "80"]):
+            assert small(*args) == 0
+        assert manifest(work, "tok-train")["seeds"] == {}
+
+    @pytest.mark.parametrize("blob", [b"LMTS\x01", b"LMTS\x01\0\0\0\x02\0\0\0{}"])
+    def test_malformed_checkpoint_exits_3_naming_it(self, small, work, capsys,
+                                                    blob):
+        train_small(small)
+        (work / "model.ckpt").write_bytes(blob)
+        capsys.readouterr()
+        assert small("translate", "--text", "ba ce.") == cli.EXIT_DATA
+        assert "model.ckpt: " in capsys.readouterr().err
+
     def test_tok_apply_writes_no_manifest(self, small, work):
         assert small("ingest", "--synthetic", "30") == 0
         assert small("split") == 0

@@ -1,5 +1,8 @@
 import copy
+import json
+import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -23,8 +26,22 @@ def tiny_model():
 PAIR = ([4, 5, 6, 7], [5, 6, 4])
 
 
+def _gate_views(arrays):
+    """arrays plus a {side}_{W,U,b}{z,r,h} view of each gate's rows of every
+    fused GRU array: the per-gate parameters of lowmt 0.2.0."""
+    views = dict(arrays)
+    for side in ("enc", "dec"):
+        for kind in "WUb":
+            fused = arrays[f"{side}_{kind}"]
+            d = fused.shape[0] // 3
+            for i, gate in enumerate("zrh"):
+                views[f"{side}_{kind}{gate}"] = fused[i * d:(i + 1) * d]
+    return views
+
+
 # Frozen copy of the per-step backward that the whole-sequence one replaced:
-# the reference the current backward must match.
+# the reference the current backward must match. It runs on per-gate views
+# of the fused parameters and gradients.
 def _ref_gru_backward(p, g, prefix, dh_new, cache):
     x, h, z, r, rh, c = (cache["x"], cache["h"], cache["z"], cache["r"],
                          cache["rh"], cache["c"])
@@ -58,8 +75,8 @@ def _ref_gru_backward(p, g, prefix, dh_new, cache):
 
 
 def _ref_backward_pair(model, fwd):
-    p = model.params
-    g = {k: np.zeros_like(v) for k, v in p.items()}
+    fused = {k: np.zeros_like(v) for k, v in model.params.items()}
+    p, g = _gate_views(model.params), _gate_views(fused)
     steps = fwd["steps"]
     T = len(steps)
     d = model.config.hidden
@@ -100,7 +117,7 @@ def _ref_backward_pair(model, fwd):
         dh_t = denc_out[t] + dh_carry
         dx, dh_carry = _ref_gru_backward(p, g, "enc", dh_t, fwd["enc_caches"][t])
         g["enc_embed"][fwd["src_ids"][t]] += dx
-    return g
+    return fused
 
 
 def _ref_sgd_step(params, grads, learning_rate, max_norm):
@@ -128,6 +145,59 @@ def _random_case(seed):
     drop_rng = np.random.default_rng(seed)
     masks = [nmt._dropout_mask(cfg, drop_rng) for _ in tf_gold]
     return model, src, tgt, tf_gold, masks
+
+
+# Frozen copy of lowmt 0.2.0's init_model: per-gate arrays.
+def _init_model_0_2_0(config):
+    d = config.hidden
+    L = config.max_len
+    rng = np.random.default_rng(config.seed)
+    bound = 1.0 / math.sqrt(d)
+
+    def u(*shape):
+        return rng.uniform(-bound, bound, size=shape)
+
+    params = {
+        "enc_embed": u(config.src_vocab_size, d),
+        "dec_embed": u(config.tgt_vocab_size, d),
+        "attn_W": u(L, 2 * d), "attn_b": u(L),
+        "comb_W": u(d, 2 * d), "comb_b": u(d),
+        "out_W": u(config.tgt_vocab_size, d), "out_b": u(config.tgt_vocab_size),
+    }
+    for side in ("enc", "dec"):
+        for gate in ("z", "r", "h"):
+            params[f"{side}_W{gate}"] = u(d, d)
+            params[f"{side}_U{gate}"] = u(d, d)
+            params[f"{side}_b{gate}"] = u(d)
+    return params
+
+
+PARAM_ORDER_0_2_0 = [
+    "enc_embed",
+    "enc_Wz", "enc_Uz", "enc_bz", "enc_Wr", "enc_Ur", "enc_br",
+    "enc_Wh", "enc_Uh", "enc_bh",
+    "dec_embed",
+    "attn_W", "attn_b", "comb_W", "comb_b",
+    "dec_Wz", "dec_Uz", "dec_bz", "dec_Wr", "dec_Ur", "dec_br",
+    "dec_Wh", "dec_Uh", "dec_bh",
+    "out_W", "out_b",
+]
+
+
+# Frozen copy of lowmt 0.2.0's save_checkpoint (format 1), fed per-gate params.
+def _save_checkpoint_0_2_0(params, cfg, path):
+    config_blob = json.dumps({
+        "src_vocab_size": cfg.src_vocab_size, "tgt_vocab_size": cfg.tgt_vocab_size,
+        "hidden": cfg.hidden, "max_len": cfg.max_len,
+        "dropout_p": cfg.dropout_p, "seed": cfg.seed,
+    }, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(nmt.MAGIC)
+        f.write(struct.pack("<I", 1))
+        f.write(struct.pack("<I", len(config_blob)))
+        f.write(config_blob)
+        for name in PARAM_ORDER_0_2_0:
+            f.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
 
 
 class TestConfigValidation:
@@ -168,7 +238,22 @@ class TestInitModel:
         assert p["attn_W"].shape == (6, 16)
         assert p["comb_W"].shape == (8, 16)
         assert p["out_W"].shape == (12, 8)
-        assert p["dec_Uz"].shape == (8, 8)
+        assert p["dec_U"].shape == (24, 8)
+        assert p["dec_b"].shape == (24,)
+        assert len(nmt.PARAM_ORDER) == 14
+        assert p.keys() == set(nmt.PARAM_ORDER)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_matches_per_gate_draws_of_0_2_0(self, seed):
+        cfg = tiny_config(seed=seed, src_vocab_size=9, hidden=5, max_len=7)
+        old = _init_model_0_2_0(cfg)
+        new = nmt.init_model(cfg).params
+        for name in nmt.PARAM_ORDER:
+            if name in old:
+                assert np.array_equal(new[name], old[name]), name
+            else:
+                stacked = np.concatenate([old[name + gate] for gate in "zrh"])
+                assert np.array_equal(new[name], stacked), name
 
     def test_init_bound(self, tiny_model):
         bound = 1.0 / np.sqrt(8)
@@ -390,6 +475,66 @@ class TestCheckpoint:
         a = nmt.translate(tiny_model, PAIR[0])[0]
         b = nmt.translate(loaded, PAIR[0])[0]
         assert a == b
+
+    def test_format_2_layout(self, tiny_model, tmp_path):
+        path = tmp_path / "m.ckpt"
+        nmt.save_checkpoint(tiny_model, path)
+        blob = path.read_bytes()
+        assert struct.unpack("<I", blob[4:8]) == (2,)
+        params = b"".join(tiny_model.params[name].astype("<f8").tobytes()
+                          for name in nmt.PARAM_ORDER)
+        assert blob.endswith(params)
+
+    def test_reads_format_1(self, tmp_path):
+        cfg = tiny_config(seed=7, tgt_vocab_size=10, hidden=6)
+        model = nmt.init_model(cfg)
+        nmt.train(model, [PAIR, ([6, 5], [4, 7])],
+                  nmt.TrainConfig(epochs=3, learning_rate=0.5, seed=1))
+        path = tmp_path / "v1.ckpt"
+        _save_checkpoint_0_2_0(_gate_views(model.params), cfg, path)
+        loaded = nmt.load_checkpoint(path)
+        assert loaded.config == cfg
+        for name in nmt.PARAM_ORDER:
+            assert np.array_equal(loaded.params[name], model.params[name]), name
+        for src in (PAIR[0], [6, 5], [7, 7, 4]):
+            assert nmt.translate(loaded, src)[0] == nmt.translate(model, src)[0]
+
+    @pytest.mark.parametrize("cut, message", [
+        (5, "truncated at header"), (12, "truncated at config"),
+        (40, "truncated at config"), (-1, "do not match its config")])
+    def test_truncated_file_names_it(self, tiny_model, tmp_path, cut, message):
+        path = tmp_path / "m.ckpt"
+        nmt.save_checkpoint(tiny_model, path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(nmt.NmtError, match=f"m.ckpt: .*{message}"):
+            nmt.load_checkpoint(path)
+
+    def test_size_is_checked_before_allocating(self, tiny_model, tmp_path):
+        path = tmp_path / "m.ckpt"
+        nmt.save_checkpoint(tiny_model, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob + b"\0" * 8)
+        with pytest.raises(nmt.NmtError, match="m.ckpt: .*do not match its config"):
+            nmt.load_checkpoint(path)
+        # A config whose parameters would need petabytes fails on size alone.
+        config = b'{"hidden": 100000000, "src_vocab_size": 12, "tgt_vocab_size": 12}'
+        path.write_bytes(blob[:4] + struct.pack("<II", 2, len(config)) + config)
+        with pytest.raises(nmt.NmtError, match="do not match its config"):
+            nmt.load_checkpoint(path)
+        # A length field of 4 GiB - 1 fails before reading.
+        path.write_bytes(blob[:8] + struct.pack("<I", 2 ** 32 - 1) + blob[12:])
+        with pytest.raises(nmt.NmtError, match="m.ckpt: truncated at config"):
+            nmt.load_checkpoint(path)
+
+    @pytest.mark.parametrize("blob", [
+        b'{"tgt_vocab_size": 12}', b'{"src_vocab_size": 12, "tgt_vocab_size": 2}',
+        b'{"src_vocab_size": 12, "tgt_vocab_size": 12, "colour": 1}', b"[1, 2]",
+        b"{not json"])
+    def test_bad_config_names_file(self, tmp_path, blob):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(nmt.MAGIC + struct.pack("<II", 2, len(blob)) + blob)
+        with pytest.raises(nmt.NmtError, match="m.ckpt: bad checkpoint config"):
+            nmt.load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -104,3 +104,15 @@ class TestPersistence:
         assert loaded.target_size == vocab.target_size
         for s in CORPUS:
             assert subword.encode(loaded, s) == subword.encode(vocab, s)
+
+    @pytest.mark.parametrize("bad", ["ab\t9", "# vocab_size", "# merge\ta",
+                                     "ab\tnine\t1.0"])
+    def test_malformed_line_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "vocab.src.tsv"
+        subword.save_vocab(train(CORPUS, 60), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines.insert(3, bad)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(subword.SubwordError,
+                           match=r"vocab\.src\.tsv: malformed line 4: "):
+            subword.load_vocab(path)
