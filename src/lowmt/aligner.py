@@ -19,6 +19,7 @@ _BOUNDARY = re.compile(r'[.!?]["\'\)\]\}”’»]*(?=\s|$)')
 
 GROUP_ONE2ONE = "one2one"
 GROUP_VARIABLE = "variable"
+RECORD_KEYS = ("src", "tgt", "origin_id", "group")   # required in split files
 
 
 class AlignError(ValueError):
@@ -182,11 +183,22 @@ def save_split(split, outdir):
         json.dump(split.manifest, f, indent=2, ensure_ascii=False)
 
 
+def _pairs_from_file(path):
+    pairs = []
+    for lineno, rec in read_jsonl(path):
+        missing = [k for k in RECORD_KEYS if not isinstance(rec, dict) or k not in rec]
+        if missing:
+            raise AlignError(f"{path}: line {lineno}: record lacks {', '.join(missing)}")
+        pairs.append(TextPair.from_record(rec))
+    return pairs
+
+
 def load_split(outdir):
+    """Read a save_split directory; a record without the keys TextPair needs
+    raises AlignError naming the file and line."""
     parts = {}
     for name in ("train", "test", "validation"):
-        path = os.path.join(outdir, f"{name}.jsonl")
-        parts[name] = [TextPair.from_record(r) for r in read_jsonl(path)]
+        parts[name] = _pairs_from_file(os.path.join(outdir, f"{name}.jsonl"))
     manifest_path = os.path.join(outdir, "manifest.json")
     manifest = {}
     if os.path.exists(manifest_path):

@@ -17,26 +17,20 @@ from .util import read_exact
 
 MAGIC = b"LMTE"
 FORMAT_VERSION = 1
+LEARNING_RATE = 0.025   # initial SGNS step, decayed linearly to 1e-4 of it
 
 
 class AnalysisError(ValueError):
     pass
 
 
-@dataclass
-class FrequencyReport:
-    ranked: list   # [(word, count)]
-    direction: str
-
-
 def frequency_report(tokens, k, direction="most"):
-    """Top or bottom k words by count with lexicographic tie-break."""
+    """Top or bottom k (word, count) pairs by count with lexicographic tie-break."""
     if k < 1:
         raise AnalysisError(f"k must be >= 1, got {k}")
     if direction not in ("most", "least"):
         raise AnalysisError(f"unknown direction {direction!r}")
-    return FrequencyReport(ranked=top_words(Counter(tokens), k, direction),
-                           direction=direction)
+    return top_words(Counter(tokens), k, direction)
 
 
 @dataclass
@@ -65,10 +59,11 @@ class EmbeddingModel:
 
 
 def train_embeddings(sentences, dim=100, window=5, negatives=5, epochs=5,
-                     min_count=1, seed=0, lr=0.025):
+                     min_count=1, seed=0):
     """Skip-gram with negative sampling over tokenized sentences."""
-    if dim < 2 or window < 1 or negatives < 1:
-        raise AnalysisError("dim >= 2, window >= 1 and negatives >= 1 required")
+    if dim < 2 or window < 1 or negatives < 1 or epochs < 1:
+        raise AnalysisError("dim >= 2, window >= 1, negatives >= 1 and epochs >= 1 "
+                            "required")
     if not sentences:
         raise AnalysisError("no training sentences")
 
@@ -91,12 +86,12 @@ def train_embeddings(sentences, dim=100, window=5, negatives=5, epochs=5,
     encoded = [s for s in encoded if s]
     total_centers = sum(len(s) for s in encoded) * epochs
     seen = 0
-    min_lr = lr * 1e-4
+    min_lr = LEARNING_RATE * 1e-4
 
     for _ in range(epochs):
         for sent in encoded:
             for pos, center in enumerate(sent):
-                alpha = max(min_lr, lr * (1.0 - seen / total_centers))
+                alpha = max(min_lr, LEARNING_RATE * (1.0 - seen / total_centers))
                 seen += 1
                 lo = max(0, pos - window)
                 hi = min(len(sent), pos + window + 1)
@@ -155,18 +150,6 @@ def most_similar(model, word, k=10):
     if k < 1:
         raise AnalysisError(f"k must be >= 1, got {k}")
     return _ranked_by_cosine(model, model.vector(word), {word})[:k]
-
-
-def analogy(model, positive, negative, k=10):
-    """3CosAdd: rank by cosine to sum(positive) - sum(negative)."""
-    if not positive:
-        raise AnalysisError("at least one positive word required")
-    target = np.zeros(model.dim)
-    for w in positive:
-        target = target + model.vector(w)
-    for w in negative:
-        target = target - model.vector(w)
-    return _ranked_by_cosine(model, target, set(positive) | set(negative))[:k]
 
 
 def project_2d(model, word, k_similar=10, k_dissimilar=10):

@@ -15,6 +15,7 @@ from .util import derive_seed
 
 EDA_OPS = ("synonym_replace", "random_delete", "random_swap", "synonym_insert")
 ALL_OPS = EDA_OPS + ("embed_replace",)
+EMBED_CANDIDATES = 5   # nearest neighbors embed_replace draws from
 
 
 class AugmentError(ValueError):
@@ -26,7 +27,6 @@ class AugmentPolicy:
     ops: tuple = EDA_OPS
     alpha: float = 0.1
     n_aug: int = 1
-    k_candidates: int = 5
     max_pairs: int = None   # optional cap on how many pairs are augmented
     seed: int = 0
 
@@ -131,7 +131,7 @@ def _augment_tokens(tokens, policy, lexicon, model, rng):
         elif op == "random_delete":
             out = random_delete(out, n, rng)
         elif op == "embed_replace":
-            out = embed_replace(out, model, policy.alpha, policy.k_candidates, rng)
+            out = embed_replace(out, model, policy.alpha, EMBED_CANDIDATES, rng)
     return out
 
 

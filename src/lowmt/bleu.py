@@ -9,6 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 SMOOTHING_MODES = ("none", "add_one_for_n_ge_2")
+MAX_N = 4
 
 
 class BleuError(ValueError):
@@ -64,8 +65,8 @@ def brevity_penalty(hyp_len, ref_len):
     return math.exp(1.0 - ref_len / hyp_len)
 
 
-def corpus_bleu(hypotheses, references, max_n=4, smoothing="none"):
-    """Geometric mean of clipped 1..max_n precisions times brevity penalty.
+def corpus_bleu(hypotheses, references, smoothing="none"):
+    """Geometric mean of clipped 1..4-gram precisions times brevity penalty.
 
     Orders with zero total hypothesis n-grams (every segment shorter than n)
     are dropped and the remaining orders reweighted. add_one_for_n_ge_2
@@ -86,7 +87,7 @@ def corpus_bleu(hypotheses, references, max_n=4, smoothing="none"):
 
     precisions = []
     effective = []
-    for n in range(1, max_n + 1):
+    for n in range(1, MAX_N + 1):
         clipped, total = modified_precision(hypotheses, references, n)
         if total == 0:
             precisions.append(0.0)

@@ -23,14 +23,13 @@ from . import __version__, aligner, analysis, augment, bleu, corpus, nmt, subwor
 from .util import config_hash, derive_seed, sha256_file, write_jsonl
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 DEFAULT_CONFIG = {
     "seed": 0,
     "workdir": "work",
-    "corpus": {"path": "corpus.jsonl", "format": "jsonl"},
+    "corpus": {"format": "jsonl"},
     "split": {"ratios": [0.8, 0.1, 0.1]},
     "tokenizer": {"vocab_size": 32000},
     "embeddings": {"dim": 100, "window": 5, "negatives": 5, "epochs": 5,
@@ -43,9 +42,8 @@ DEFAULT_CONFIG = {
     "evaluation": {"smoothing": "none"},
 }
 
-DATA_ERRORS = (corpus.CorpusError, aligner.AlignError, analysis.AnalysisError,
-               subword.SubwordError, augment.AugmentError, bleu.BleuError,
-               nmt.NmtError, OSError, ValueError)
+# Every lowmt module error (CorpusError, NmtError, ...) is a ValueError.
+DATA_ERRORS = (OSError, ValueError)
 
 EXPORT_SCHEMA = {
     "type": "object",
@@ -62,16 +60,23 @@ EXPORT_SCHEMA = {
 }
 
 MANIFEST_SUFFIX = ".manifest.json"
+MANIFEST_KEYS = {"stage", "config_hash", "inputs", "outputs"}
 SPLIT_FILES = ("train.jsonl", "test.jsonl", "validation.jsonl", "manifest.json")
 
 
-def _deep_merge(base, override):
+def _deep_merge(base, override, path, prefix=""):
+    """base with override's values merged in; a key that base lacks, or a
+    non-mapping where base has a section, raises naming its dotted key."""
     merged = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = value
+        dotted = f"{prefix}{key}"
+        if key not in base:
+            raise ValueError(f"{path}: unknown config key {dotted!r}")
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ValueError(f"{path}: config key {dotted!r} must be a mapping")
+            value = _deep_merge(base[key], value, path, dotted + ".")
+        merged[key] = value
     return merged
 
 
@@ -84,8 +89,13 @@ def load_config(path=None):
             user = yaml.safe_load(f) or {}
         if not isinstance(user, dict):
             raise ValueError(f"{path}: config must be a mapping")
-        config = _deep_merge(config, user)
+        config = _deep_merge(config, user, path)
     return config
+
+
+def _override(flag, value):
+    """A CLI flag's value if it was given, else the config value."""
+    return value if flag is None else flag
 
 
 def stage_seed(config, stage):
@@ -172,13 +182,12 @@ class StageContext:
             self._manifests = {}
             for name in sorted(os.listdir(self.workdir)):
                 if name.endswith(MANIFEST_SUFFIX):
-                    with open(self.path(name), "r", encoding="utf-8") as f:
-                        try:
-                            self._manifests[name] = json.load(f)
-                        except json.JSONDecodeError as e:
-                            # Its outputs cannot be checked; re-running its
-                            # stage rewrites it.
-                            self._complain(f"{f.name}: malformed manifest: {e}")
+                    try:
+                        self._manifests[name] = _read_manifest(self.path(name))
+                    except ValueError as e:
+                        # Its outputs cannot be checked; re-running its
+                        # stage rewrites it.
+                        self._complain(f"{self.path(name)}: malformed manifest: {e}")
         for name, manifest in self._manifests.items():
             if key in manifest["outputs"]:
                 return name
@@ -201,6 +210,17 @@ class StageContext:
         if self.strict:
             raise ValueError(message)
         print(f"warning: {message}", file=sys.stderr)
+
+
+def _read_manifest(path):
+    with open(path, "r", encoding="utf-8") as f:
+        manifest = json.load(f)
+    if not (isinstance(manifest, dict) and MANIFEST_KEYS <= manifest.keys()
+            and isinstance(manifest["inputs"], dict)
+            and isinstance(manifest["outputs"], dict)):
+        raise ValueError("expected an object with stage, config_hash, inputs "
+                         "and outputs, the last two mappings")
+    return manifest
 
 
 def arg(*flags, **kwargs):
@@ -344,8 +364,8 @@ def cmd_embed(ctx, args):
     sentences = _side_sentences(split.train, args.side)
     ecfg = ctx.config["embeddings"]
     model = analysis.train_embeddings(
-        sentences, dim=args.dim or ecfg["dim"], window=ecfg["window"],
-        negatives=ecfg["negatives"], epochs=args.epochs or ecfg["epochs"],
+        sentences, dim=_override(args.dim, ecfg["dim"]), window=ecfg["window"],
+        negatives=ecfg["negatives"], epochs=_override(args.epochs, ecfg["epochs"]),
         min_count=ecfg["min_count"], seed=ctx.seed())
     out_path = ctx.write(ctx.path(f"embeddings.{args.side}.bin"))
     analysis.save_embeddings(model, out_path)
@@ -359,11 +379,11 @@ def cmd_report(ctx, args):
     corp = corpus.load_corpus(ctx.read(ctx.path("corpus.jsonl"), "corpus"))
     tokens = corpus.side_tokens(corp, args.side)
     for direction in ("most", "least"):
-        report = analysis.frequency_report(tokens, args.top_k, direction)
+        ranked = analysis.frequency_report(tokens, args.top_k, direction)
         with open(ctx.write(ctx.path(f"freq.{args.side}.{direction}.tsv")), "w",
                   encoding="utf-8") as f:
             f.write("word\tcount\n")
-            for word, count in report.ranked:
+            for word, count in ranked:
                 f.write(f"{word}\t{count}\n")
     if args.project_word:
         model = analysis.load_embeddings(
@@ -379,7 +399,7 @@ def cmd_report(ctx, args):
 
 def cmd_tok_train(ctx, args):
     split = _load_split(ctx, args)
-    vocab_size = args.vocab_size or ctx.config["tokenizer"]["vocab_size"]
+    vocab_size = _override(args.vocab_size, ctx.config["tokenizer"]["vocab_size"])
     for side in ("src", "tgt"):
         sentences = [getattr(p, side) for p in split.train]
         vocab = subword.train_tokenizer(sentences, vocab_size)
@@ -429,10 +449,11 @@ def cmd_train(ctx, args):
     tcfg = ctx.config["train"]
     model_config = nmt.ModelConfig(
         src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab),
-        hidden=args.hidden or mcfg["hidden"], max_len=mcfg["max_len"],
+        hidden=_override(args.hidden, mcfg["hidden"]), max_len=mcfg["max_len"],
         dropout_p=mcfg["dropout_p"], seed=ctx.seed("model-init"))
     train_config = nmt.TrainConfig(
-        epochs=args.epochs or tcfg["epochs"], learning_rate=tcfg["learning_rate"],
+        epochs=_override(args.epochs, tcfg["epochs"]),
+        learning_rate=tcfg["learning_rate"],
         teacher_forcing_ratio=tcfg["teacher_forcing_ratio"],
         grad_clip_norm=tcfg["grad_clip_norm"], seed=ctx.seed())
 

@@ -8,7 +8,9 @@ header row.
 import json
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+
+from .util import write_jsonl
 
 TERMINAL_MARKS = ".!?"
 
@@ -19,38 +21,22 @@ class CorpusError(ValueError):
     """Malformed corpus input or invalid text."""
 
 
-@dataclass(frozen=True)
-class NormalizationPolicy:
-    """Which characters count as strippable punctuation.
+def normalize_text(raw):
+    """NFC-normalize, replace punctuation by spaces, collapse whitespace.
 
     Sentence-terminal marks (. ! ?) are kept so the aligner can still segment;
     they are stripped later for word counting and model input. Combining
     diacritics are never touched (Santali Roman needs them).
     """
-
-    lowercase: bool = False
-    keep_terminals: bool = True
-    extra_punctuation: str = ""
-
-
-def normalize_text(raw, policy=None):
-    """NFC-normalize, replace punctuation by spaces, collapse whitespace."""
-    if policy is None:
-        policy = NormalizationPolicy()
     if not isinstance(raw, str):
         raise CorpusError(f"expected text, got {type(raw).__name__}")
     try:
         raw.encode("utf-8")
     except UnicodeEncodeError as e:
         raise CorpusError(f"invalid Unicode input: {e}") from e
-    text = unicodedata.normalize("NFC", raw)
-    if policy.lowercase:
-        text = text.lower()
     out = []
-    for ch in text:
-        if ch in TERMINAL_MARKS:
-            out.append(ch if policy.keep_terminals else " ")
-        elif unicodedata.category(ch).startswith("P") or ch in policy.extra_punctuation:
+    for ch in unicodedata.normalize("NFC", raw):
+        if ch not in TERMINAL_MARKS and unicodedata.category(ch).startswith("P"):
             out.append(" ")
         else:
             out.append(ch)
@@ -77,9 +63,6 @@ class ParallelUnit:
 class Corpus:
     units: list
 
-    def __len__(self):
-        return len(self.units)
-
 
 @dataclass
 class CorpusStats:
@@ -92,12 +75,12 @@ class CorpusStats:
     bottom_k: list = field(default_factory=list)
 
 
-def _unit_from_record(record, lineno, policy):
+def _unit_from_record(record, lineno):
     missing = [k for k in ("id", "src", "tgt") if k not in record]
     if missing:
         raise CorpusError(f"line {lineno}: missing fields {missing}")
-    src = normalize_text(str(record["src"]), policy)
-    tgt = normalize_text(str(record["tgt"]), policy)
+    src = normalize_text(str(record["src"]))
+    tgt = normalize_text(str(record["tgt"]))
     if not src or not tgt:
         raise CorpusError(f"line {lineno}: empty src or tgt")
     try:
@@ -113,7 +96,7 @@ def _unit_from_record(record, lineno, policy):
         raise CorpusError(f"line {lineno}: {e}") from e
 
 
-def load_corpus(path, format="jsonl", policy=None):
+def load_corpus(path, format="jsonl"):
     """Read a corpus file, normalizing every text via normalize_text."""
     if format not in ("jsonl", "tsv"):
         raise CorpusError(f"unknown corpus format {format!r}")
@@ -147,7 +130,7 @@ def load_corpus(path, format="jsonl", policy=None):
                     f"expected {len(TSV_COLUMNS)} columns, got {len(cells)}"
                 )
             record = dict(zip(TSV_COLUMNS, cells))
-        unit = _unit_from_record(record, lineno, policy)
+        unit = _unit_from_record(record, lineno)
         if unit.id in seen_ids:
             raise CorpusError(f"{path}: duplicate id {unit.id!r} at line {lineno}")
         seen_ids.add(unit.id)
@@ -157,19 +140,8 @@ def load_corpus(path, format="jsonl", policy=None):
     return Corpus(units=units)
 
 
-def save_corpus(corpus, path, format="jsonl"):
-    with open(path, "w", encoding="utf-8") as f:
-        if format == "tsv":
-            f.write("\t".join(TSV_COLUMNS) + "\n")
-            for u in corpus.units:
-                f.write(f"{u.id}\t{u.book}\t{u.chapter}\t{u.verse}\t{u.src}\t{u.tgt}\n")
-        elif format == "jsonl":
-            for u in corpus.units:
-                rec = {"id": u.id, "book": u.book, "chapter": u.chapter,
-                       "verse": u.verse, "src": u.src, "tgt": u.tgt}
-                f.write(json.dumps(rec, ensure_ascii=False) + "\n")
-        else:
-            raise CorpusError(f"unknown corpus format {format!r}")
+def save_corpus(corpus, path):
+    write_jsonl(path, [asdict(u) for u in corpus.units])
 
 
 def strip_terminal(token):

@@ -92,6 +92,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise NmtError("epochs must be >= 1")
         if self.learning_rate < 0:
             raise NmtError("learning_rate must be >= 0")
         if not (0.0 <= self.teacher_forcing_ratio <= 1.0):
@@ -244,19 +246,6 @@ def _dropout_mask(cfg, rng):
     """Inverted-dropout mask for one step's embedding (one rng.random draw)."""
     keep = 1.0 - cfg.dropout_p
     return (rng.random(cfg.hidden) < keep).astype(np.float64) / keep
-
-
-def decode_step(model, prev_token_id, hidden, encoder_outputs, train_mode=False,
-                rng=None):
-    """One decoder step; dropout only in train_mode with a supplied rng."""
-    mask = None
-    if train_mode and model.config.dropout_p > 0.0:
-        if rng is None:
-            raise NmtError("train_mode dropout requires an rng")
-        mask = _dropout_mask(model.config, rng)
-    logp, h_new, a, _ = _decode_step(model, prev_token_id, hidden,
-                                     encoder_outputs, mask)
-    return logp, h_new, a
 
 
 def _forward_pair(model, src_ids, tgt_ids, tf_gold=None, dropout_masks=None):

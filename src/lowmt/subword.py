@@ -125,17 +125,10 @@ def _encode_word(vocab, word):
     return list(symbols)
 
 
-def encode(vocab, text, add_sos_eos=False):
+def encode(vocab, text):
     """Token ids for normalized text; unknown characters map to <unk>."""
-    ids = []
-    if add_sos_eos:
-        ids.append(SOS_ID)
-    for word in text.split():
-        for sym in _encode_word(vocab, word):
-            ids.append(vocab.piece_to_id.get(sym, UNK_ID))
-    if add_sos_eos:
-        ids.append(EOS_ID)
-    return ids
+    return [vocab.piece_to_id.get(sym, UNK_ID)
+            for word in text.split() for sym in _encode_word(vocab, word)]
 
 
 def decode(vocab, ids):

@@ -41,6 +41,7 @@ def config_hash(obj):
 
 
 def read_jsonl(path):
+    """(line number, record) for each non-blank line of a JSONL file."""
     records = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -48,7 +49,7 @@ def read_jsonl(path):
             if not line:
                 continue
             try:
-                records.append(json.loads(line))
+                records.append((lineno, json.loads(line)))
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}: malformed JSON at line {lineno}: {e}") from e
     return records

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy
 import pytest
@@ -7,6 +9,9 @@ import pytest
 import lowmt
 from lowmt import cli
 from lowmt.util import sha256_file
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(args, workdir):
@@ -143,6 +148,37 @@ class TestConfig:
         assert config["model"]["hidden"] == 32
         assert config["model"]["max_len"] == 64
 
+    @pytest.mark.parametrize("text, message", [
+        ("train:\n  epoch: 1\n", "unknown config key 'train.epoch'"),
+        ("seeds: 3\n", "unknown config key 'seeds'"),
+        ("corpus:\n  path: c.jsonl\n", "unknown config key 'corpus.path'"),
+        ("model: 64\n", "config key 'model' must be a mapping"),
+        ("train:\n", "config key 'train' must be a mapping"),
+    ], ids=["train.epoch", "seeds", "corpus.path", "model", "train"])
+    def test_unknown_key_exits_3_naming_it(self, work, tmp_path, capsys, text,
+                                           message):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        assert cli.main(["--workdir", str(work), "--config", str(cfg),
+                         "ingest", "--synthetic", "3"]) == cli.EXIT_DATA
+        assert f"{cfg}: {message}" in capsys.readouterr().err
+        assert not (work / "corpus.jsonl").exists()
+
+    def test_readme_and_bench_configs_load(self, tmp_path):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        example = readme.split("```yaml\n")[1].split("```")[0]
+        (tmp_path / "readme.yaml").write_text(example)
+        assert cli.load_config(tmp_path / "readme.yaml")["model"]["hidden"] == 64
+        spec = importlib.util.spec_from_file_location("bench_gen",
+                                                      ROOT / "bench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        for workload in ("synthetic-demo", "zipf-wide-vocab", "translate-bulk"):
+            path = tmp_path / f"{workload}.yaml"
+            gen.write_config(path, gen.config(workload, 1))
+            assert cli.load_config(path)["tokenizer"] == \
+                gen.config(workload, 1)["tokenizer"]
+
     def test_stage_seeds_differ_by_stage(self):
         config = cli.load_config(None)
         assert cli.stage_seed(config, "split") != cli.stage_seed(config, "train")
@@ -257,13 +293,51 @@ class TestRunContext:
                 in capsys.readouterr().err)
 
     def test_malformed_manifest_warns_or_fails_strict(self, small, work, capsys):
+        for blob in ('{"stage": "ing', '{"stage": "x"}', '[]',
+                     '{"stage": "x", "config_hash": "", "inputs": {}, "outputs": []}'):
+            assert small("ingest", "--synthetic", "30") == 0
+            (work / "ingest.manifest.json").write_text(blob)
+            capsys.readouterr()
+            assert small("split", strict=True) == cli.EXIT_DATA, blob
+            assert "ingest.manifest.json: malformed manifest" in capsys.readouterr().err
+            assert small("split") == 0, blob
+            assert small("ingest", "--synthetic", "30") == 0
+            assert small("split", strict=True) == 0
+
+    def test_split_record_without_key_exits_3(self, small, work, capsys):
         assert small("ingest", "--synthetic", "30") == 0
-        (work / "ingest.manifest.json").write_text('{"stage": "ing')
-        assert small("split", strict=True) == cli.EXIT_DATA
-        assert "ingest.manifest.json: malformed manifest" in capsys.readouterr().err
         assert small("split") == 0
-        assert small("ingest", "--synthetic", "30") == 0
-        assert small("split", strict=True) == 0
+        path = work / "split" / "train.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[0])
+        del record["src"]
+        path.write_text(json.dumps(record) + "\n" + "".join(lines[1:]))
+        capsys.readouterr()
+        assert small("tok-train") == cli.EXIT_DATA
+        assert "train.jsonl: line 1: record lacks src" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ("train", "--epochs", "0"), ("train", "--hidden", "0"),
+        ("embed", "--dim", "0"), ("embed", "--epochs", "0"),
+        ("tok-train", "--vocab-size", "0")], ids=" ".join)
+    def test_zero_override_exits_3(self, small, work, args):
+        for setup in (["ingest", "--synthetic", "30"], ["split"],
+                      ["tok-train", "--vocab-size", "80"]):
+            assert small(*setup) == 0
+        before = sorted(os.listdir(work))
+        assert small(*args) == cli.EXIT_DATA
+        assert sorted(os.listdir(work)) == before
+
+    def test_zero_epochs_in_config_exits_3(self, small, work, tmp_path):
+        for setup in (["ingest", "--synthetic", "30"], ["split"],
+                      ["tok-train", "--vocab-size", "80"]):
+            assert small(*setup) == 0
+        cfg = tmp_path / "zero.yaml"
+        cfg.write_text(SMALL_CONFIG.replace("epochs: 1\n  learning_rate",
+                                            "epochs: 0\n  learning_rate"))
+        assert cli.main(["--workdir", str(work), "--config", str(cfg),
+                         "train"]) == cli.EXIT_DATA
+        assert not (work / "model.ckpt").exists()
 
     def test_unreadable_paths_are_data_errors(self, small, work, tmp_path):
         assert small("evaluate", "--hyp", str(tmp_path), "--ref",

@@ -218,6 +218,8 @@ class TestConfigValidation:
             nmt.TrainConfig(learning_rate=-1)
         with pytest.raises(nmt.NmtError):
             nmt.TrainConfig(teacher_forcing_ratio=1.5)
+        with pytest.raises(nmt.NmtError, match="epochs"):
+            nmt.TrainConfig(epochs=0)
 
 
 class TestInitModel:
@@ -292,31 +294,32 @@ class TestEncodeSequence:
 class TestDecodeStep:
     def test_attention_sums_to_one(self, tiny_model):
         enc_out, h, _ = nmt.encode_sequence(tiny_model, PAIR[0])
-        _, _, attn = nmt.decode_step(tiny_model, SOS_ID, h, enc_out)
+        _, _, attn, _ = nmt._decode_step(tiny_model, SOS_ID, h, enc_out)
         assert abs(attn.sum() - 1.0) < 1e-12
 
     def test_log_probs_normalize(self, tiny_model):
         enc_out, h, _ = nmt.encode_sequence(tiny_model, PAIR[0])
-        logp, _, _ = nmt.decode_step(tiny_model, SOS_ID, h, enc_out)
+        logp, _, _, _ = nmt._decode_step(tiny_model, SOS_ID, h, enc_out)
         assert abs(np.exp(logp).sum() - 1.0) < 1e-6
 
     def test_eval_mode_deterministic(self, tiny_model):
         enc_out, h, _ = nmt.encode_sequence(tiny_model, PAIR[0])
-        a = nmt.decode_step(tiny_model, SOS_ID, h, enc_out, train_mode=False)
-        b = nmt.decode_step(tiny_model, SOS_ID, h, enc_out, train_mode=False)
+        a = nmt._decode_step(tiny_model, SOS_ID, h, enc_out)
+        b = nmt._decode_step(tiny_model, SOS_ID, h, enc_out)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
     def test_bad_token_rejected(self, tiny_model):
         enc_out, h, _ = nmt.encode_sequence(tiny_model, PAIR[0])
         with pytest.raises(nmt.NmtError):
-            nmt.decode_step(tiny_model, 99, h, enc_out)
+            nmt._decode_step(tiny_model, 99, h, enc_out)
 
     def test_train_mode_dropout_draws_one_mask(self):
         model = nmt.init_model(tiny_config(dropout_p=0.4))
         enc_out, h, _ = nmt.encode_sequence(model, PAIR[0])
-        logp, _, _ = nmt.decode_step(model, SOS_ID, h, enc_out, train_mode=True,
-                                     rng=np.random.default_rng(5))
+        logp, _, _, _ = nmt._decode_step(
+            model, SOS_ID, h, enc_out,
+            nmt._dropout_mask(model.config, np.random.default_rng(5)))
         draw = np.random.default_rng(5).random(8)
         mask = (draw < 0.6).astype(np.float64) / 0.6
         expected, _, _, _ = nmt._decode_step(model, SOS_ID, h, enc_out, mask)

@@ -79,12 +79,6 @@ class TestEncodeDecode:
         with pytest.raises(subword.SubwordError, match=str(len(vocab) + 5)):
             subword.decode(vocab, [len(vocab) + 5])
 
-    def test_sos_eos_wrapping(self):
-        vocab = train(CORPUS, 40)
-        ids = subword.encode(vocab, "re", add_sos_eos=True)
-        assert ids[0] == subword.SOS_ID
-        assert ids[-1] == subword.EOS_ID
-
     def test_coverage_monotonicity(self):
         sizes = [30, 45, 70]
         vocabs = [train(CORPUS, n) for n in sizes]
