@@ -86,7 +86,13 @@ def load_config(path=None):
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path:
         with open(path, "r", encoding="utf-8") as f:
-            user = yaml.safe_load(f) or {}
+            try:
+                user = yaml.safe_load(f) or {}
+            except yaml.YAMLError as e:
+                mark = getattr(e, "problem_mark", None)
+                where = f"line {mark.line + 1}: " if mark else ""
+                problem = getattr(e, "problem", None) or str(e).splitlines()[0]
+                raise ValueError(f"{path}: {where}invalid YAML: {problem}") from e
         if not isinstance(user, dict):
             raise ValueError(f"{path}: config must be a mapping")
         config = _deep_merge(config, user, path)
@@ -477,22 +483,26 @@ def cmd_translate(ctx, args):
     model = nmt.load_checkpoint(ctx.read(ctx.path("model.ckpt"), "model checkpoint"))
     src_vocab, tgt_vocab = _load_vocab(ctx, "src"), _load_vocab(ctx, "tgt")
     max_len = model.config.max_len
-    out = []
+    sources = []
     truncated = []
     for lineno, line in enumerate(_input_lines(ctx, args), start=1):
         src_ids = subword.encode(src_vocab, corpus.normalize_text(line))
         if len(src_ids) > max_len:
             truncated.append(lineno)
             src_ids = src_ids[:max_len]
-        # A blank line translates to a blank line, keeping one output per input.
-        tgt_ids = nmt.translate(model, src_ids)[0] if src_ids else []
-        out.append(subword.decode(tgt_vocab, tgt_ids))
+        sources.append(src_ids)
+    # A blank line translates to a blank line, keeping one output per input.
+    nonblank = [i for i, src_ids in enumerate(sources) if src_ids]
+    results = nmt.translate_batch(model, [sources[i] for i in nonblank], attention=False)
+    out = [""] * len(sources)
+    for i, (tgt_ids, _) in zip(nonblank, results):
+        out[i] = subword.decode(tgt_vocab, tgt_ids)
     if truncated:
         print(f"warning: truncated {len(truncated)} source lines longer than "
               f"max_len={max_len} tokens (first: line {truncated[0]})", file=sys.stderr)
     if args.output:
         with open(ctx.write(args.output), "w", encoding="utf-8") as f:
-            f.write("\n".join(out) + "\n")
+            f.write("".join(line + "\n" for line in out))
         print(f"translated {len(out)} lines -> {args.output}")
     else:
         for line in out:

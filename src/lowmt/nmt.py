@@ -1,9 +1,18 @@
 """GRU encoder + attention decoder seq2seq with hand-written gradients.
 
-Everything runs in float64 on numpy with batch size 1; randomness (init,
-dropout, teacher forcing, epoch order) comes from seeded streams so training
-is fully reproducible. The backward pass is verified against central finite
+Everything runs in float64 on numpy; randomness (init, dropout, teacher
+forcing, epoch order) comes from seeded streams so training is fully
+reproducible. The backward pass is verified against central finite
 differences (gradient_check).
+
+Row blocks: the GRU step and the decoder step work on a block of B rows at
+once (hidden B x d, products X @ W.T), or on a single row given as a vector.
+Training runs one pair at a time, as single rows. Greedy translation and the
+validation loss sort their inputs by length into buckets of BUCKET_SIZE rows
+and run each bucket in lockstep: the batched encoder freezes a row's hidden
+state past its source length and leaves its encoder outputs there zero, so
+attention over the max_len positions means what it does for one sentence; a
+done-mask (translation) or a target mask (loss) ends each row at its </s>.
 
 Gate equations, per step with input x and previous hidden h:
     z = sigmoid(Wz x + Uz h + bz)
@@ -45,6 +54,10 @@ from .util import derive_seed, read_exact
 
 MAGIC = b"LMTS"
 FORMAT_VERSION = 2
+
+# Rows decoded in lockstep: per-step Python overhead is paid once per bucket,
+# while the buffers of one bucket stay well under a MiB at the bench sizes.
+BUCKET_SIZE = 32
 
 PARAM_ORDER = [
     "enc_embed", "enc_W", "enc_U", "enc_b",
@@ -147,12 +160,13 @@ def _sigmoid(x):
 
 
 def _gru_forward(W, U, b, x, h):
-    d = h.shape[0]
-    a = W @ x + b
-    zr = _sigmoid(a[:2 * d] + U[:2 * d] @ h)
-    z, r = zr[:d], zr[d:]
+    """One GRU step on a row block: x and h are B x d, or single rows."""
+    d = h.shape[-1]
+    a = x @ W.T + b
+    zr = _sigmoid(a[..., :2 * d] + h @ U[:2 * d].T)
+    z, r = zr[..., :d], zr[..., d:]
     rh = r * h
-    c = np.tanh(a[2 * d:] + U[2 * d:] @ rh)
+    c = np.tanh(a[..., 2 * d:] + rh @ U[2 * d:].T)
     h_new = (1.0 - z) * h + z * c
     return h_new, {"x": x, "h": h, "z": z, "r": r, "rh": rh, "c": c}
 
@@ -197,45 +211,83 @@ def _gru_weight_grads(tape):
     return DA.T @ tape["X"], dU, DA.sum(axis=0)
 
 
-def encode_sequence(model, src_ids):
-    """Run the encoder; returns (max_len x d outputs, final hidden, caches)."""
-    cfg = model.config
-    _check_pair(cfg, src_ids)
-    p = model.params
+def _padded(seqs):
+    """(B x longest id array of seqs, right-padded with PAD_ID; lengths)."""
+    lengths = np.array([len(seq) for seq in seqs])
+    ids = np.full((len(seqs), lengths.max()), PAD_ID)
+    for row, seq in zip(ids, seqs):
+        row[:len(seq)] = seq
+    return ids, lengths
+
+
+def _encode(model, ids, lengths, caches=None):
+    """Run the encoder on one source (ids, its length) or on a block of
+    sources (B x T ids padded as by _padded, B lengths); returns the outputs
+    ([B x] max_len x d) and the final hidden state ([B x] d). Each step's
+    cache is appended to caches, if given.
+
+    A row's hidden state is frozen past its length and its outputs there
+    stay zero.
+    """
+    cfg, p = model.config, model.params
     gru = p["enc_W"], p["enc_U"], p["enc_b"]
-    d = cfg.hidden
-    h = np.zeros(d)
-    outputs = np.zeros((cfg.max_len, d))
+    X = p["enc_embed"][ids]
+    h = np.zeros(X.shape[:-2] + (cfg.hidden,))
+    outputs = np.zeros(X.shape[:-2] + (cfg.max_len, cfg.hidden))
+    shortest = np.min(lengths)
+    for t in range(X.shape[-2]):
+        h_new, cache = _gru_forward(*gru, X[..., t, :], h)
+        if t < shortest:
+            h = outputs[..., t, :] = h_new
+        else:
+            live = (t < lengths)[:, None]
+            h = np.where(live, h_new, h)
+            outputs[:, t] = np.where(live, h, 0.0)
+        if caches is not None:
+            caches.append(cache)
+    return outputs, h
+
+
+def _encode_rows(model, sources):
+    """The encoder over a block of sources: (B x max_len x d, B x d)."""
+    for src_ids in sources:
+        _check_source(model.config, src_ids)
+    return _encode(model, *_padded(sources))
+
+
+def encode_sequence(model, src_ids):
+    """Run the encoder on one source; returns (max_len x d outputs, final
+    hidden, caches)."""
+    _check_source(model.config, src_ids)
     caches = []
-    for t, tid in enumerate(src_ids):
-        if not (0 <= tid < cfg.src_vocab_size):
-            raise NmtError(f"source token id {tid} out of range")
-        h, cache = _gru_forward(*gru, p["enc_embed"][tid], h)
-        outputs[t] = h
-        caches.append(cache)
+    outputs, h = _encode(model, src_ids, len(src_ids), caches)
     return outputs, h, caches
 
 
-def _decode_step(model, prev_id, hidden, encoder_outputs, dropout_mask=None):
+def _decode_step(model, prev_ids, hidden, encoder_outputs, dropout_mask=None):
+    """One decoder step on a row block: prev_ids (B), hidden (B x d) and
+    encoder_outputs (B x max_len x d), or a single row without the B axis."""
     cfg = model.config
     p = model.params
-    if not (0 <= prev_id < cfg.tgt_vocab_size):
-        raise NmtError(f"target token id {prev_id} out of range")
     mask = dropout_mask if dropout_mask is not None else np.ones(cfg.hidden)
-    xd = p["dec_embed"][prev_id] * mask
-    eh = np.concatenate([xd, hidden])
-    attn_logits = p["attn_W"] @ eh + p["attn_b"]
-    attn_logits = attn_logits - attn_logits.max()
+    try:
+        xd = p["dec_embed"][prev_ids] * mask
+    except IndexError:
+        raise NmtError(f"target token id {prev_ids} out of range") from None
+    eh = np.concatenate([xd, hidden], axis=-1)
+    attn_logits = eh @ p["attn_W"].T + p["attn_b"]
+    attn_logits = attn_logits - attn_logits.max(axis=-1, keepdims=True)
     a = np.exp(attn_logits)
-    a /= a.sum()
-    context = encoder_outputs.T @ a
-    xc = np.concatenate([xd, context])
-    comb_pre = p["comb_W"] @ xc + p["comb_b"]
+    a /= a.sum(axis=-1, keepdims=True)
+    context = (a[..., None, :] @ encoder_outputs)[..., 0, :]
+    xc = np.concatenate([xd, context], axis=-1)
+    comb_pre = xc @ p["comb_W"].T + p["comb_b"]
     comb = np.maximum(comb_pre, 0.0)
     h_new, gru_cache = _gru_forward(p["dec_W"], p["dec_U"], p["dec_b"], comb, hidden)
-    logits = p["out_W"] @ h_new + p["out_b"]
-    logp = logits - (logits.max() + np.log(np.exp(logits - logits.max()).sum()))
-    cache = {"prev_id": prev_id, "mask": mask, "xd": xd, "eh": eh, "a": a,
+    logits = h_new @ p["out_W"].T + p["out_b"]
+    top = logits.max(axis=-1, keepdims=True)
+    logp = logits - (top + np.log(np.exp(logits - top).sum(axis=-1, keepdims=True)))
+    cache = {"prev_id": prev_ids, "mask": mask, "xd": xd, "eh": eh, "a": a,
              "context": context, "xc": xc, "comb_pre": comb_pre,
              "gru": gru_cache, "h_new": h_new, "probs": np.exp(logp),
              "enc_out": encoder_outputs}
@@ -255,6 +307,7 @@ def _forward_pair(model, src_ids, tgt_ids, tf_gold=None, dropout_masks=None):
     every step does); step 0 always starts from SOS. Returns (mean NLL,
     caches for backward).
     """
+    _check_ids(tgt_ids, model.config.tgt_vocab_size, "target")
     enc_out, h, enc_caches = encode_sequence(model, src_ids)
     gold = list(tgt_ids) + [EOS_ID]
     steps = []
@@ -267,17 +320,23 @@ def _forward_pair(model, src_ids, tgt_ids, tf_gold=None, dropout_masks=None):
         steps.append(cache)
         loss -= logp[gold_id]
         if t + 1 < len(gold):
-            prev = gold_id if tf_gold is None or tf_gold[t + 1] else _greedy_id(logp)
+            prev = gold_id if tf_gold is None or tf_gold[t + 1] else _greedy_ids(logp)
     loss /= len(gold)
     return loss, {"enc_caches": enc_caches, "enc_out": enc_out,
                   "src_ids": list(src_ids), "steps": steps}
 
 
-def _greedy_id(logp):
-    """The most likely next token that is neither PAD nor SOS."""
+def _greedy_ids(logp):
+    """Each row's most likely next token that is neither PAD nor SOS."""
     masked = logp.copy()
-    masked[PAD_ID] = masked[SOS_ID] = -np.inf
-    return int(np.argmax(masked))
+    masked[..., PAD_ID] = masked[..., SOS_ID] = -np.inf
+    return np.argmax(masked, axis=-1)
+
+
+def _buckets(lengths):
+    """Indices sorted by length (stably), in chunks of at most BUCKET_SIZE."""
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    return [order[i:i + BUCKET_SIZE] for i in range(0, len(order), BUCKET_SIZE)]
 
 
 def _row_grads(ids, grads):
@@ -394,6 +453,17 @@ def _check_pair(cfg, src_ids, tgt_ids=()):
         raise NmtError(error)
 
 
+def _check_ids(ids, vocab_size, side):
+    for tid in ids:
+        if not (0 <= tid < vocab_size):
+            raise NmtError(f"{side} token id {tid} out of range")
+
+
+def _check_source(cfg, src_ids):
+    _check_pair(cfg, src_ids)
+    _check_ids(src_ids, cfg.src_vocab_size, "source")
+
+
 def train(model, pairs, train_config, validation_pairs=None):
     """Per-pair SGD with teacher forcing; returns (model, history).
 
@@ -442,33 +512,78 @@ def train(model, pairs, train_config, validation_pairs=None):
 
 
 def mean_loss(model, pairs):
-    """Mean teacher-forced NLL without dropout (evaluation loss)."""
+    """Mean teacher-forced NLL without dropout (evaluation loss).
+
+    Pairs run in length-sorted row blocks; a target mask ends each row's
+    loss at its </s>, and the per-pair losses are summed in input order.
+    """
+    for _, tgt_ids in pairs:
+        _check_ids(tgt_ids, model.config.tgt_vocab_size, "target")
+    losses = [0.0] * len(pairs)
+    for rows in _buckets([len(tgt_ids) for _, tgt_ids in pairs]):
+        enc_out, h = _encode_rows(model, [pairs[i][0] for i in rows])
+        gold, n_steps = _padded([list(pairs[i][1]) + [EOS_ID] for i in rows])
+        block = np.arange(len(rows))
+        loss = np.zeros(len(rows))
+        prev = np.full(len(rows), SOS_ID)
+        for t in range(gold.shape[1]):
+            logp, h, _, _ = _decode_step(model, prev, h, enc_out)
+            loss -= np.where(t < n_steps, logp[block, gold[:, t]], 0.0)
+            prev = gold[:, t]
+        for b, i in enumerate(rows):
+            losses[i] = loss[b] / n_steps[b]
     total = 0.0
-    for src_ids, tgt_ids in pairs:
-        total += _forward_pair(model, src_ids, tgt_ids)[0]
+    for value in losses:
+        total += value
     return total / len(pairs)
 
 
-def translate(model, src_ids, max_out_len=None):
-    """Greedy decoding; returns (generated ids without eos, attention rows)."""
+def translate_batch(model, sources, max_out_len=None, attention=True):
+    """Greedy decoding of many sources; returns one (generated ids without
+    eos, attention rows) per source, in input order.
+
+    Source ids out of the source vocabulary map to UNK. Each length-sorted
+    bucket decodes in lockstep until every row has emitted eos or
+    max_out_len steps have run; a row's ids and attention rows end at its
+    eos. With attention=False no attention is kept (None per source), which
+    spares 8 * max_len bytes per output step.
+    """
     cfg = model.config
     if max_out_len is None:
         max_out_len = cfg.max_len
-    src_ids = [tid if 0 <= tid < cfg.src_vocab_size else UNK_ID for tid in src_ids]
-    enc_out, h, _ = encode_sequence(model, src_ids)
-    out_ids = []
-    attn_rows = []
-    prev = SOS_ID
-    for _ in range(max_out_len):
-        logp, h, a, _ = _decode_step(model, prev, h, enc_out, None)
-        nxt = _greedy_id(logp)
-        attn_rows.append(a)
-        if nxt == EOS_ID:
-            break
-        out_ids.append(nxt)
-        prev = nxt
-    attention = np.stack(attn_rows) if attn_rows else np.zeros((0, cfg.max_len))
-    return out_ids, attention
+    results = [None] * len(sources)
+    for rows in _buckets([len(src_ids) for src_ids in sources]):
+        enc_out, h = _encode_rows(model, [
+            [tid if 0 <= tid < cfg.src_vocab_size else UNK_ID for tid in sources[i]]
+            for i in rows])
+        out = np.empty((len(rows), max_out_len), dtype=np.int64)
+        attn = np.empty((len(rows), max_out_len, cfg.max_len)) if attention else None
+        n_steps = np.zeros(len(rows), dtype=np.int64)
+        done = np.zeros(len(rows), dtype=bool)
+        prev = np.full(len(rows), SOS_ID)
+        for t in range(max_out_len):
+            logp, h, a, _ = _decode_step(model, prev, h, enc_out)
+            prev = out[:, t] = _greedy_ids(logp)
+            if attention:
+                attn[:, t] = a
+            n_steps += ~done
+            done |= prev == EOS_ID
+            if done.all():
+                break
+        if attention:
+            # One compact array of the steps each row ran, split into views.
+            ran = np.arange(max_out_len) < n_steps[:, None]
+            attn = np.split(attn[ran], np.cumsum(n_steps)[:-1])
+        for b, i in enumerate(rows):
+            results[i] = (out[b, :n_steps[b] - done[b]].tolist(),
+                          attn[b] if attention else None)
+    return results
+
+
+def translate(model, src_ids, max_out_len=None):
+    """Greedy decoding of one source; returns (generated ids without eos,
+    attention rows)."""
+    return translate_batch(model, [src_ids], max_out_len)[0]
 
 
 def pair_loss(model, src_ids, tgt_ids):

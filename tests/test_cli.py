@@ -1,13 +1,14 @@
 import importlib.util
 import json
 import os
+import random
 from pathlib import Path
 
 import numpy
 import pytest
 
 import lowmt
-from lowmt import cli
+from lowmt import cli, corpus, nmt, subword
 from lowmt.util import sha256_file
 
 
@@ -163,6 +164,19 @@ class TestConfig:
                          "ingest", "--synthetic", "3"]) == cli.EXIT_DATA
         assert f"{cfg}: {message}" in capsys.readouterr().err
         assert not (work / "corpus.jsonl").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("a: [\n", "line 2: invalid YAML: expected the node content"),
+        ("seed: 1\ntrain: a: b\n", "line 2: invalid YAML: mapping values are not allowed"),
+        ("seed: \x01\n", "invalid YAML: unacceptable character #x0001"),
+    ], ids=["open-flow", "nested-mapping", "control-char"])
+    def test_yaml_syntax_error_exits_3_naming_file_and_line(self, work, tmp_path,
+                                                            capsys, text, message):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        assert cli.main(["--workdir", str(work), "--config", str(cfg),
+                         "stats"]) == cli.EXIT_DATA
+        assert f"error: {cfg}: {message}" in capsys.readouterr().err
 
     def test_readme_and_bench_configs_load(self, tmp_path):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -368,6 +382,52 @@ class TestRunContext:
         assert small("translate", "--input", str(src), "--output", str(hyp)) == 0
         lines = hyp.read_text().split("\n")
         assert len(lines) == 4 and lines[1] == "" and lines[3] == ""
+
+    def test_translate_empty_input_writes_empty_file(self, small, tmp_path, capsys):
+        train_small(small)
+        src = tmp_path / "src.txt"
+        src.write_text("")
+        hyp = tmp_path / "hyp.txt"
+        capsys.readouterr()
+        assert small("translate", "--input", str(src), "--output", str(hyp)) == 0
+        assert hyp.read_bytes() == b""
+        assert "translated 0 lines" in capsys.readouterr().out
+        assert small("evaluate", "--hyp", str(hyp), "--ref", str(src)) == cli.EXIT_DATA
+        assert "empty corpus" in capsys.readouterr().err
+
+    def test_translate_buckets_keep_order_blanks_and_warning(self, small, work,
+                                                             tmp_path, capsys):
+        train_small(small)
+        rng = random.Random(3)
+        words = ["ba", "ce", "di", "fo", "gu", "ha", "ji", "ke"]
+        lines = [" ".join(rng.choice(words) for _ in range(rng.randint(1, 12))) + "."
+                 for _ in range(2 * nmt.BUCKET_SIZE + 11)]
+        for lineno in (1, 7, nmt.BUCKET_SIZE + 3, len(lines)):
+            lines[lineno - 1] = ""
+        long_line = " ".join(["ba"] * 40) + "."
+        for lineno in (nmt.BUCKET_SIZE + 6, 2 * nmt.BUCKET_SIZE + 2):
+            lines[lineno - 1] = long_line
+        src = tmp_path / "src.txt"
+        src.write_text("".join(line + "\n" for line in lines))
+        hyp = tmp_path / "hyp.txt"
+        capsys.readouterr()
+        assert small("translate", "--input", str(src), "--output", str(hyp)) == 0
+        assert capsys.readouterr().err == (
+            "warning: truncated 2 source lines longer than max_len=24 tokens "
+            f"(first: line {nmt.BUCKET_SIZE + 6})\n")
+
+        # One sentence at a time, as lowmt 0.4.0 translated them.
+        model = nmt.load_checkpoint(work / "model.ckpt")
+        src_vocab = subword.load_vocab(work / "vocab.src.tsv")
+        tgt_vocab = subword.load_vocab(work / "vocab.tgt.tsv")
+        expected = []
+        for line in lines:
+            ids = subword.encode(src_vocab, corpus.normalize_text(line))[:24]
+            expected.append(subword.decode(tgt_vocab, nmt.translate(model, ids)[0])
+                            if ids else "")
+        assert hyp.read_text().split("\n") == expected + [""]
+        assert [i for i, line in enumerate(expected) if not line] == [
+            0, 6, nmt.BUCKET_SIZE + 2, len(lines) - 1]
 
     def test_manifest_records_versions(self, small, work):
         assert small("ingest", "--synthetic", "30") == 0

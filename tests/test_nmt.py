@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import math
 import random
@@ -199,6 +200,98 @@ def _save_checkpoint_0_2_0(params, cfg, path):
         for name in PARAM_ORDER_0_2_0:
             f.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
 
+
+# Frozen copy of lowmt 0.4.0's per-sentence forward, one vector at a time:
+# the reference for the row-block encoder and decoder step.
+def _ref_gru_forward(W, U, b, x, h):
+    d = h.shape[0]
+    a = W @ x + b
+    zr = 1.0 / (1.0 + np.exp(-(a[:2 * d] + U[:2 * d] @ h)))
+    z, r = zr[:d], zr[d:]
+    c = np.tanh(a[2 * d:] + U[2 * d:] @ (r * h))
+    return (1.0 - z) * h + z * c
+
+
+def _ref_encode(model, src_ids):
+    cfg, p = model.config, model.params
+    h = np.zeros(cfg.hidden)
+    outputs = np.zeros((cfg.max_len, cfg.hidden))
+    for t, tid in enumerate(src_ids):
+        h = _ref_gru_forward(p["enc_W"], p["enc_U"], p["enc_b"], p["enc_embed"][tid], h)
+        outputs[t] = h
+    return outputs, h
+
+
+def _ref_decode_step(model, prev_id, hidden, encoder_outputs):
+    p = model.params
+    xd = p["dec_embed"][prev_id] * np.ones(model.config.hidden)
+    attn_logits = p["attn_W"] @ np.concatenate([xd, hidden]) + p["attn_b"]
+    attn_logits = attn_logits - attn_logits.max()
+    a = np.exp(attn_logits)
+    a /= a.sum()
+    context = encoder_outputs.T @ a
+    comb = np.maximum(p["comb_W"] @ np.concatenate([xd, context]) + p["comb_b"], 0.0)
+    h_new = _ref_gru_forward(p["dec_W"], p["dec_U"], p["dec_b"], comb, hidden)
+    logits = p["out_W"] @ h_new + p["out_b"]
+    logp = logits - (logits.max() + np.log(np.exp(logits - logits.max()).sum()))
+    return logp, h_new, a
+
+
+def _ref_translate(model, src_ids, max_out_len=None):
+    cfg = model.config
+    if max_out_len is None:
+        max_out_len = cfg.max_len
+    src_ids = [tid if 0 <= tid < cfg.src_vocab_size else nmt.UNK_ID for tid in src_ids]
+    enc_out, h = _ref_encode(model, src_ids)
+    out_ids, attn_rows = [], []
+    prev = SOS_ID
+    for _ in range(max_out_len):
+        logp, h, a = _ref_decode_step(model, prev, h, enc_out)
+        masked = logp.copy()
+        masked[PAD_ID] = masked[SOS_ID] = -np.inf
+        nxt = int(np.argmax(masked))
+        attn_rows.append(a)
+        if nxt == EOS_ID:
+            break
+        out_ids.append(nxt)
+        prev = nxt
+    attention = np.stack(attn_rows) if attn_rows else np.zeros((0, cfg.max_len))
+    return out_ids, attention
+
+
+def _ref_pair_loss(model, src_ids, tgt_ids):
+    enc_out, h = _ref_encode(model, src_ids)
+    gold = list(tgt_ids) + [EOS_ID]
+    loss = 0.0
+    prev = SOS_ID
+    for gold_id in gold:
+        logp, h, _ = _ref_decode_step(model, prev, h, enc_out)
+        loss -= logp[gold_id]
+        prev = gold_id
+    return loss / len(gold)
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_case(seed, n):
+    """A random tiny model and n sources in unsorted order, lengths 1 to
+    max_len with both ends present, some ids out of the source vocabulary.
+    The model is briefly trained to copy, so rows end at different steps."""
+    rng = random.Random(seed)
+    cfg = tiny_config(src_vocab_size=rng.randint(6, 12),
+                      tgt_vocab_size=rng.randint(6, 12),
+                      hidden=rng.randint(3, 12), max_len=rng.randint(4, 9),
+                      seed=seed)
+    model = nmt.init_model(cfg)
+    lengths = [1, cfg.max_len] + [rng.randint(1, cfg.max_len) for _ in range(n - 2)]
+    rng.shuffle(lengths)
+    sources = [[rng.randrange(cfg.src_vocab_size + 3) for _ in range(k)]
+               for k in lengths]
+    copies = [([tid % cfg.src_vocab_size for tid in src],
+               [4 + tid % (cfg.tgt_vocab_size - 4) for tid in src[:cfg.max_len - 1]])
+              for src in sources]
+    nmt.train(model, copies, nmt.TrainConfig(epochs=3, learning_rate=0.3,
+                                             teacher_forcing_ratio=1.0, seed=seed))
+    return model, sources
 
 class TestConfigValidation:
     def test_small_vocab_rejected(self):
@@ -406,6 +499,101 @@ class TestTranslate:
         out_b, _ = nmt.translate(tiny_model, [4, 1], max_out_len=4)
         assert out_a == out_b
 
+
+class TestTranslateBatch:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("max_out_len", [None, 0, 1, 3])
+    def test_matches_per_sentence_loop_of_0_4_0(self, seed, max_out_len):
+        model, sources = _batch_case(seed, 2 * nmt.BUCKET_SIZE + 7)
+        assert any(tid >= model.config.src_vocab_size for src in sources for tid in src)
+        batch = nmt.translate_batch(model, sources, max_out_len)
+        assert len(batch) == len(sources)
+        if max_out_len is None:
+            assert len({len(attention) for _, attention in batch}) > 1
+        for src, (ids, attention) in zip(sources, batch):
+            ref_ids, ref_attention = _ref_translate(model, src, max_out_len)
+            assert ids == ref_ids
+            assert attention.shape == ref_attention.shape
+            assert np.max(np.abs(attention - ref_attention), initial=0.0) <= 1e-12
+            assert np.all(np.abs(attention.sum(axis=1) - 1.0) <= 1e-12)
+
+    def test_max_out_len_cuts_outputs_short(self):
+        model, sources = _batch_case(0, 40)
+        full = nmt.translate_batch(model, sources)
+        cut = nmt.translate_batch(model, sources, max_out_len=1)
+        assert any(len(ids) > 1 for ids, _ in full)
+        for (ids, _), (short, attention) in zip(full, cut):
+            assert short == ids[:1] and len(attention) == 1
+
+    def test_done_rows_stay_done(self, tiny_model, monkeypatch):
+        # A stand-in step: row b emits word 4 until step len(source b), then
+        # </s>, then word 4 again; the hidden state's first column counts steps.
+        def step(model, prev_ids, hidden, encoder_outputs, dropout_mask=None):
+            lengths = np.count_nonzero(encoder_outputs[:, :, 0], axis=1)
+            hidden = hidden.copy()
+            hidden[:, 0] += 1.0
+            logp = np.full((len(prev_ids), 12), -9.0)
+            logp[:, 4] = -1.0
+            logp[hidden[:, 0] == lengths, EOS_ID] = 0.0
+            return logp, hidden, np.full((len(prev_ids), 6), 1.0 / 6), None
+
+        sources = [[5] * k for k in (3, 1, 6, 2)]
+        monkeypatch.setattr(nmt, "_encode_rows", lambda model, sources: (
+            np.array([[[1.0]] * len(s) + [[0.0]] * (6 - len(s)) for s in sources]),
+            np.zeros((len(sources), 1))))
+        monkeypatch.setattr(nmt, "_decode_step", step)
+        batch = nmt.translate_batch(tiny_model, sources, max_out_len=5)
+        assert [ids for ids, _ in batch] == [[4, 4], [], [4] * 5, [4]]
+        assert [len(attention) for _, attention in batch] == [3, 1, 5, 2]
+
+    def test_never_emits_pad_or_sos_even_when_most_likely(self):
+        model, sources = _batch_case(0, 40)
+        model = copy.deepcopy(model)
+        model.params["out_b"][[PAD_ID, SOS_ID]] += 100.0
+        for src, (ids, _) in zip(sources, nmt.translate_batch(model, sources)):
+            assert ids == _ref_translate(model, src)[0]
+            assert PAD_ID not in ids and SOS_ID not in ids
+
+    def test_without_attention_same_ids(self):
+        model, sources = _batch_case(1, 40)
+        plain = nmt.translate_batch(model, sources, attention=False)
+        assert [ids for ids, _ in plain] == [
+            ids for ids, _ in nmt.translate_batch(model, sources)]
+        assert all(attention is None for _, attention in plain)
+
+    def test_translate_is_one_row_of_the_batch(self, tiny_model):
+        ids, attention = nmt.translate(tiny_model, PAIR[0])
+        ref_ids, ref_attention = _ref_translate(tiny_model, PAIR[0])
+        assert ids == ref_ids
+        assert np.array_equal(attention, ref_attention)
+
+    def test_empty_source_rejected(self, tiny_model):
+        with pytest.raises(nmt.NmtError, match="source length 0"):
+            nmt.translate_batch(tiny_model, [[4], []])
+        assert nmt.translate_batch(tiny_model, []) == []
+
+
+class TestBatchedMeanLoss:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_mean_of_per_pair_losses(self, seed):
+        model, sources = _batch_case(seed, nmt.BUCKET_SIZE + 9)
+        cfg = model.config
+        rng = random.Random(seed)
+        pairs = [([tid % cfg.src_vocab_size for tid in src],
+                  [rng.randrange(4, cfg.tgt_vocab_size)
+                   for _ in range(rng.randint(0, cfg.max_len - 1))])
+                 for src in sources]
+        assert len({len(tgt) for _, tgt in pairs}) > 2
+        per_pair = [nmt._forward_pair(model, src, tgt)[0] for src, tgt in pairs]
+        expected = sum(per_pair) / len(pairs)
+        assert abs(nmt.mean_loss(model, pairs) - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pair_loss_bit_identical_to_0_4_0(self, seed):
+        model, src, tgt, _, _ = _random_case(seed)
+        loss = nmt.pair_loss(model, src, tgt)
+        assert loss == _ref_pair_loss(model, src, tgt)
+        assert loss == nmt._forward_pair(model, src, tgt)[0]
 
 class TestGradientCheck:
     def test_tiny_model_below_threshold(self, tiny_model):
