@@ -20,6 +20,8 @@ _BOUNDARY = re.compile(r'[.!?]["\'\)\]\}”’»]*(?=\s|$)')
 GROUP_ONE2ONE = "one2one"
 GROUP_VARIABLE = "variable"
 RECORD_KEYS = ("src", "tgt", "origin_id", "group")   # required in split files
+SPLIT_PARTS = ("train", "test", "validation")
+SPLIT_FILES = tuple(f"{part}.jsonl" for part in SPLIT_PARTS) + ("manifest.json",)
 
 
 class AlignError(ValueError):
@@ -175,10 +177,9 @@ def split_dataset(one2one, variable, ratios=(0.8, 0.1, 0.1), seed=0):
 
 def save_split(split, outdir):
     os.makedirs(outdir, exist_ok=True)
-    for name, items in (("train", split.train), ("test", split.test),
-                        ("validation", split.validation)):
-        write_jsonl(os.path.join(outdir, f"{name}.jsonl"),
-                    [p.to_record() for p in items])
+    for part in SPLIT_PARTS:
+        write_jsonl(os.path.join(outdir, f"{part}.jsonl"),
+                    [p.to_record() for p in getattr(split, part)])
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as f:
         json.dump(split.manifest, f, indent=2, ensure_ascii=False)
 
@@ -196,13 +197,11 @@ def _pairs_from_file(path):
 def load_split(outdir):
     """Read a save_split directory; a record without the keys TextPair needs
     raises AlignError naming the file and line."""
-    parts = {}
-    for name in ("train", "test", "validation"):
-        parts[name] = _pairs_from_file(os.path.join(outdir, f"{name}.jsonl"))
+    parts = {part: _pairs_from_file(os.path.join(outdir, f"{part}.jsonl"))
+             for part in SPLIT_PARTS}
     manifest_path = os.path.join(outdir, "manifest.json")
     manifest = {}
     if os.path.exists(manifest_path):
         with open(manifest_path, "r", encoding="utf-8") as f:
             manifest = json.load(f)
-    return DatasetSplit(train=parts["train"], test=parts["test"],
-                        validation=parts["validation"], manifest=manifest)
+    return DatasetSplit(**parts, manifest=manifest)

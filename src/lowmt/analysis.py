@@ -1,4 +1,4 @@
-"""Word-frequency reports and skip-gram word embeddings.
+"""Skip-gram word embeddings, similarity queries and 2-D projection.
 
 Embeddings are trained with negative sampling (unigram^0.75 noise) in a
 single thread so that a fixed seed gives a bitwise-identical vector table.
@@ -22,15 +22,6 @@ LEARNING_RATE = 0.025   # initial SGNS step, decayed linearly to 1e-4 of it
 
 class AnalysisError(ValueError):
     pass
-
-
-def frequency_report(tokens, k, direction="most"):
-    """Top or bottom k (word, count) pairs by count with lexicographic tie-break."""
-    if k < 1:
-        raise AnalysisError(f"k must be >= 1, got {k}")
-    if direction not in ("most", "least"):
-        raise AnalysisError(f"unknown direction {direction!r}")
-    return top_words(Counter(tokens), k, direction)
 
 
 @dataclass
@@ -68,10 +59,10 @@ def train_embeddings(sentences, dim=100, window=5, negatives=5, epochs=5,
         raise AnalysisError("no training sentences")
 
     counts = Counter(tok for sent in sentences for tok in sent)
-    vocab = sorted((w for w, c in counts.items() if c >= min_count),
-                   key=lambda w: (-counts[w], w))
-    if not vocab:
+    kept = {w: c for w, c in counts.items() if c >= min_count}
+    if not kept:
         raise AnalysisError("effective vocabulary is empty (min_count too high?)")
+    vocab = [w for w, _ in top_words(kept, len(kept))]
     index = {w: i for i, w in enumerate(vocab)}
 
     rng = np.random.default_rng(seed)

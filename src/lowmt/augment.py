@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 from .aligner import DatasetSplit, GROUP_ONE2ONE
 from .analysis import most_similar
-from .util import derive_seed
+from .util import derive_seed, read_lines
 
 EDA_OPS = ("synonym_replace", "random_delete", "random_swap", "synonym_insert")
 ALL_OPS = EDA_OPS + ("embed_replace",)
@@ -43,18 +43,16 @@ class AugmentPolicy:
 def load_lexicon(path):
     """Flat synonym file: word TAB comma-separated synonyms."""
     lexicon = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            try:
-                word, syns = line.split("\t")
-            except ValueError:
-                raise AugmentError(f"{path}: bad lexicon line {lineno}") from None
-            synonyms = [s.strip() for s in syns.split(",") if s.strip() and s.strip() != word]
-            if synonyms:
-                lexicon[word] = synonyms
+    for lineno, line in read_lines(path):
+        if not line or line.startswith("#"):
+            continue
+        try:
+            word, syns = line.split("\t")
+        except ValueError:
+            raise AugmentError(f"{path}: bad lexicon line {lineno}") from None
+        synonyms = [s.strip() for s in syns.split(",") if s.strip() and s.strip() != word]
+        if synonyms:
+            lexicon[word] = synonyms
     return lexicon
 
 

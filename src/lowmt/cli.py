@@ -15,12 +15,13 @@ import json
 import os
 import random
 import sys
+from collections import Counter
 
 import numpy as np
 import yaml
 
 from . import __version__, aligner, analysis, augment, bleu, corpus, nmt, subword
-from .util import config_hash, derive_seed, sha256_file, write_jsonl
+from .util import config_hash, derive_seed, read_lines, sha256_file, write_jsonl
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -61,12 +62,23 @@ EXPORT_SCHEMA = {
 
 MANIFEST_SUFFIX = ".manifest.json"
 MANIFEST_KEYS = {"stage", "config_hash", "inputs", "outputs"}
-SPLIT_FILES = ("train.jsonl", "test.jsonl", "validation.jsonl", "manifest.json")
+
+# The type of each config value whose default is null; null stays allowed.
+NULL_DEFAULT_TYPES = {"augment.lexicon": str, "augment.max_pairs": int}
+
+
+def _fits(value, default):
+    """Whether value has default's type (a list's items one by one); an int
+    stands for a float, but a bool for no number."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    return type(value) is type(default) or (type(default) is float and type(value) is int)
 
 
 def _deep_merge(base, override, path, prefix=""):
-    """base with override's values merged in; a key that base lacks, or a
-    non-mapping where base has a section, raises naming its dotted key."""
+    """base with override's values merged in; a key that base lacks, a
+    non-mapping where base has a section, or a value of another type than
+    the default's raises naming its dotted key."""
     merged = dict(base)
     for key, value in override.items():
         dotted = f"{prefix}{key}"
@@ -76,6 +88,13 @@ def _deep_merge(base, override, path, prefix=""):
             if not isinstance(value, dict):
                 raise ValueError(f"{path}: config key {dotted!r} must be a mapping")
             value = _deep_merge(base[key], value, path, dotted + ".")
+        elif value is not None or base[key] is not None:
+            default = NULL_DEFAULT_TYPES[dotted]() if base[key] is None else base[key]
+            if not _fits(value, default):
+                kind = (f"a list of {type(default[0]).__name__}"
+                        if isinstance(default, list) else type(default).__name__)
+                raise ValueError(f"{path}: config key {dotted!r} must be {kind}, "
+                                 f"got {value!r}")
         merged[key] = value
     return merged
 
@@ -91,17 +110,12 @@ def load_config(path=None):
             except yaml.YAMLError as e:
                 mark = getattr(e, "problem_mark", None)
                 where = f"line {mark.line + 1}: " if mark else ""
-                problem = getattr(e, "problem", None) or str(e).splitlines()[0]
+                problem = getattr(e, "problem", None) or str(e).partition("\n")[0]
                 raise ValueError(f"{path}: {where}invalid YAML: {problem}") from e
         if not isinstance(user, dict):
             raise ValueError(f"{path}: config must be a mapping")
         config = _deep_merge(config, user, path)
     return config
-
-
-def _override(flag, value):
-    """A CLI flag's value if it was given, else the config value."""
-    return value if flag is None else flag
 
 
 def stage_seed(config, stage):
@@ -120,11 +134,12 @@ class StageContext:
     A mismatch warns, or raises under --strict.
     """
 
-    def __init__(self, stage, config, workdir, strict, manifest_name):
+    def __init__(self, stage, config, config_hash, strict, manifest_name):
         self.stage = stage
         self.manifest_name = manifest_name
         self.config = config
-        self.workdir = workdir
+        self.config_hash = config_hash
+        self.workdir = config["workdir"]
         self.strict = strict
         self.inputs = {}      # path relative to the workdir -> sha256
         self.outputs = []     # paths, in write order
@@ -154,7 +169,7 @@ class StageContext:
         source = self._producer(key)
         if source is not None and source not in self._upstream:
             self._upstream[source] = key
-            if self._manifests[source]["config_hash"] != config_hash(self.config):
+            if self._manifests[source]["config_hash"] != self.config_hash:
                 self._complain(f"config hash mismatch with {source}: {key} was "
                                f"produced by a different config")
             for earlier in self.inputs:
@@ -167,7 +182,7 @@ class StageContext:
     def write_manifest(self):
         manifest = {
             "stage": self.stage,
-            "config_hash": config_hash(self.config),
+            "config_hash": self.config_hash,
             "seeds": self.seeds,
             "versions": {"lowmt": __version__, "numpy": np.__version__},
             "inputs": self.inputs,
@@ -233,19 +248,32 @@ def arg(*flags, **kwargs):
     return flags, kwargs
 
 
+def ratios(text):
+    """The argparse type of --ratios: comma-separated numbers."""
+    return [float(r) for r in text.split(",")]
+
+
 SIDE = arg("--side", choices=["src", "tgt"], default="src")
 TOP_K = arg("--top-k", type=int, default=10)
 SPLIT_DIR = arg("--split-dir")
 
 
 def run_stage(name, config, args):
-    """Run one stage, then write its manifest if it wrote any artifact; a
-    stage run with --side gets one manifest per side."""
-    workdir = args.workdir or os.environ.get("LOWMT_WORKDIR") or config["workdir"]
-    os.makedirs(workdir, exist_ok=True)
+    """Run one stage under a copy of config in which each flag given whose
+    dest is a config key ("workdir", "train.epochs", ...) sets that key.
+    Then write its manifest, which hashes config as given, if it wrote any
+    artifact; a stage run with --side gets one manifest per side."""
+    hashed = config_hash(config)
+    config = copy.deepcopy(config)
+    for dest, value in vars(args).items():
+        section, _, key = dest.rpartition(".")
+        node = config[section] if section else config
+        if value is not None and key in node:
+            node[key] = value
+    os.makedirs(config["workdir"], exist_ok=True)
     side = getattr(args, "side", None)
     manifest_name = (f"{name}.{side}" if side else name) + MANIFEST_SUFFIX
-    ctx = StageContext(name, config, workdir, args.strict, manifest_name)
+    ctx = StageContext(name, config, hashed, args.strict, manifest_name)
     STAGES[name][0](ctx, args)
     if ctx.outputs:
         ctx.write_manifest()
@@ -253,9 +281,9 @@ def run_stage(name, config, args):
 
 def _load_split(ctx, args):
     split_dir = ctx.path(args.split_dir or "split")
-    for name in SPLIT_FILES:
+    for name in aligner.SPLIT_FILES:
         path = os.path.join(split_dir, name)
-        if name != "manifest.json" or os.path.exists(path):  # manifest is optional
+        if name.endswith(".jsonl") or os.path.exists(path):  # manifest is optional
             ctx.read(path, "dataset split file")
     return aligner.load_split(split_dir)
 
@@ -263,7 +291,7 @@ def _load_split(ctx, args):
 def _save_split(ctx, split, name):
     split_dir = ctx.path(name)
     aligner.save_split(split, split_dir)
-    for file_name in SPLIT_FILES:
+    for file_name in aligner.SPLIT_FILES:
         ctx.write(os.path.join(split_dir, file_name))
     return split_dir
 
@@ -279,8 +307,7 @@ def _input_lines(ctx, args):
         return [args.text]
     if args.input is None:
         raise ValueError(f"{ctx.stage} requires --text or --input")
-    with open(ctx.read(args.input, "input text"), "r", encoding="utf-8") as f:
-        return [ln.rstrip("\n") for ln in f]
+    return [line for _, line in read_lines(ctx.read(args.input, "input text"))]
 
 
 # --- synthetic corpus -------------------------------------------------------
@@ -321,7 +348,7 @@ def cmd_ingest(ctx, args):
         corp = corpus.load_corpus(raw, "jsonl")
     elif args.input:
         corp = corpus.load_corpus(ctx.read(args.input, "input corpus"),
-                                  args.format or ctx.config["corpus"]["format"])
+                                  ctx.config["corpus"]["format"])
     else:
         raise ValueError("ingest requires --input or --synthetic N")
     out_path = ctx.write(ctx.path("corpus.jsonl"))
@@ -342,11 +369,10 @@ def cmd_stats(ctx, args):
 
 def cmd_split(ctx, args):
     corp = corpus.load_corpus(ctx.read(ctx.path("corpus.jsonl"), "corpus"))
-    ratios = tuple(float(r) for r in args.ratios.split(",")) if args.ratios \
-        else tuple(ctx.config["split"]["ratios"])
     pairs, variables = aligner.explode_corpus(corp)
-    split = aligner.split_dataset(pairs, variables, ratios=ratios,
-                                  seed=ctx.seed(value=args.seed))
+    split = aligner.split_dataset(pairs, variables,
+                                  ratios=tuple(ctx.config["split"]["ratios"]),
+                                  seed=ctx.seed(value=args.split_seed))
     split.manifest["pre_explosion_units"] = len(corp.units)
     split.manifest["post_explosion"] = {"one2one": len(pairs),
                                         "variable": len(variables)}
@@ -355,24 +381,12 @@ def cmd_split(ctx, args):
           f"validation={len(split.validation)} -> {split_dir}")
 
 
-def _side_sentences(pairs, side):
-    sentences = []
-    for p in pairs:
-        toks = [corpus.strip_terminal(t) for t in getattr(p, side).split()]
-        toks = [t for t in toks if t]
-        if toks:
-            sentences.append(toks)
-    return sentences
-
-
 def cmd_embed(ctx, args):
     split = _load_split(ctx, args)
-    sentences = _side_sentences(split.train, args.side)
-    ecfg = ctx.config["embeddings"]
-    model = analysis.train_embeddings(
-        sentences, dim=_override(args.dim, ecfg["dim"]), window=ecfg["window"],
-        negatives=ecfg["negatives"], epochs=_override(args.epochs, ecfg["epochs"]),
-        min_count=ecfg["min_count"], seed=ctx.seed())
+    sentences = [words for p in split.train
+                 if (words := corpus.words(getattr(p, args.side)))]
+    model = analysis.train_embeddings(sentences, **ctx.config["embeddings"],
+                                      seed=ctx.seed())
     out_path = ctx.write(ctx.path(f"embeddings.{args.side}.bin"))
     analysis.save_embeddings(model, out_path)
     print(f"trained {len(model.words)}-word embeddings (dim {model.dim}) -> {out_path}")
@@ -383,9 +397,9 @@ def cmd_embed(ctx, args):
 
 def cmd_report(ctx, args):
     corp = corpus.load_corpus(ctx.read(ctx.path("corpus.jsonl"), "corpus"))
-    tokens = corpus.side_tokens(corp, args.side)
+    counts = Counter(corpus.side_tokens(corp, args.side))
     for direction in ("most", "least"):
-        ranked = analysis.frequency_report(tokens, args.top_k, direction)
+        ranked = corpus.top_words(counts, args.top_k, direction)
         with open(ctx.write(ctx.path(f"freq.{args.side}.{direction}.tsv")), "w",
                   encoding="utf-8") as f:
             f.write("word\tcount\n")
@@ -405,7 +419,7 @@ def cmd_report(ctx, args):
 
 def cmd_tok_train(ctx, args):
     split = _load_split(ctx, args)
-    vocab_size = _override(args.vocab_size, ctx.config["tokenizer"]["vocab_size"])
+    vocab_size = ctx.config["tokenizer"]["vocab_size"]
     for side in ("src", "tgt"):
         sentences = [getattr(p, side) for p in split.train]
         vocab = subword.train_tokenizer(sentences, vocab_size)
@@ -427,9 +441,8 @@ def cmd_augment(ctx, args):
     policy = augment.AugmentPolicy(
         ops=tuple(acfg["ops"]), alpha=acfg["alpha"], n_aug=acfg["n_aug"],
         max_pairs=acfg["max_pairs"], seed=ctx.seed())
-    lexicon_path = args.lexicon or acfg["lexicon"]
-    lexicon = augment.load_lexicon(ctx.read(lexicon_path, "synonym lexicon")) \
-        if lexicon_path else None
+    lexicon = augment.load_lexicon(ctx.read(acfg["lexicon"], "synonym lexicon")) \
+        if acfg["lexicon"] else None
     model = None
     if "embed_replace" in policy.ops:
         model = analysis.load_embeddings(
@@ -451,17 +464,10 @@ def _encode_pairs(pairs, src_vocab, tgt_vocab, max_len):
 def cmd_train(ctx, args):
     split = _load_split(ctx, args)
     src_vocab, tgt_vocab = _load_vocab(ctx, "src"), _load_vocab(ctx, "tgt")
-    mcfg = ctx.config["model"]
-    tcfg = ctx.config["train"]
     model_config = nmt.ModelConfig(
         src_vocab_size=len(src_vocab), tgt_vocab_size=len(tgt_vocab),
-        hidden=_override(args.hidden, mcfg["hidden"]), max_len=mcfg["max_len"],
-        dropout_p=mcfg["dropout_p"], seed=ctx.seed("model-init"))
-    train_config = nmt.TrainConfig(
-        epochs=_override(args.epochs, tcfg["epochs"]),
-        learning_rate=tcfg["learning_rate"],
-        teacher_forcing_ratio=tcfg["teacher_forcing_ratio"],
-        grad_clip_norm=tcfg["grad_clip_norm"], seed=ctx.seed())
+        **ctx.config["model"], seed=ctx.seed("model-init"))
+    train_config = nmt.TrainConfig(**ctx.config["train"], seed=ctx.seed())
 
     pairs, skipped = _encode_pairs(split.train, src_vocab, tgt_vocab,
                                    model_config.max_len)
@@ -510,26 +516,20 @@ def cmd_translate(ctx, args):
 
 
 def cmd_evaluate(ctx, args):
-    with open(ctx.read(args.hyp, "hypothesis file"), "r", encoding="utf-8") as f:
-        hyps = [corpus.normalize_text(ln).split() for ln in f.read().splitlines()]
-    with open(ctx.read(args.ref, "reference file"), "r", encoding="utf-8") as f:
-        refs = [corpus.normalize_text(ln).split() for ln in f.read().splitlines()]
-    smoothing = args.smoothing or ctx.config["evaluation"]["smoothing"]
-    report = bleu.corpus_bleu(hyps, refs, smoothing=smoothing)
+    hyps = read_lines(ctx.read(args.hyp, "hypothesis file"))
+    refs = read_lines(ctx.read(args.ref, "reference file"))
+    report = bleu.corpus_bleu([corpus.normalize_text(h).split() for _, h in hyps],
+                              [corpus.normalize_text(r).split() for _, r in refs],
+                              smoothing=ctx.config["evaluation"]["smoothing"])
     with open(ctx.write(ctx.path("bleu.json")), "w", encoding="utf-8") as f:
         json.dump(dataclasses.asdict(report), f, indent=2)
     print(report.summary_line())
 
 
 def export_records(split):
-    records = []
-    for name, pairs in (("train", split.train), ("test", split.test),
-                        ("validation", split.validation)):
-        for i, p in enumerate(pairs):
-            records.append({"id": f"{name}-{i:06d}", "source": p.src,
-                            "target": p.tgt, "split": name, "group": p.group,
-                            "augmented": bool(p.augmented)})
-    return records
+    return [{"id": f"{name}-{i:06d}", "source": p.src, "target": p.tgt, "split": name,
+             "group": p.group, "augmented": bool(p.augmented)}
+            for name in aligner.SPLIT_PARTS for i, p in enumerate(getattr(split, name))]
 
 
 def validate_export(records):
@@ -554,32 +554,37 @@ def cmd_export_ft(ctx, args):
 
 STAGES = {  # name -> (run(ctx, args), help, argparse option specs...)
     "ingest": (cmd_ingest, "load (or synthesize) a parallel corpus",
-               arg("--input"), arg("--format", choices=["jsonl", "tsv"]),
+               arg("--input"), arg("--format", dest="corpus.format", choices=["jsonl", "tsv"]),
                arg("--synthetic", type=int, metavar="N",
                    help="generate N synthetic units instead of reading a file")),
     "stats": (cmd_stats, "corpus-level word statistics", SIDE, TOP_K),
     "split": (cmd_split, "segment, classify and split the corpus",
-              arg("--ratios", help="comma-separated train,test,validation ratios"),
-              arg("--seed", type=int)),
+              arg("--ratios", dest="split.ratios", type=ratios,
+                  help="comma-separated train,test,validation ratios"),
+              arg("--seed", dest="split_seed", type=int)),
     "embed": (cmd_embed, "train word embeddings on the train split", SIDE,
-              arg("--dim", type=int), arg("--epochs", type=int), SPLIT_DIR,
+              arg("--dim", dest="embeddings.dim", type=int),
+              arg("--epochs", dest="embeddings.epochs", type=int), SPLIT_DIR,
               arg("--query", help="print nearest neighbors of this word")),
     "report": (cmd_report, "frequency and projection TSVs for plotting", SIDE, TOP_K,
                arg("--project-word")),
     "tok-train": (cmd_tok_train, "train subword vocabularies per side",
-                  arg("--vocab-size", type=int), SPLIT_DIR),
+                  arg("--vocab-size", dest="tokenizer.vocab_size", type=int), SPLIT_DIR),
     "tok-apply": (cmd_tok_apply, "encode text with a trained vocab", SIDE,
                   arg("--text"), arg("--input")),
     "augment": (cmd_augment, "augment one-to-one train pairs",
-                arg("--lexicon", help="synonym lexicon file (word TAB syn,syn,...)"),
+                arg("--lexicon", dest="augment.lexicon",
+                    help="synonym lexicon file (word TAB syn,syn,...)"),
                 SPLIT_DIR),
     "train": (cmd_train, "train the seq2seq model", SPLIT_DIR,
-              arg("--epochs", type=int), arg("--hidden", type=int)),
+              arg("--epochs", dest="train.epochs", type=int),
+              arg("--hidden", dest="model.hidden", type=int)),
     "translate": (cmd_translate, "greedy-decode text with the trained model",
                   arg("--text"), arg("--input"), arg("--output")),
     "evaluate": (cmd_evaluate, "corpus BLEU-4 of hypothesis vs reference",
                  arg("--hyp", required=True), arg("--ref", required=True),
-                 arg("--smoothing", choices=list(bleu.SMOOTHING_MODES))),
+                 arg("--smoothing", dest="evaluation.smoothing",
+                     choices=list(bleu.SMOOTHING_MODES))),
     "export-ft": (cmd_export_ft, "emit fine-tuning-ready JSONL", SPLIT_DIR),
 }
 
@@ -588,7 +593,8 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="lowmt", description="Low-resource MT pipeline toolkit")
     parser.add_argument("--config", help="YAML pipeline config")
-    parser.add_argument("--workdir", help="artifact directory (or $LOWMT_WORKDIR)")
+    parser.add_argument("--workdir", default=os.environ.get("LOWMT_WORKDIR") or None,
+                        help="artifact directory (or $LOWMT_WORKDIR)")
     parser.add_argument("--strict", action="store_true",
                         help="treat stale inputs and config hash mismatches as errors")
     sub = parser.add_subparsers(dest="command", required=True)

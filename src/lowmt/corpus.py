@@ -10,7 +10,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
-from .util import write_jsonl
+from .util import read_jsonl, read_lines, write_jsonl
 
 TERMINAL_MARKS = ".!?"
 
@@ -75,14 +75,16 @@ class CorpusStats:
     bottom_k: list = field(default_factory=list)
 
 
-def _unit_from_record(record, lineno):
+def _unit_from_record(record, where):
+    if not isinstance(record, dict):
+        raise CorpusError(f"{where}: expected an object")
     missing = [k for k in ("id", "src", "tgt") if k not in record]
     if missing:
-        raise CorpusError(f"line {lineno}: missing fields {missing}")
+        raise CorpusError(f"{where}: missing fields {missing}")
     src = normalize_text(str(record["src"]))
     tgt = normalize_text(str(record["tgt"]))
     if not src or not tgt:
-        raise CorpusError(f"line {lineno}: empty src or tgt")
+        raise CorpusError(f"{where}: empty src or tgt")
     try:
         return ParallelUnit(
             id=str(record["id"]),
@@ -93,44 +95,37 @@ def _unit_from_record(record, lineno):
             tgt=tgt,
         )
     except (ValueError, TypeError) as e:
-        raise CorpusError(f"line {lineno}: {e}") from e
+        raise CorpusError(f"{where}: {e}") from e
+
+
+def _tsv_records(path):
+    """(line number, record) for each non-blank row under the header."""
+    rows = [(lineno, line.split("\t")) for lineno, line in read_lines(path)
+            if lineno == 1 or line.strip()]
+    if rows and rows[0][1] != TSV_COLUMNS:
+        raise CorpusError(f"{path}: bad TSV header {rows[0][1]}")
+    for lineno, cells in rows[1:]:
+        if len(cells) != len(TSV_COLUMNS):
+            raise CorpusError(f"{path}: malformed record at line {lineno}: "
+                              f"expected {len(TSV_COLUMNS)} columns, got {len(cells)}")
+    return [(lineno, dict(zip(TSV_COLUMNS, cells))) for lineno, cells in rows[1:]]
 
 
 def load_corpus(path, format="jsonl"):
     """Read a corpus file, normalizing every text via normalize_text."""
-    if format not in ("jsonl", "tsv"):
+    if format == "tsv":
+        records = _tsv_records(path)
+    elif format == "jsonl":
+        try:
+            records = read_jsonl(path)
+        except ValueError as e:
+            raise CorpusError(str(e)) from e
+    else:
         raise CorpusError(f"unknown corpus format {format!r}")
     units = []
     seen_ids = set()
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if format == "tsv":
-        if not lines:
-            raise CorpusError(f"{path}: empty corpus file")
-        header = lines[0].split("\t")
-        if header != TSV_COLUMNS:
-            raise CorpusError(f"{path}: bad TSV header {header}")
-        lines = lines[1:]
-        start = 2
-    else:
-        start = 1
-    for lineno, line in enumerate(lines, start=start):
-        if not line.strip():
-            continue
-        if format == "jsonl":
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"{path}: malformed record at line {lineno}: {e}") from e
-        else:
-            cells = line.split("\t")
-            if len(cells) != len(TSV_COLUMNS):
-                raise CorpusError(
-                    f"{path}: malformed record at line {lineno}: "
-                    f"expected {len(TSV_COLUMNS)} columns, got {len(cells)}"
-                )
-            record = dict(zip(TSV_COLUMNS, cells))
-        unit = _unit_from_record(record, lineno)
+    for lineno, record in records:
+        unit = _unit_from_record(record, f"{path}: line {lineno}")
         if unit.id in seen_ids:
             raise CorpusError(f"{path}: duplicate id {unit.id!r} at line {lineno}")
         seen_ids.add(unit.id)
@@ -144,25 +139,24 @@ def save_corpus(corpus, path):
     write_jsonl(path, [asdict(u) for u in corpus.units])
 
 
-def strip_terminal(token):
-    return token.rstrip(TERMINAL_MARKS)
+def words(text):
+    """Whitespace tokens of text with terminal punctuation stripped."""
+    return [w for w in (tok.rstrip(TERMINAL_MARKS) for tok in text.split()) if w]
 
 
 def side_tokens(corpus, side):
-    """Whitespace tokens of one corpus side with terminal punctuation stripped."""
+    """words() of one corpus side, unit after unit."""
     if side not in ("src", "tgt"):
         raise CorpusError(f"unknown side {side!r}")
-    tokens = []
-    for unit in corpus.units:
-        for tok in getattr(unit, side).split():
-            tok = strip_terminal(tok)
-            if tok:
-                tokens.append(tok)
-    return tokens
+    return [w for unit in corpus.units for w in words(getattr(unit, side))]
 
 
 def top_words(counts, k, direction="most"):
     """The k most (direction "least": fewest) frequent (word, count) pairs; ties by word."""
+    if k < 1:
+        raise CorpusError(f"k must be >= 1, got {k}")
+    if direction not in ("most", "least"):
+        raise CorpusError(f"unknown direction {direction!r}")
     sign = -1 if direction == "most" else 1
     return sorted(counts.items(), key=lambda wc: (sign * wc[1], wc[0]))[:k]
 

@@ -10,6 +10,8 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .util import read_lines
+
 MARKER = "▁"  # same visual convention as sentencepiece
 
 PAD, UNK, SOS, EOS = "<pad>", "<unk>", "<s>", "</s>"
@@ -156,33 +158,37 @@ def save_vocab(vocab, path):
 
 
 def load_vocab(path):
+    """Read a save_vocab file; each piece must be new and have its position as id."""
+    name = os.path.basename(path)
     pieces = []
     merges = []
+    seen = set()
     target_size = None
     marker = MARKER
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
+    for lineno, line in read_lines(path):
+        if not line:
+            continue
+        try:
+            if line.startswith("# "):
+                fields = line[2:].split("\t")
+                if fields[0] == "vocab_size":
+                    target_size = int(fields[1])
+                elif fields[0] == "marker":
+                    marker = fields[1]
+                elif fields[0] == "merge":
+                    merges.append((fields[1], fields[2]))
                 continue
-            try:
-                if line.startswith("# "):
-                    fields = line[2:].split("\t")
-                    if fields[0] == "vocab_size":
-                        target_size = int(fields[1])
-                    elif fields[0] == "marker":
-                        marker = fields[1]
-                    elif fields[0] == "merge":
-                        merges.append((fields[1], fields[2]))
-                    continue
-                piece, pid, score = line.split("\t")
-                pieces.append((piece, int(pid), float(score)))
-            except (ValueError, IndexError) as e:
-                raise SubwordError(f"{os.path.basename(path)}: malformed line "
-                                   f"{lineno}: {line!r}") from e
+            piece, pid, score = line.split("\t")
+            pieces.append((piece, int(pid), float(score)))
+        except (ValueError, IndexError) as e:
+            raise SubwordError(f"{name}: malformed line {lineno}: {line!r}") from e
+        if pieces[-1][1] != len(pieces) - 1 or piece in seen:
+            raise SubwordError(f"{name}: line {lineno}: piece {piece!r} with id {pid} is "
+                               f"listed twice or not at position {len(pieces) - 1}")
+        seen.add(piece)
     if target_size is None:
         target_size = len(pieces)
     if not pieces:
-        raise SubwordError(f"{os.path.basename(path)}: empty vocab file")
+        raise SubwordError(f"{name}: empty vocab file")
     return SubwordVocab(pieces=pieces, merges=merges, target_size=target_size,
                         marker=marker)

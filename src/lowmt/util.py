@@ -1,4 +1,4 @@
-"""Shared helpers: seed derivation, file hashing, binary reads, JSONL I/O."""
+"""Shared helpers: seed derivation, file hashing, binary reads, line and JSONL I/O."""
 
 import hashlib
 import json
@@ -40,14 +40,19 @@ def config_hash(obj):
     return hashlib.sha256(blob).hexdigest()
 
 
+def read_lines(path):
+    r"""Yield (line number, text) for each line of a UTF-8 text file. Lines
+    end only at \n, \r\n or \r, never at U+2028, U+2029 or U+0085."""
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            yield lineno, line.rstrip("\n")
+
+
 def read_jsonl(path):
     """(line number, record) for each non-blank line of a JSONL file."""
     records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    for lineno, line in read_lines(path):
+        if line.strip():
             try:
                 records.append((lineno, json.loads(line)))
             except json.JSONDecodeError as e:

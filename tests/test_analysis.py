@@ -5,7 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from lowmt import analysis
+from collections import Counter
+
+from lowmt import analysis, corpus
 
 
 def cluster_corpus(seed, n_sentences=200):
@@ -26,27 +28,36 @@ def cluster_model():
 
 
 class TestFrequencyReport:
+    """The frequency ranking of `report` and of the embedding vocabulary:
+    corpus.top_words."""
+
     def test_most(self):
-        assert analysis.frequency_report(["a", "a", "b"], 2, "most") == \
+        assert corpus.top_words(Counter(["a", "a", "b"]), 2, "most") == \
             [("a", 2), ("b", 1)]
 
     def test_least_lexicographic_tiebreak(self):
-        assert analysis.frequency_report(["a", "a", "b", "c"], 2, "least") == \
+        assert corpus.top_words(Counter(["a", "a", "b", "c"]), 2, "least") == \
             [("b", 1), ("c", 1)]
 
     def test_empty_tokens(self):
-        assert analysis.frequency_report([], 3, "most") == []
+        assert corpus.top_words(Counter(), 3, "most") == []
 
     def test_counts_sum_to_token_count(self):
         tokens = ["a", "b", "a", "c", "b", "a"]
-        ranked = analysis.frequency_report(tokens, 100, "most")
+        ranked = corpus.top_words(Counter(tokens), 100, "most")
         assert sum(c for _, c in ranked) == len(tokens)
 
     def test_bad_args(self):
-        with pytest.raises(analysis.AnalysisError):
-            analysis.frequency_report(["a"], 0, "most")
-        with pytest.raises(analysis.AnalysisError):
-            analysis.frequency_report(["a"], 1, "sideways")
+        with pytest.raises(corpus.CorpusError, match="k must be >= 1"):
+            corpus.top_words(Counter(["a"]), 0, "most")
+        with pytest.raises(corpus.CorpusError, match="unknown direction"):
+            corpus.top_words(Counter(["a"]), 1, "sideways")
+
+    def test_embedding_vocabulary_follows_the_ranking(self):
+        sents = [["c", "b", "a", "b"], ["a", "d", "b"]]
+        model = analysis.train_embeddings(sents, dim=2, epochs=1, min_count=2)
+        assert model.words == [w for w, c in corpus.top_words(Counter(
+            w for s in sents for w in s), 4) if c >= 2]
 
 
 class TestTrainEmbeddings:

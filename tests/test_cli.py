@@ -2,6 +2,8 @@ import importlib.util
 import json
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy
@@ -64,6 +66,74 @@ class TestIngestSplit:
         assert run(["stats", "--side", "src"], work) == 0
         stats = json.loads((work / "stats.src.json").read_text())
         assert stats["word_count"] > 0
+
+    @pytest.mark.parametrize("stage", ["stats", "report"])
+    def test_top_k_0_exits_3(self, work, stage):
+        assert run(["ingest", "--synthetic", "30"], work) == 0
+        assert run([stage, "--top-k", "0"], work) == cli.EXIT_DATA
+        assert not (work / "stats.src.json").exists()
+
+    def test_bad_ratios_exit_2_naming_the_flag(self, work, capsys):
+        assert run(["ingest", "--synthetic", "30"], work) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(["split", "--ratios", "0.8,x,0.1"], work)
+        assert exc.value.code == 2
+        assert "argument --ratios: invalid ratios value: '0.8,x,0.1'" in \
+            capsys.readouterr().err
+
+    def test_flags_override_config_keys(self, work):
+        assert run(["ingest", "--synthetic", "60"], work) == 0
+        assert run(["split", "--ratios", "0.5,0.25,0.25"], work) == 0
+        split = json.loads((work / "split" / "manifest.json").read_text())
+        assert split["ratios"] == [0.5, 0.25, 0.25]
+        assert run(["tok-train", "--vocab-size", "40"], work) == 0
+        sizes = {side: subword.load_vocab(work / f"vocab.{side}.tsv").target_size
+                 for side in ("src", "tgt")}
+        assert sizes == {"src": 40, "tgt": 40}
+        # the manifests hash the config as given, without the flags
+        hashes = {json.loads((work / f"{stage}.manifest.json").read_text())["config_hash"]
+                  for stage in ("ingest", "split", "tok-train")}
+        assert len(hashes) == 1
+
+
+# Line breaks to str.splitlines(), but not to a file's lines.
+ODD_BREAKS = "\u2028\u0085"
+
+
+class TestLineBreaks:
+    def check_ingest_then_strict_stats(self, work, path, fmt):
+        assert run(["ingest", "--input", str(path), "--format", fmt], work) == 0
+        assert run(["--strict", "stats"], work) == 0
+        units = corpus.load_corpus(work / "corpus.jsonl").units
+        assert [(u.id, u.src) for u in units] == [(f"u{ODD_BREAKS}1", "a b c."),
+                                                  ("u2", "d e.")]
+        assert json.loads((work / "stats.src.json").read_text())["word_count"] == 5
+
+    def test_jsonl_corpus(self, work, tmp_path):
+        path = tmp_path / "c.jsonl"
+        records = [{"id": f"u{ODD_BREAKS}1", "src": f"a{ODD_BREAKS}b c.", "tgt": "x."},
+                   {"id": "u2", "src": "d e.", "tgt": "y."}]
+        path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n"
+                                for r in records), encoding="utf-8")
+        self.check_ingest_then_strict_stats(work, path, "jsonl")
+
+    def test_tsv_corpus(self, work, tmp_path):
+        path = tmp_path / "c.tsv"
+        rows = [corpus.TSV_COLUMNS, [f"u{ODD_BREAKS}1", "B", "1", "1",
+                                     f"a{ODD_BREAKS}b c.", "x."],
+                ["u2", "B", "1", "2", "d e.", "y."]]
+        path.write_text("".join("\t".join(row) + "\n" for row in rows),
+                        encoding="utf-8")
+        self.check_ingest_then_strict_stats(work, path, "tsv")
+
+    def test_evaluate_scores_one_segment_per_newline(self, work, tmp_path):
+        hyp = tmp_path / "hyp.txt"
+        ref = tmp_path / "ref.txt"
+        hyp.write_text("a b c d\ne f g h\n", encoding="utf-8")
+        ref.write_text(f"a b{ODD_BREAKS}c d\ne f g h\n", encoding="utf-8")
+        assert run(["evaluate", "--hyp", str(hyp), "--ref", str(ref)], work) == 0
+        report = json.loads((work / "bleu.json").read_text())
+        assert (report["score"], report["hyp_length"], report["ref_length"]) == (1.0, 8, 8)
 
 
 class TestTokenizerStages:
@@ -192,6 +262,45 @@ class TestConfig:
             gen.write_config(path, gen.config(workload, 1))
             assert cli.load_config(path)["tokenizer"] == \
                 gen.config(workload, 1)["tokenizer"]
+
+    @pytest.mark.parametrize("text, message", [
+        ('train:\n  epochs: "2"\n', "'train.epochs' must be int, got '2'"),
+        ("model:\n  hidden: 8.5\n", "'model.hidden' must be int, got 8.5"),
+        ("seed: abc\n", "'seed' must be int, got 'abc'"),
+        ("seed: null\n", "'seed' must be int, got None"),
+        ("train:\n  learning_rate: true\n", "'train.learning_rate' must be float, got True"),
+        ("model:\n  hidden: true\n", "'model.hidden' must be int, got True"),
+        ("split:\n  ratios: [0.8, x, 0.1]\n",
+         "'split.ratios' must be a list of float, got [0.8, 'x', 0.1]"),
+        ("split:\n  ratios: 0.8\n", "'split.ratios' must be a list of float, got 0.8"),
+        ("augment:\n  ops: [random_swap, 3]\n",
+         "'augment.ops' must be a list of str, got ['random_swap', 3]"),
+        ("augment:\n  lexicon: 3\n", "'augment.lexicon' must be str, got 3"),
+        ("augment:\n  max_pairs: 2.0\n", "'augment.max_pairs' must be int, got 2.0"),
+    ], ids=["epochs-str", "hidden-float", "seed-str", "seed-null", "lr-bool",
+            "hidden-bool", "ratios-item", "ratios-scalar", "ops-item", "lexicon",
+            "max_pairs"])
+    def test_wrong_value_type_exits_3_naming_key_and_file(self, work, tmp_path,
+                                                         capsys, text, message):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        assert cli.main(["--workdir", str(work), "--config", str(cfg),
+                         "stats"]) == cli.EXIT_DATA
+        assert f"error: {cfg}: config key {message}" in capsys.readouterr().err
+
+    def test_value_types_that_fit(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("train:\n  learning_rate: 1\nsplit:\n  ratios: [1, 0, 0.0]\n"
+                       "augment:\n  lexicon: lex.tsv\n  max_pairs: 5\n")
+        config = cli.load_config(cfg)
+        assert config["train"]["learning_rate"] == 1
+        assert config["split"]["ratios"] == [1, 0, 0.0]
+        assert (config["augment"]["lexicon"], config["augment"]["max_pairs"]) == \
+            ("lex.tsv", 5)
+        cfg.write_text("augment:\n  lexicon: null\n  max_pairs: null\n")
+        config = cli.load_config(cfg)
+        assert (config["augment"]["lexicon"], config["augment"]["max_pairs"]) == \
+            (None, None)
 
     def test_stage_seeds_differ_by_stage(self):
         config = cli.load_config(None)
@@ -493,6 +602,27 @@ class TestRunContext:
         assert small("tok-train", "--vocab-size", "80") == 0
         assert small("tok-apply", "--text", "ba ce.") == 0
         assert not (work / "tok-apply.manifest.json").exists()
+
+
+class TestImportCost:
+    """Stages that validate nothing against a JSON schema do not import
+    jsonschema, whose import would add to the start-up of every stage."""
+
+    @pytest.mark.parametrize("stage", ["stats", "evaluate"])
+    def test_stage_leaves_jsonschema_unimported(self, work, tmp_path, stage):
+        assert run(["ingest", "--synthetic", "10"], work) == 0
+        text = tmp_path / "text.txt"
+        text.write_text("a b c d\n")
+        args = {"stats": ["stats"],
+                "evaluate": ["evaluate", "--hyp", str(text), "--ref", str(text)]}[stage]
+        code = ("import sys\nfrom lowmt import cli\nrc = cli.main(sys.argv[1:])\n"
+                "assert 'jsonschema' not in sys.modules, 'jsonschema imported'\n"
+                "sys.exit(rc)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", code, "--workdir", str(work),
+                                 *args], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
 
 
 class TestConfigCopy:

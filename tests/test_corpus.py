@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -71,6 +72,18 @@ class TestLoadCorpus:
         with pytest.raises(corpus.CorpusError, match="line 2"):
             corpus.load_corpus(path)
 
+    @pytest.mark.parametrize("record, message", [
+        ({"id": "u1", "src": "a."}, "line 1: missing fields ['tgt']"),
+        ({"id": "u1", "src": "a.", "tgt": "x.", "chapter": "one"},
+         "line 1: invalid literal for int() with base 10: 'one'"),
+        (["u1", "a.", "x."], "line 1: expected an object"),
+    ], ids=["missing-tgt", "bad-chapter", "not-an-object"])
+    def test_bad_record_names_file_and_line(self, tmp_path, record, message):
+        path = tmp_path / "c.jsonl"
+        self.write_jsonl(path, [record])
+        with pytest.raises(corpus.CorpusError, match=re.escape(f"{path}: {message}")):
+            corpus.load_corpus(path)
+
     def test_duplicate_id_named(self, tmp_path):
         path = tmp_path / "c.jsonl"
         self.write_jsonl(path, [
@@ -107,6 +120,12 @@ class TestLoadCorpus:
         corpus.save_corpus(loaded, tmp_path / "b.jsonl")
         assert (tmp_path / "a.jsonl").read_bytes() == \
             (tmp_path / "b.jsonl").read_bytes()
+
+
+class TestWords:
+    def test_strips_terminal_marks(self):
+        assert corpus.words("Let there be light. Amen!? ... x") == \
+            ["Let", "there", "be", "light", "Amen", "x"]
 
 
 class TestCorpusStats:

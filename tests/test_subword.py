@@ -99,6 +99,24 @@ class TestPersistence:
         for s in CORPUS:
             assert subword.encode(loaded, s) == subword.encode(vocab, s)
 
+    @pytest.mark.parametrize("edit, at, message", [
+        ({"a\t4\t": "a\t5\t", "b\t5\t": "b\t4\t"}, "a\t4\t",
+         "piece 'a' with id 5 is listed twice or not at position 4"),
+        ({"b\t5\t": "a\t5\t"}, "b\t5\t", "piece 'a' with id 5 is listed twice"),
+    ], ids=["swapped-ids", "repeated-piece"])
+    def test_piece_ids_must_be_positions(self, tmp_path, edit, at, message):
+        path = tmp_path / "vocab.src.tsv"
+        subword.save_vocab(train(["ab ba"], 7), path)
+        text = path.read_text(encoding="utf-8")
+        lineno = next(i for i, line in enumerate(text.split("\n"), start=1)
+                      if line.startswith(at))
+        for old, new in edit.items():
+            text = text.replace(old, new)
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(subword.SubwordError,
+                           match=rf"vocab\.src\.tsv: line {lineno}: {message}"):
+            subword.load_vocab(path)
+
     @pytest.mark.parametrize("bad", ["ab\t9", "# vocab_size", "# merge\ta",
                                      "ab\tnine\t1.0"])
     def test_malformed_line_names_file_and_line(self, tmp_path, bad):
