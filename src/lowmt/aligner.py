@@ -195,13 +195,19 @@ def _pairs_from_file(path):
 
 
 def load_split(outdir):
-    """Read a save_split directory; a record without the keys TextPair needs
-    raises AlignError naming the file and line."""
+    """Read a save_split directory; a record without the keys TextPair needs,
+    or a manifest.json that is not a JSON object, raises AlignError naming
+    the file (and the line)."""
     parts = {part: _pairs_from_file(os.path.join(outdir, f"{part}.jsonl"))
              for part in SPLIT_PARTS}
     manifest_path = os.path.join(outdir, "manifest.json")
     manifest = {}
     if os.path.exists(manifest_path):
         with open(manifest_path, "r", encoding="utf-8") as f:
-            manifest = json.load(f)
+            try:
+                manifest = json.load(f)
+            except ValueError as e:
+                raise AlignError(f"{manifest_path}: not valid JSON: {e}") from e
+        if not isinstance(manifest, dict):
+            raise AlignError(f"{manifest_path}: expected a JSON object")
     return DatasetSplit(**parts, manifest=manifest)

@@ -10,10 +10,10 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .corpus import top_words
-from .util import read_exact
+from .util import lazy_numpy, read_exact
+
+np = lazy_numpy()
 
 MAGIC = b"LMTE"
 FORMAT_VERSION = 1
@@ -27,7 +27,7 @@ class AnalysisError(ValueError):
 @dataclass
 class EmbeddingModel:
     words: list
-    vectors: np.ndarray          # |V| x d, float64
+    vectors: "np.ndarray"        # |V| x d, float64
     dim: int
     window: int
     negatives: int

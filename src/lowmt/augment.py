@@ -11,6 +11,7 @@ from dataclasses import dataclass, replace
 
 from .aligner import DatasetSplit, GROUP_ONE2ONE
 from .analysis import most_similar
+from .corpus import SIDES
 from .util import derive_seed, read_lines
 
 EDA_OPS = ("synonym_replace", "random_delete", "random_swap", "synonym_insert")
@@ -135,7 +136,7 @@ def _augment_tokens(tokens, policy, lexicon, model, rng):
 
 def augment_training_set(split, side, policy, lexicon=None, model=None):
     """Return a new DatasetSplit with augmented variants appended to train."""
-    if side not in ("src", "tgt"):
+    if side not in SIDES:
         raise AugmentError(f"unknown side {side!r}")
     if not split.train:
         raise AugmentError("train partition is empty")

@@ -17,11 +17,11 @@ import random
 import sys
 from collections import Counter
 
-import numpy as np
 import yaml
 
 from . import __version__, aligner, analysis, augment, bleu, corpus, nmt, subword
-from .util import config_hash, derive_seed, read_lines, sha256_file, write_jsonl
+from .util import (config_hash, derive_seed, numpy_version, read_lines, sha256_file,
+                   write_jsonl)
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -66,6 +66,12 @@ MANIFEST_KEYS = {"stage", "config_hash", "inputs", "outputs"}
 # The type of each config value whose default is null; null stays allowed.
 NULL_DEFAULT_TYPES = {"augment.lexicon": str, "augment.max_pairs": int}
 
+# The values allowed for each config key that takes one of a fixed set (each
+# item of a list).
+CONFIG_CHOICES = {"corpus.format": corpus.FORMATS, "augment.side": corpus.SIDES,
+                  "augment.ops": augment.ALL_OPS,
+                  "evaluation.smoothing": bleu.SMOOTHING_MODES}
+
 
 def _fits(value, default):
     """Whether value has default's type (a list's items one by one); an int
@@ -77,8 +83,8 @@ def _fits(value, default):
 
 def _deep_merge(base, override, path, prefix=""):
     """base with override's values merged in; a key that base lacks, a
-    non-mapping where base has a section, or a value of another type than
-    the default's raises naming its dotted key."""
+    non-mapping where base has a section, a value of another type than the
+    default's, or one outside its CONFIG_CHOICES raises naming its dotted key."""
     merged = dict(base)
     for key, value in override.items():
         dotted = f"{prefix}{key}"
@@ -95,6 +101,12 @@ def _deep_merge(base, override, path, prefix=""):
                         if isinstance(default, list) else type(default).__name__)
                 raise ValueError(f"{path}: config key {dotted!r} must be {kind}, "
                                  f"got {value!r}")
+            if dotted in CONFIG_CHOICES:
+                allowed = CONFIG_CHOICES[dotted]
+                for item in value if isinstance(value, list) else [value]:
+                    if item not in allowed:
+                        raise ValueError(f"{path}: config key {dotted!r} takes "
+                                         f"{', '.join(allowed)}; got {item!r}")
         merged[key] = value
     return merged
 
@@ -184,7 +196,7 @@ class StageContext:
             "stage": self.stage,
             "config_hash": self.config_hash,
             "seeds": self.seeds,
-            "versions": {"lowmt": __version__, "numpy": np.__version__},
+            "versions": {"lowmt": __version__, "numpy": numpy_version()},
             "inputs": self.inputs,
             "outputs": {os.path.relpath(p, self.workdir): sha256_file(p)
                         for p in self.outputs},
@@ -253,7 +265,7 @@ def ratios(text):
     return [float(r) for r in text.split(",")]
 
 
-SIDE = arg("--side", choices=["src", "tgt"], default="src")
+SIDE = arg("--side", choices=corpus.SIDES, default="src")
 TOP_K = arg("--top-k", type=int, default=10)
 SPLIT_DIR = arg("--split-dir")
 
@@ -420,7 +432,7 @@ def cmd_report(ctx, args):
 def cmd_tok_train(ctx, args):
     split = _load_split(ctx, args)
     vocab_size = ctx.config["tokenizer"]["vocab_size"]
-    for side in ("src", "tgt"):
+    for side in corpus.SIDES:
         sentences = [getattr(p, side) for p in split.train]
         vocab = subword.train_tokenizer(sentences, vocab_size)
         path = ctx.write(ctx.path(f"vocab.{side}.tsv"))
@@ -554,7 +566,7 @@ def cmd_export_ft(ctx, args):
 
 STAGES = {  # name -> (run(ctx, args), help, argparse option specs...)
     "ingest": (cmd_ingest, "load (or synthesize) a parallel corpus",
-               arg("--input"), arg("--format", dest="corpus.format", choices=["jsonl", "tsv"]),
+               arg("--input"), arg("--format", dest="corpus.format", choices=corpus.FORMATS),
                arg("--synthetic", type=int, metavar="N",
                    help="generate N synthetic units instead of reading a file")),
     "stats": (cmd_stats, "corpus-level word statistics", SIDE, TOP_K),
@@ -584,7 +596,7 @@ STAGES = {  # name -> (run(ctx, args), help, argparse option specs...)
     "evaluate": (cmd_evaluate, "corpus BLEU-4 of hypothesis vs reference",
                  arg("--hyp", required=True), arg("--ref", required=True),
                  arg("--smoothing", dest="evaluation.smoothing",
-                     choices=list(bleu.SMOOTHING_MODES))),
+                     choices=bleu.SMOOTHING_MODES)),
     "export-ft": (cmd_export_ft, "emit fine-tuning-ready JSONL", SPLIT_DIR),
 }
 

@@ -15,6 +15,8 @@ from .util import read_jsonl, read_lines, write_jsonl
 TERMINAL_MARKS = ".!?"
 
 TSV_COLUMNS = ["id", "book", "chapter", "verse", "src", "tgt"]
+FORMATS = ("jsonl", "tsv")
+SIDES = ("src", "tgt")
 
 
 class CorpusError(ValueError):
@@ -146,7 +148,7 @@ def words(text):
 
 def side_tokens(corpus, side):
     """words() of one corpus side, unit after unit."""
-    if side not in ("src", "tgt"):
+    if side not in SIDES:
         raise CorpusError(f"unknown side {side!r}")
     return [w for unit in corpus.units for w in words(getattr(unit, side))]
 

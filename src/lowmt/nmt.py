@@ -47,10 +47,10 @@ import random
 import struct
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .subword import PAD_ID, SOS_ID, EOS_ID, UNK_ID
-from .util import derive_seed, read_exact
+from .util import derive_seed, lazy_numpy, read_exact
+
+np = lazy_numpy()
 
 MAGIC = b"LMTS"
 FORMAT_VERSION = 2

@@ -6,8 +6,9 @@ merged string, then on the pair). The full character alphabet is always kept
 so training text never hits <unk>.
 """
 
+import heapq
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .util import read_lines
@@ -31,6 +32,7 @@ class SubwordVocab:
     marker: str = MARKER
     piece_to_id: dict = field(default_factory=dict)
     _merge_rank: dict = field(default_factory=dict)
+    _word_ids: dict = field(default_factory=dict, compare=False, repr=False)  # encode's memo
 
     def __post_init__(self):
         if not self.piece_to_id:
@@ -44,14 +46,6 @@ class SubwordVocab:
 
 def _word_symbols(word, marker):
     return (marker,) + tuple(word)
-
-
-def _pair_counts(sequences):
-    counts = Counter()
-    for symbols, weight in sequences.items():
-        for pair in zip(symbols, symbols[1:]):
-            counts[pair] += weight
-    return counts
 
 
 def _merge_sequence(symbols, pair, joined):
@@ -89,21 +83,55 @@ def train_tokenizer(sentences, vocab_size):
         for ch in w:
             char_freq[ch] += c
 
-    sequences = {_word_symbols(w, MARKER): c for w, c in words.items()}
+    # Pair counts and the words each pair occurs in are built once; a merge
+    # re-merges only the words that hold its pair and updates the counts of
+    # the pairs those words lose and gain (subword-nmt's learn_bpe.py).
+    sequences = [_word_symbols(w, MARKER) for w in words]
+    weights = list(words.values())
+    counts = Counter()
+    where = defaultdict(set)
+    for i, symbols in enumerate(sequences):
+        for pair in zip(symbols, symbols[1:]):
+            counts[pair] += weights[i]
+            where[pair].add(i)
+    # The best pair is the least (-count, merged string, pair). Entries go
+    # stale when a count changes; a fresh one is pushed each time, and an
+    # entry whose count is no longer the pair's is skipped when popped.
+    heap = [(-c, p[0] + p[1], p) for p, c in counts.items()]
+    heapq.heapify(heap)
 
     merges = []
     merge_scores = []
     n_pieces = minimum
     while n_pieces < vocab_size:
-        counts = _pair_counts(sequences)
-        if not counts:
+        while heap and -heap[0][0] != counts.get(heap[0][2]):
+            heapq.heappop(heap)
+        if not heap:
             break
-        best = min(counts.items(), key=lambda kv: (-kv[1], kv[0][0] + kv[0][1], kv[0]))
-        pair, freq = best
-        joined = pair[0] + pair[1]
+        freq, joined, pair = heapq.heappop(heap)
         merges.append(pair)
-        merge_scores.append(freq)
-        sequences = {_merge_sequence(s, pair, joined): c for s, c in sequences.items()}
+        merge_scores.append(-freq)
+        delta = Counter()
+        for i in where.pop(pair):
+            old = sequences[i]
+            new = sequences[i] = _merge_sequence(old, pair, joined)
+            old_pairs = list(zip(old, old[1:]))
+            new_pairs = list(zip(new, new[1:]))
+            for p in old_pairs:
+                delta[p] -= weights[i]
+            for p in new_pairs:
+                delta[p] += weights[i]
+                where[p].add(i)
+            for p in set(old_pairs).difference(new_pairs):
+                where[p].discard(i)
+        for p, d in delta.items():
+            if d:
+                counts[p] += d
+                if counts[p]:
+                    heapq.heappush(heap, (-counts[p], p[0] + p[1], p))
+                else:
+                    del counts[p]
+                    where.pop(p, None)
         n_pieces += 1
 
     scored = ([(sp, 0.0) for sp in SPECIALS]
@@ -129,8 +157,14 @@ def _encode_word(vocab, word):
 
 def encode(vocab, text):
     """Token ids for normalized text; unknown characters map to <unk>."""
-    return [vocab.piece_to_id.get(sym, UNK_ID)
-            for word in text.split() for sym in _encode_word(vocab, word)]
+    ids = []
+    for word in text.split():
+        word_ids = vocab._word_ids.get(word)
+        if word_ids is None:
+            word_ids = vocab._word_ids[word] = [vocab.piece_to_id.get(sym, UNK_ID)
+                                                for sym in _encode_word(vocab, word)]
+        ids += word_ids
+    return ids
 
 
 def decode(vocab, ids):

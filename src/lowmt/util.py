@@ -1,8 +1,12 @@
-"""Shared helpers: seed derivation, file hashing, binary reads, line and JSONL I/O."""
+"""Shared helpers: seed derivation, file hashing, binary reads, line and JSONL
+I/O, and a numpy whose import runs only when a stage first uses it."""
 
 import hashlib
+import importlib.util
 import json
 import os
+import sys
+import types
 
 
 def derive_seed(base_seed, *labels):
@@ -42,10 +46,28 @@ def config_hash(obj):
 
 def read_lines(path):
     r"""Yield (line number, text) for each line of a UTF-8 text file. Lines
-    end only at \n, \r\n or \r, never at U+2028, U+2029 or U+0085."""
+    end only at \n, \r\n or \r, never at U+2028, U+2029 or U+0085. Bytes
+    that are not UTF-8 raise ValueError naming the file and line."""
     with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            yield lineno, line.rstrip("\n")
+        try:
+            for lineno, line in enumerate(f, start=1):
+                yield lineno, line.rstrip("\n")
+        except UnicodeDecodeError:
+            raise ValueError(_utf8_error(path)) from None
+
+
+def _utf8_error(path):
+    """Where the first byte of path that is not UTF-8 lies. The text reader
+    decodes a block at a time, so its error does not tell the line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        before = data[:e.start]  # line ends: \n, \r\n or \r
+        lineno = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        return f"{path}: line {lineno}: byte {data[e.start]:#04x} is not UTF-8"
+    return f"{path}: not UTF-8"  # it changed while it was read
 
 
 def read_jsonl(path):
@@ -64,3 +86,30 @@ def write_jsonl(path, records):
     with open(path, "w", encoding="utf-8") as f:
         for rec in records:
             f.write(json.dumps(rec, ensure_ascii=False) + "\n")
+
+
+def lazy_numpy():
+    """The numpy module: the one this process has already imported, or else
+    one whose import runs at its first attribute access, so that a stage that
+    does no numerics never runs numpy's import."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def numpy_version():
+    """numpy's version string. numpy.__version__ once numpy has been
+    imported; otherwise the installed distribution's version, which is the
+    same string and leaves numpy unimported."""
+    module = sys.modules.get("numpy")
+    # A lazily imported numpy that nothing has used yet is of a ModuleType
+    # subclass until its first attribute access runs its import.
+    if type(module) is types.ModuleType:
+        return module.__version__
+    from importlib.metadata import version
+    return version("numpy")

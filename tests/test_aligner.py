@@ -157,3 +157,15 @@ class TestSplitPersistence:
         with pytest.raises(aligner.AlignError,
                            match=f"test.jsonl: line 2: record lacks {lacks}$"):
             aligner.load_split(tmp_path / "split")
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"seed": 3,', "not valid JSON: Expecting"),
+        ('[3]', "expected a JSON object"),
+    ], ids=["malformed", "list"])
+    def test_bad_manifest_names_file(self, tmp_path, text, message):
+        split = aligner.split_dataset(make_pairs(20), make_variables(10), seed=3)
+        aligner.save_split(split, tmp_path / "split")
+        (tmp_path / "split" / "manifest.json").write_text(text)
+        with pytest.raises(aligner.AlignError,
+                           match=rf"split[/\\]manifest\.json: {message}"):
+            aligner.load_split(tmp_path / "split")

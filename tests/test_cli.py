@@ -172,6 +172,17 @@ class TestEvaluate:
         assert 0.0 <= report["score"] <= 1.0
 
 
+    def test_non_utf8_hypothesis_exits_3_naming_line(self, work, tmp_path, capsys):
+        hyp = tmp_path / "hyp.txt"
+        hyp.write_bytes(b"a b c\na \xff b\n")
+        ref = tmp_path / "ref.txt"
+        ref.write_text("a b c\na b c\n")
+        assert run(["evaluate", "--hyp", str(hyp), "--ref", str(ref)],
+                   work) == cli.EXIT_DATA
+        assert (f"error: {hyp}: line 2: byte 0xff is not UTF-8"
+                in capsys.readouterr().err)
+
+
 class TestExport:
     def test_export_validates_and_writes(self, work):
         run(["ingest", "--synthetic", "40"], work)
@@ -287,6 +298,22 @@ class TestConfig:
         assert cli.main(["--workdir", str(work), "--config", str(cfg),
                          "stats"]) == cli.EXIT_DATA
         assert f"error: {cfg}: config key {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, key, got", [
+        ("evaluation:\n  smoothing: add1\n", "evaluation.smoothing", "'add1'"),
+        ("corpus:\n  format: csv\n", "corpus.format", "'csv'"),
+        ("augment:\n  side: both\n", "augment.side", "'both'"),
+        ("augment:\n  ops: [random_swap, round_trip]\n", "augment.ops", "'round_trip'"),
+    ], ids=["smoothing", "format", "side", "ops"])
+    def test_value_outside_choices_exits_3_naming_key_and_file(
+            self, work, tmp_path, capsys, text, key, got):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        assert cli.main(["--workdir", str(work), "--config", str(cfg),
+                         "stats"]) == cli.EXIT_DATA
+        allowed = ", ".join(cli.CONFIG_CHOICES[key])
+        assert (f"error: {cfg}: config key {key!r} takes {allowed}; got {got}"
+                in capsys.readouterr().err)
 
     def test_value_types_that_fit(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -623,6 +650,32 @@ class TestImportCost:
         result = subprocess.run([sys.executable, "-c", code, "--workdir", str(work),
                                  *args], env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+
+    def test_numpy_runs_only_in_numeric_stages(self, work, tmp_path):
+        """Stages that do no numerics never run numpy's import; both kinds
+        record numpy's version in their manifest."""
+        cfg = tmp_path / "small.yaml"
+        cfg.write_text(SMALL_CONFIG)
+        text = tmp_path / "text.txt"
+        text.write_text("a b c d\n")
+        code = ("import sys\nfrom lowmt import cli\nrc = cli.main(sys.argv[1:])\n"
+                "print('numpy._core' in sys.modules)\nsys.exit(rc)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        numeric = {}
+        for args in (["ingest", "--synthetic", "30"], ["stats"], ["split"],
+                     ["tok-train", "--vocab-size", "80"], ["augment"],
+                     ["evaluate", "--hyp", str(text), "--ref", str(text)],
+                     ["export-ft"], ["train"]):
+            result = subprocess.run(
+                [sys.executable, "-c", code, "--workdir", str(work), "--config",
+                 str(cfg), *args], env=env, capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            numeric[args[0]] = result.stdout.split()[-1] == "True"
+            name = "stats.src" if args[0] == "stats" else args[0]
+            assert manifest(work, name)["versions"]["numpy"] == numpy.__version__
+        assert [stage for stage, ran in numeric.items() if ran] == ["train"]
 
 
 class TestConfigCopy:

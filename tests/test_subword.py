@@ -1,6 +1,13 @@
-import pytest
+import importlib.util
+from collections import Counter
+from pathlib import Path
 
-from lowmt import subword
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lowmt import aligner, cli, corpus, subword
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 CORPUS = [
@@ -128,3 +135,128 @@ class TestPersistence:
         with pytest.raises(subword.SubwordError,
                            match=r"vocab\.src\.tsv: malformed line 4: "):
             subword.load_vocab(path)
+
+
+def _train_0_5_0(sentences, vocab_size):
+    """lowmt 0.5.0's trainer, frozen: every merge recounts every pair of
+    every word type. Returns (merges, pieces)."""
+    words = Counter()
+    for sent in sentences:
+        words.update(sent.split())
+    if not words:
+        raise subword.SubwordError("no non-empty training sentences")
+    marker = subword.MARKER
+    alphabet = sorted({ch for w in words for ch in w} | {marker})
+    minimum = len(subword.SPECIALS) + len(alphabet)
+    if vocab_size < minimum:
+        raise subword.SubwordError(
+            f"vocab_size {vocab_size} too small: need at least {minimum} "
+            f"({len(subword.SPECIALS)} specials + {len(alphabet)} alphabet characters)")
+    char_freq = Counter()
+    for w, c in words.items():
+        char_freq[marker] += c
+        for ch in w:
+            char_freq[ch] += c
+    sequences = {(marker,) + tuple(w): c for w, c in words.items()}
+    merges, merge_scores = [], []
+    n_pieces = minimum
+    while n_pieces < vocab_size:
+        counts = Counter()
+        for symbols, weight in sequences.items():
+            for pair in zip(symbols, symbols[1:]):
+                counts[pair] += weight
+        if not counts:
+            break
+        pair, freq = min(counts.items(),
+                         key=lambda kv: (-kv[1], kv[0][0] + kv[0][1], kv[0]))
+        merges.append(pair)
+        merge_scores.append(freq)
+        sequences = {subword._merge_sequence(s, pair, pair[0] + pair[1]): c
+                     for s, c in sequences.items()}
+        n_pieces += 1
+    scored = ([(sp, 0.0) for sp in subword.SPECIALS]
+              + [(ch, float(char_freq[ch])) for ch in alphabet]
+              + [(left + right, float(score))
+                 for (left, right), score in zip(merges, merge_scores)])
+    return merges, [(piece, i, score) for i, (piece, score) in enumerate(scored)]
+
+
+def _outcome(trainer, sentences, vocab_size):
+    try:
+        return trainer(sentences, vocab_size)
+    except subword.SubwordError as e:
+        return str(e)
+
+
+def _incremental(sentences, vocab_size):
+    vocab = subword.train_tokenizer(sentences, vocab_size)
+    return vocab.merges, vocab.pieces
+
+
+def _bench_train_sides():
+    """The train split sentences of each side of the zipf-wide-vocab corpus
+    (seed 1) and of a synthetic corpus, as the benchmark's tok-train reads them."""
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    corpora = {"zipf": gen.zipf_corpus(1, gen.ZIPF_UNITS, lexicon_size=20000,
+                                       exponent=0.9, min_words=5, max_words=9),
+               "synthetic": cli.generate_synthetic_corpus(200, seed=1)}
+    sides = {}
+    for name, records in corpora.items():
+        units = [corpus._unit_from_record(r, name) for r in records]
+        pairs, variables = aligner.explode_corpus(corpus.Corpus(units=units))
+        split = aligner.split_dataset(pairs, variables, seed=1)
+        for side in corpus.SIDES:
+            sides[f"{name}.{side}"] = [getattr(p, side) for p in split.train]
+    return sides
+
+
+@pytest.fixture(scope="module")
+def bench_sides():
+    return _bench_train_sides()
+
+
+words = st.text(alphabet="aab", min_size=1, max_size=7)
+sentences = st.lists(st.lists(words, max_size=5).map(" ".join), max_size=6)
+
+
+class TestIncrementalMerges:
+    """train_tokenizer updates pair counts merge by merge; it must learn what
+    the 0.5.0 full recount learned."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sentences, st.integers(min_value=0, max_value=40))
+    def test_matches_full_recount(self, sents, vocab_size):
+        assert _outcome(_incremental, sents, vocab_size) == \
+            _outcome(_train_0_5_0, sents, vocab_size)
+
+    @pytest.mark.parametrize("name, vocab_size", [("zipf.src", 800), ("zipf.tgt", 300),
+                                                  ("synthetic.src", 80),
+                                                  ("synthetic.tgt", 5000)])
+    def test_matches_full_recount_on_bench_corpora(self, bench_sides, name, vocab_size):
+        assert _incremental(bench_sides[name], vocab_size) == \
+            _train_0_5_0(bench_sides[name], vocab_size)
+
+    def test_overlapping_pairs(self):
+        # "aaaa" holds (a, a) three times but merges it twice.
+        assert _incremental(["aaaa aaa", "aa"], 10) == _train_0_5_0(["aaaa aaa", "aa"], 10)
+
+
+class TestEncodeMemo:
+    def test_memoized_ids_equal_uncached(self, bench_sides):
+        for name, sents in bench_sides.items():
+            vocab = subword.train_tokenizer(sents, 300)
+            for _ in range(2):  # the second pass reads the memo
+                for sent in sents:
+                    assert subword.encode(vocab, sent) == [
+                        vocab.piece_to_id.get(sym, subword.UNK_ID)
+                        for word in sent.split()
+                        for sym in subword._encode_word(vocab, word)]
+            assert vocab._word_ids
+
+    def test_memo_is_not_part_of_equality(self):
+        a, b = train(CORPUS, 40), train(CORPUS, 40)
+        subword.encode(a, CORPUS[0])
+        assert a == b
+        assert "_word_ids" not in repr(a)
