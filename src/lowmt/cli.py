@@ -15,6 +15,7 @@ import json
 import os
 import random
 import sys
+import time
 from collections import Counter
 
 import yaml
@@ -485,11 +486,25 @@ def cmd_train(ctx, args):
                                    model_config.max_len)
     if skipped:
         print(f"warning: skipped {skipped} over-length pairs", file=sys.stderr)
-    val_pairs, _ = _encode_pairs(split.validation, src_vocab, tgt_vocab,
-                                 model_config.max_len)
+    val_pairs, val_skipped = _encode_pairs(split.validation, src_vocab, tgt_vocab,
+                                           model_config.max_len)
+    if val_skipped:
+        print(f"warning: skipped {val_skipped} over-length validation pairs",
+              file=sys.stderr)
     model = nmt.init_model(model_config)
+    start = last = time.perf_counter()
+
+    def report(entry):
+        # stderr, not a file: wall times would make artifacts differ run to run
+        nonlocal last
+        now = time.perf_counter()
+        print(json.dumps({"event": "epoch", **entry, "pairs": len(pairs),
+                          "pairs_per_s": len(pairs) / (now - last),
+                          "elapsed_s": now - start}), file=sys.stderr)
+        last = now
+
     model, history = nmt.train(model, pairs, train_config,
-                               validation_pairs=val_pairs or None)
+                               validation_pairs=val_pairs or None, on_epoch=report)
     ckpt = ctx.write(ctx.path("model.ckpt"))
     nmt.save_checkpoint(model, ckpt)
     nmt.save_loss_history(history, ctx.write(ctx.path("loss.csv")))

@@ -33,8 +33,13 @@ z|r|h order) and its comb and attention gradients as rows of T x d arrays;
 after the loop every weight gradient is one product over the whole sequence
 (dW = DA^T X, the GRU input gradient DA W) and every bias gradient a column
 sum. The output layer does not depend on the recurrence and is done before
-the loop. Embedding gradients are sparse (touched rows, row gradients); they
-count in the clip norm and train updates only those rows.
+the loop. Those products and sums write into a gradient workspace, one buffer
+per dense parameter, that train allocates once and every pair overwrites: at
+H=256 the dense gradients are about 9 MB, and when each pair allocated its
+own, the allocator gave them back to the OS after the SGD step and the next
+pair's GEMMs page-faulted them in again. Embedding gradients are sparse (touched
+rows, row gradients); they count in the clip norm and train updates only
+those rows.
 
 Checkpoint format 2 stores PARAM_ORDER; format 1 (lowmt 0.2.0 and earlier),
 with a separate W, U and b per gate, is still read.
@@ -201,14 +206,13 @@ def _gru_step_back(tape, t, dh_new):
     return dh_new * tape["carry"][t] + drh * tape["R"][t] + da[:2 * d] @ tape["Uzr"]
 
 
-def _gru_weight_grads(tape):
-    """(dW, dU, db) of the GRU over the whole sequence."""
+def _gru_weight_grads(tape, dW, dU, db):
+    """Write dW, dU and db of the GRU over the whole sequence; returns them."""
     DA = tape["DA"]
     d = tape["H"].shape[1]
-    dU = np.empty((3 * d, d))
     np.matmul(DA[:, :2 * d].T, tape["H"], out=dU[:2 * d])
     np.matmul(DA[:, 2 * d:].T, tape["RH"], out=dU[2 * d:])
-    return DA.T @ tape["X"], dU, DA.sum(axis=0)
+    return np.matmul(DA.T, tape["X"], out=dW), dU, np.sum(DA, axis=0, out=db)
 
 
 def _padded(seqs):
@@ -348,13 +352,22 @@ def _row_grads(ids, grads):
     return np.array(list(index)), summed
 
 
-def _backward_pair(model, fwd):
+def _grad_workspace(config):
+    """One buffer per dense (non-embedding) parameter gradient, for
+    _backward_pair to overwrite pair after pair."""
+    return {name: np.empty(shape) for name, shape in param_shapes(config).items()
+            if not name.endswith("_embed")}
+
+
+def _backward_pair(model, fwd, workspace):
     """Gradients of the pair's mean NLL.
 
     Only the dh recurrence runs step by step in reverse; each step records
     its gate, comb and attention gradients as rows, and every weight
-    gradient is then one product over the whole sequence. The embedding
-    gradients are sparse (rows, row grads) pairs; see _dense_grads.
+    gradient is then one product over the whole sequence, written into its
+    buffer of workspace (see _grad_workspace). The returned dict holds those
+    buffers and the embedding gradients, sparse (rows, row grads) pairs; see
+    _dense_grads.
     """
     p = model.params
     d = model.config.hidden
@@ -364,8 +377,9 @@ def _backward_pair(model, fwd):
     # The output layer does not depend on the recurrence.
     dlogits = np.stack([s["probs"] for s in steps]) / T
     dlogits[np.arange(T), [s["gold"] for s in steps]] -= 1.0 / T
-    g = {"out_W": dlogits.T @ np.stack([s["h_new"] for s in steps]),
-         "out_b": dlogits.sum(axis=0)}
+    g = {"out_W": np.matmul(dlogits.T, np.stack([s["h_new"] for s in steps]),
+                            out=workspace["out_W"]),
+         "out_b": np.sum(dlogits, axis=0, out=workspace["out_b"])}
     dh_out = dlogits @ p["out_W"]
 
     tape = _gru_tape(p["dec_U"], [s["gru"] for s in steps])
@@ -386,11 +400,14 @@ def _backward_pair(model, fwd):
         np.multiply(A[t], da - np.dot(A[t], da), out=dattn[t])
         dh_next = dh_prev + dattn[t] @ attn_h
 
-    g["dec_W"], g["dec_U"], g["dec_b"] = _gru_weight_grads(tape)
-    g["comb_W"] = dcomb_pre.T @ np.stack([s["xc"] for s in steps])
-    g["comb_b"] = dcomb_pre.sum(axis=0)
-    g["attn_W"] = dattn.T @ np.stack([s["eh"] for s in steps])
-    g["attn_b"] = dattn.sum(axis=0)
+    g["dec_W"], g["dec_U"], g["dec_b"] = _gru_weight_grads(
+        tape, workspace["dec_W"], workspace["dec_U"], workspace["dec_b"])
+    g["comb_W"] = np.matmul(dcomb_pre.T, np.stack([s["xc"] for s in steps]),
+                            out=workspace["comb_W"])
+    g["comb_b"] = np.sum(dcomb_pre, axis=0, out=workspace["comb_b"])
+    g["attn_W"] = np.matmul(dattn.T, np.stack([s["eh"] for s in steps]),
+                            out=workspace["attn_W"])
+    g["attn_b"] = np.sum(dattn, axis=0, out=workspace["attn_b"])
     dxd = dcomb_pre @ p["comb_W"][:, :d] + dattn @ p["attn_W"][:, :d]
     g["dec_embed"] = _row_grads([s["prev_id"] for s in steps],
                                 dxd * np.stack([s["mask"] for s in steps]))
@@ -402,7 +419,8 @@ def _backward_pair(model, fwd):
     dh_carry = dh_next
     for t in range(S - 1, -1, -1):
         dh_carry = _gru_step_back(tape, t, denc_out[t] + dh_carry)
-    g["enc_W"], g["enc_U"], g["enc_b"] = _gru_weight_grads(tape)
+    g["enc_W"], g["enc_U"], g["enc_b"] = _gru_weight_grads(
+        tape, workspace["enc_W"], workspace["enc_U"], workspace["enc_b"])
     g["enc_embed"] = _row_grads(src_ids, tape["DA"] @ p["enc_W"])
     return g
 
@@ -464,12 +482,13 @@ def _check_source(cfg, src_ids):
     _check_ids(src_ids, cfg.src_vocab_size, "source")
 
 
-def train(model, pairs, train_config, validation_pairs=None):
+def train(model, pairs, train_config, validation_pairs=None, on_epoch=None):
     """Per-pair SGD with teacher forcing; returns (model, history).
 
     Each history entry has the epoch, its mean_loss, the mean pre-clip
     gradient L2 norm (grad_norm), the fraction of pairs whose gradient was
-    clipped (clip_rate) and, with validation pairs, val_loss.
+    clipped (clip_rate) and, with validation pairs, val_loss. on_epoch, if
+    given, is called with each entry as soon as its epoch ends.
     """
     cfg = model.config
     if not pairs:
@@ -479,6 +498,7 @@ def train(model, pairs, train_config, validation_pairs=None):
 
     tf_rng = random.Random(derive_seed(train_config.seed, "teacher_forcing"))
     drop_rng = np.random.default_rng(derive_seed(train_config.seed, "dropout"))
+    workspace = _grad_workspace(cfg)
     history = []
     for epoch in range(train_config.epochs):
         order = list(range(len(pairs)))
@@ -496,7 +516,8 @@ def train(model, pairs, train_config, validation_pairs=None):
             if not np.isfinite(loss):
                 raise NmtNumericalError(
                     f"non-finite loss at epoch {epoch}, pair {idx}: {loss}")
-            norm, clipped = _sgd_step(model.params, _backward_pair(model, fwd),
+            norm, clipped = _sgd_step(model.params,
+                                      _backward_pair(model, fwd, workspace),
                                       train_config.learning_rate,
                                       train_config.grad_clip_norm)
             epoch_loss += loss
@@ -508,6 +529,8 @@ def train(model, pairs, train_config, validation_pairs=None):
         if validation_pairs:
             entry["val_loss"] = mean_loss(model, validation_pairs)
         history.append(entry)
+        if on_epoch is not None:
+            on_epoch(entry)
     return model, history
 
 
@@ -594,7 +617,8 @@ def pair_loss(model, src_ids, tgt_ids):
 def pair_gradients(model, src_ids, tgt_ids):
     """(loss, dense gradients) from the backward pass that train uses."""
     loss, fwd = _forward_pair(model, src_ids, tgt_ids)
-    return loss, _dense_grads(model, _backward_pair(model, fwd))
+    grads = _backward_pair(model, fwd, _grad_workspace(model.config))
+    return loss, _dense_grads(model, grads)
 
 
 def gradient_check(model, pair, epsilon=1e-5, n_params_sampled=200, seed=0):

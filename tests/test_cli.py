@@ -10,7 +10,7 @@ import numpy
 import pytest
 
 import lowmt
-from lowmt import cli, corpus, nmt, subword
+from lowmt import aligner, cli, corpus, nmt, subword
 from lowmt.util import sha256_file
 
 
@@ -352,6 +352,52 @@ class TestSmallPipeline:
         assert cli.main(base + ["translate", "--text", "ba ce di fo."]) == 0
         out = capsys.readouterr().out
         assert isinstance(out, str)
+
+
+class TestTrainReporting:
+    def chain(self, work, tmp_path, max_len, epochs):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"model:\n  hidden: 8\n  max_len: {max_len}\n  dropout_p: 0.0\n"
+                       f"train:\n  epochs: {epochs}\n")
+        base = ["--workdir", str(work), "--config", str(cfg)]
+        for args in (["ingest", "--synthetic", "30"], ["split"],
+                     ["tok-train", "--vocab-size", "80"], ["train"]):
+            assert cli.main(base + args) == 0
+
+    def over_length(self, work, part, max_len):
+        split = aligner.load_split(work / "split")
+        vocabs = [subword.load_vocab(work / f"vocab.{side}.tsv") for side in ("src", "tgt")]
+        return cli._encode_pairs(getattr(split, part), *vocabs, max_len)
+
+    @pytest.mark.parametrize("max_len", [6, 4], ids=["some", "all"])
+    def test_over_length_validation_pairs_are_reported(self, work, tmp_path, capsys,
+                                                       max_len):
+        self.chain(work, tmp_path, max_len=max_len, epochs=1)
+        kept, skipped = self.over_length(work, "validation", max_len)
+        assert skipped and bool(kept) == (max_len == 6)
+        header = (work / "loss.csv").read_text().splitlines()[0]
+        assert header == "epoch,mean_loss" + (",val_loss" if kept else "")
+        err = capsys.readouterr().err
+        assert f"warning: skipped {skipped} over-length validation pairs\n" in err
+        # bench/run.py subtracts the count of lines with "over-length pairs"
+        # from the train pairs
+        assert sum("over-length pairs" in line for line in err.splitlines()) == 1
+
+    def test_one_json_event_per_epoch_on_stderr(self, work, tmp_path, capsys):
+        self.chain(work, tmp_path, max_len=24, epochs=3)
+        kept, _ = self.over_length(work, "train", 24)
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("{")]
+        assert [e["epoch"] for e in events] == [0, 1, 2]
+        history = (work / "loss.csv").read_text().splitlines()[1:]
+        for event, row in zip(events, history):
+            assert event["event"] == "epoch"
+            assert event["pairs"] == len(kept)
+            assert row == f"{event['epoch']},{event['mean_loss']},{event['val_loss']}"
+            assert 0.0 <= event["clip_rate"] <= 1.0 and event["grad_norm"] > 0
+            assert event["pairs_per_s"] > 0
+        assert 0 < events[0]["elapsed_s"] < events[1]["elapsed_s"] < events[2]["elapsed_s"]
+        assert manifest(work, "train")["outputs"].keys() == {"model.ckpt", "loss.csv"}
 
 
 SMALL_CONFIG = (

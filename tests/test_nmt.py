@@ -10,6 +10,7 @@ import pytest
 
 from lowmt import nmt
 from lowmt.subword import PAD_ID, SOS_ID, EOS_ID
+from lowmt.util import derive_seed
 
 
 def tiny_config(**kw):
@@ -635,11 +636,63 @@ class TestBackwardEquivalence:
         model, src, tgt, tf_gold, masks = _random_case(seed)
         _, fwd = nmt._forward_pair(model, src, tgt, tf_gold, masks)
         assert len(set(src)) < len(src) or len(set(tgt)) < len(tgt) + 1
-        new = nmt._dense_grads(model, nmt._backward_pair(model, fwd))
+        workspace = nmt._grad_workspace(model.config)
+        new = nmt._dense_grads(model, nmt._backward_pair(model, fwd, workspace))
         ref = _ref_backward_pair(model, fwd)
         assert new.keys() == ref.keys()
         for name in nmt.PARAM_ORDER:
             assert np.max(np.abs(new[name] - ref[name])) <= 1e-10, name
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_workspace_for_two_pairs(self, seed):
+        """The second pair through a workspace overwrites every buffer."""
+        model, src, tgt, tf_gold, masks = _random_case(seed)
+        cfg = model.config
+        rng = random.Random(100 + seed)
+        src2 = [rng.randrange(4, cfg.src_vocab_size) for _ in range(cfg.max_len)]
+        tgt2 = [rng.randrange(4, cfg.tgt_vocab_size) for _ in range(2)]
+        masks2 = [nmt._dropout_mask(cfg, np.random.default_rng(seed)) for _ in range(3)]
+        workspace = nmt._grad_workspace(cfg)
+        for pair in ((src, tgt, tf_gold, masks), (src2, tgt2, None, masks2)):
+            _, fwd = nmt._forward_pair(model, *pair)
+            new = nmt._dense_grads(model, nmt._backward_pair(model, fwd, workspace))
+            ref = _ref_backward_pair(model, fwd)
+            for name in nmt.PARAM_ORDER:
+                assert np.max(np.abs(new[name] - ref[name])) <= 1e-10, name
+
+    def test_train_equals_fresh_workspace_per_pair(self):
+        cfg = tiny_config(dropout_p=0.2, seed=5)
+        tcfg = nmt.TrainConfig(epochs=2, learning_rate=0.1,
+                               teacher_forcing_ratio=0.5, grad_clip_norm=1.0,
+                               seed=7)
+        pairs = [PAIR, ([5, 4, 4], [6, 5]), ([7], [4, 4, 5, 6])]
+        trained, _ = nmt.train(nmt.init_model(cfg), pairs, tcfg)
+
+        # train's seeded streams and order, with a new workspace per pair
+        model = nmt.init_model(cfg)
+        tf_rng = random.Random(derive_seed(tcfg.seed, "teacher_forcing"))
+        drop_rng = np.random.default_rng(derive_seed(tcfg.seed, "dropout"))
+        for epoch in range(tcfg.epochs):
+            order = list(range(len(pairs)))
+            random.Random(derive_seed(tcfg.seed, "order", epoch)).shuffle(order)
+            for idx in order:
+                src, tgt = pairs[idx]
+                tf_gold = [tf_rng.random() < tcfg.teacher_forcing_ratio
+                           for _ in range(len(tgt) + 1)]
+                masks = [nmt._dropout_mask(cfg, drop_rng) for _ in tf_gold]
+                _, fwd = nmt._forward_pair(model, src, tgt, tf_gold, masks)
+                grads = nmt._backward_pair(model, fwd, nmt._grad_workspace(cfg))
+                nmt._sgd_step(model.params, grads, tcfg.learning_rate,
+                              tcfg.grad_clip_norm)
+        for name in nmt.PARAM_ORDER:
+            assert np.array_equal(trained.params[name], model.params[name]), name
+
+    def test_pair_gradients_calls_do_not_share_arrays(self, tiny_model):
+        _, first = nmt.pair_gradients(tiny_model, *PAIR)
+        kept = copy.deepcopy(first)
+        nmt.pair_gradients(tiny_model, [7, 6], [4, 4, 4, 4])
+        for name in nmt.PARAM_ORDER:
+            assert np.array_equal(first[name], kept[name]), name
 
     @pytest.mark.parametrize("max_norm", [0.0, 1e-3, 1e6])
     def test_sgd_step_matches_dense_clip_and_update(self, max_norm):
@@ -648,7 +701,7 @@ class TestBackwardEquivalence:
         ref_params = copy.deepcopy(model.params)
         ref_norm = _ref_sgd_step(ref_params, _ref_backward_pair(model, fwd), 0.1,
                                  max_norm)
-        grads = nmt._backward_pair(model, fwd)
+        grads = nmt._backward_pair(model, fwd, nmt._grad_workspace(model.config))
         norm, clipped = nmt._sgd_step(model.params, grads, 0.1, max_norm)
         assert abs(norm - ref_norm) <= 1e-12
         assert clipped == (max_norm == 1e-3)
