@@ -20,6 +20,18 @@ _BOUNDARY = re.compile(r'[.!?]["\'\)\]\}”’»]*(?=\s|$)')
 GROUP_ONE2ONE = "one2one"
 GROUP_VARIABLE = "variable"
 RECORD_KEYS = ("src", "tgt", "origin_id", "group")   # required in split files
+_TEXT = (lambda v: isinstance(v, str) and v != "", "a non-empty string")
+# key -> (check of its value, what the check asks for); the last two keys
+# are optional.
+RECORD_VALUES = {
+    "src": _TEXT, "tgt": _TEXT,
+    "origin_id": (lambda v: isinstance(v, str), "a string"),
+    "group": (lambda v: v in (GROUP_ONE2ONE, GROUP_VARIABLE),
+              f"{GROUP_ONE2ONE} or {GROUP_VARIABLE}"),
+    "augmented": (lambda v: isinstance(v, bool), "a bool"),
+    "aug_ops": (lambda v: isinstance(v, list) and all(isinstance(op, str) for op in v),
+                "a list of strings"),
+}
 SPLIT_PARTS = ("train", "test", "validation")
 SPLIT_FILES = tuple(f"{part}.jsonl" for part in SPLIT_PARTS) + ("manifest.json",)
 
@@ -67,7 +79,7 @@ class TextPair:
     @classmethod
     def from_record(cls, rec):
         return cls(src=rec["src"], tgt=rec["tgt"], origin_id=rec["origin_id"],
-                   group=rec["group"], augmented=bool(rec.get("augmented", False)),
+                   group=rec["group"], augmented=rec.get("augmented", False),
                    aug_ops=tuple(rec.get("aug_ops", ())))
 
 
@@ -190,14 +202,18 @@ def _pairs_from_file(path):
         missing = [k for k in RECORD_KEYS if not isinstance(rec, dict) or k not in rec]
         if missing:
             raise AlignError(f"{path}: line {lineno}: record lacks {', '.join(missing)}")
+        for key, (check, kind) in RECORD_VALUES.items():
+            if key in rec and not check(rec[key]):
+                raise AlignError(f"{path}: line {lineno}: record key {key!r} must be "
+                                 f"{kind}, got {rec[key]!r}")
         pairs.append(TextPair.from_record(rec))
     return pairs
 
 
 def load_split(outdir):
-    """Read a save_split directory; a record without the keys TextPair needs,
-    or a manifest.json that is not a JSON object, raises AlignError naming
-    the file (and the line)."""
+    """Read a save_split directory; a record without the keys TextPair needs
+    or with a value that RECORD_VALUES rejects, or a manifest.json that is
+    not a JSON object, raises AlignError naming the file (and the line)."""
     parts = {part: _pairs_from_file(os.path.join(outdir, f"{part}.jsonl"))
              for part in SPLIT_PARTS}
     manifest_path = os.path.join(outdir, "manifest.json")

@@ -1,4 +1,6 @@
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -157,6 +159,27 @@ class TestSplitPersistence:
         with pytest.raises(aligner.AlignError,
                            match=f"test.jsonl: line 2: record lacks {lacks}$"):
             aligner.load_split(tmp_path / "split")
+
+    @pytest.mark.parametrize("change, key, kind", [
+        ({"src": 5}, "src", "a non-empty string, got 5"),
+        ({"src": ""}, "src", "a non-empty string, got ''"),
+        ({"group": "foo"}, "group", "one2one or variable, got 'foo'"),
+        ({"augmented": "no"}, "augmented", "a bool, got 'no'"),
+        ({"aug_ops": "abc"}, "aug_ops", "a list of strings, got 'abc'"),
+        ({"origin_id": 7}, "origin_id", "a string, got 7"),
+    ], ids=["int-src", "empty-src", "group", "augmented", "aug_ops", "origin_id"])
+    def test_bad_record_value_names_file_line_and_key(self, tmp_path, change, key,
+                                                       kind):
+        split = aligner.split_dataset(make_pairs(20), make_variables(10), seed=3)
+        aligner.save_split(split, tmp_path / "split")
+        path = tmp_path / "split" / "test.jsonl"
+        record = {"src": "x.", "tgt": "y.", "origin_id": "u", "group": "one2one",
+                  **change}
+        path.write_text("\n" + json.dumps(record) + "\n" + path.read_text())
+        with pytest.raises(aligner.AlignError) as info:
+            aligner.load_split(tmp_path / "split")
+        assert str(info.value).endswith(
+            f"test.jsonl: line 2: record key {key!r} must be {kind}")
 
     @pytest.mark.parametrize("text, message", [
         ('{"seed": 3,', "not valid JSON: Expecting"),

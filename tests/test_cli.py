@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy
 import pytest
 
@@ -15,6 +16,29 @@ from lowmt.util import sha256_file
 
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# The fine-tuning JSONL record that export-ft writes.
+EXPORT_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "id": {"type": "string"},
+        "source": {"type": "string", "minLength": 1},
+        "target": {"type": "string", "minLength": 1},
+        "split": {"enum": ["train", "test", "validation"]},
+        "group": {"enum": [aligner.GROUP_ONE2ONE, aligner.GROUP_VARIABLE]},
+        "augmented": {"type": "boolean"},
+    },
+    "required": ["id", "source", "target", "split", "group"],
+    "additionalProperties": False,
+}
+
+
+def validate_export(records):
+    """Check export records against EXPORT_SCHEMA (Draft 7)."""
+    validator = jsonschema.Draft7Validator(EXPORT_SCHEMA)
+    for i, rec in enumerate(records):
+        errors = list(validator.iter_errors(rec))
+        assert not errors, f"export record {i} invalid: {errors[0].message}"
 
 
 def run(args, workdir):
@@ -148,6 +172,16 @@ class TestTokenizerStages:
 
 
 class TestEvaluate:
+    def test_line_count_mismatch_names_both_files(self, work, tmp_path, capsys):
+        hyp = tmp_path / "hyp.txt"
+        ref = tmp_path / "ref.txt"
+        hyp.write_text("a b c\nd e f\n")
+        ref.write_text("a b c\n")
+        assert run(["evaluate", "--hyp", str(hyp), "--ref", str(ref)],
+                   work) == cli.EXIT_DATA
+        assert (f"error: hypothesis/reference count mismatch: {hyp} has 2 lines, "
+                f"{ref} has 1" in capsys.readouterr().err)
+
     def test_identity_prints_100(self, work, tmp_path, capsys):
         os.makedirs(work, exist_ok=True)
         hyp = tmp_path / "hyp.txt"
@@ -190,13 +224,21 @@ class TestExport:
         assert run(["export-ft"], work) == 0
         records = [json.loads(l) for l in
                    (work / "finetune.jsonl").read_text().splitlines()]
-        cli.validate_export(records)
+        validate_export(records)
         assert {r["split"] for r in records} == {"train", "test", "validation"}
 
-    def test_schema_rejects_bad_record(self):
-        with pytest.raises(ValueError, match="invalid"):
-            cli.validate_export([{"id": "x", "source": "", "target": "y",
-                                  "split": "train", "group": "one2one"}])
+    def test_empty_source_exits_3_naming_file_and_line(self, work, capsys):
+        run(["ingest", "--synthetic", "40"], work)
+        run(["split"], work)
+        path = work / "split" / "validation.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = json.dumps({**json.loads(lines[1]), "src": ""}) + "\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        assert run(["export-ft"], work) == cli.EXIT_DATA
+        assert ("validation.jsonl: line 2: record key 'src' must be a non-empty "
+                "string" in capsys.readouterr().err)
+        assert not (work / "finetune.jsonl").exists()
 
 
 class TestStrictManifests:
@@ -512,6 +554,26 @@ class TestRunContext:
         assert small("tok-train") == cli.EXIT_DATA
         assert "train.jsonl: line 1: record lacks src" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change", [
+        {"src": 5}, {"src": ""}, {"group": "foo"}, {"augmented": "no"},
+        {"aug_ops": "abc"}, {"origin_id": 7}],
+        ids=["int-src", "empty-src", "group", "augmented", "aug_ops", "origin_id"])
+    def test_bad_split_record_exits_3_in_every_reader(self, small, work, capsys,
+                                                      change):
+        for setup in (["ingest", "--synthetic", "30"], ["split"],
+                      ["tok-train", "--vocab-size", "80"]):
+            assert small(*setup) == 0
+        path = work / "split" / "train.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[0] = json.dumps({**json.loads(lines[0]), **change}) + "\n"
+        path.write_text("".join(lines))
+        key = next(iter(change))
+        for stage in ("embed", "tok-train", "augment", "train", "export-ft"):
+            capsys.readouterr()
+            assert small(stage) == cli.EXIT_DATA, stage
+            assert (f"train.jsonl: line 1: record key {key!r} must be "
+                    in capsys.readouterr().err), stage
+
     @pytest.mark.parametrize("args", [
         ("train", "--epochs", "0"), ("train", "--hidden", "0"),
         ("embed", "--dim", "0"), ("embed", "--epochs", "0"),
@@ -678,25 +740,41 @@ class TestRunContext:
 
 
 class TestImportCost:
-    """Stages that validate nothing against a JSON schema do not import
-    jsonschema, whose import would add to the start-up of every stage."""
+    """No stage imports jsonschema, which only the tests need: its import
+    would add about 0.1 s to a stage's start-up."""
 
-    @pytest.mark.parametrize("stage", ["stats", "evaluate"])
+    @staticmethod
+    def python(code, *args):
+        """Run code in a fresh interpreter that imports lowmt from src/."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True)
+
+    @pytest.mark.parametrize("stage", ["stats", "evaluate", "export-ft"])
     def test_stage_leaves_jsonschema_unimported(self, work, tmp_path, stage):
         assert run(["ingest", "--synthetic", "10"], work) == 0
+        assert run(["split"], work) == 0
         text = tmp_path / "text.txt"
         text.write_text("a b c d\n")
-        args = {"stats": ["stats"],
+        args = {"stats": ["stats"], "export-ft": ["export-ft"],
                 "evaluate": ["evaluate", "--hyp", str(text), "--ref", str(text)]}[stage]
         code = ("import sys\nfrom lowmt import cli\nrc = cli.main(sys.argv[1:])\n"
                 "assert 'jsonschema' not in sys.modules, 'jsonschema imported'\n"
                 "sys.exit(rc)\n")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run([sys.executable, "-c", code, "--workdir", str(work),
-                                 *args], env=env, capture_output=True, text=True)
+        result = self.python(code, "--workdir", str(work), *args)
         assert result.returncode == 0, result.stderr
 
+    def test_runtime_chain_runs_without_jsonschema(self, work):
+        """ingest, split and export-ft run where jsonschema cannot be imported,
+        as after an install of the runtime dependencies alone."""
+        code = ("import sys\nsys.modules['jsonschema'] = None\nfrom lowmt import cli\n"
+                "for args in (['ingest', '--synthetic', '30'], ['split'], ['export-ft']):\n"
+                "    rc = cli.main(['--workdir', sys.argv[1], *args])\n"
+                "    if rc:\n        sys.exit(rc)\n")
+        result = self.python(code, str(work))
+        assert result.returncode == 0, result.stderr
+        assert (work / "finetune.jsonl").exists()
 
     def test_numpy_runs_only_in_numeric_stages(self, work, tmp_path):
         """Stages that do no numerics never run numpy's import; both kinds
@@ -707,16 +785,13 @@ class TestImportCost:
         text.write_text("a b c d\n")
         code = ("import sys\nfrom lowmt import cli\nrc = cli.main(sys.argv[1:])\n"
                 "print('numpy._core' in sys.modules)\nsys.exit(rc)\n")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
         numeric = {}
         for args in (["ingest", "--synthetic", "30"], ["stats"], ["split"],
                      ["tok-train", "--vocab-size", "80"], ["augment"],
                      ["evaluate", "--hyp", str(text), "--ref", str(text)],
                      ["export-ft"], ["train"]):
-            result = subprocess.run(
-                [sys.executable, "-c", code, "--workdir", str(work), "--config",
-                 str(cfg), *args], env=env, capture_output=True, text=True)
+            result = self.python(code, "--workdir", str(work), "--config", str(cfg),
+                                 *args)
             assert result.returncode == 0, result.stderr
             numeric[args[0]] = result.stdout.split()[-1] == "True"
             name = "stats.src" if args[0] == "stats" else args[0]
