@@ -119,13 +119,6 @@ def _unit_rows(vectors):
     return vectors / norms
 
 
-def cosine(u, v):
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0 or nv == 0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
-
-
 def _ranked_by_cosine(model, target, exclude):
     unit = _unit_rows(model.vectors)
     tn = np.linalg.norm(target)

@@ -36,6 +36,8 @@ class AugmentPolicy:
             raise AugmentError(f"alpha must be in (0, 0.5], got {self.alpha}")
         if self.n_aug < 1:
             raise AugmentError(f"n_aug must be >= 1, got {self.n_aug}")
+        if self.max_pairs is not None and self.max_pairs < 0:
+            raise AugmentError(f"max_pairs must be >= 0, got {self.max_pairs}")
         unknown = [op for op in self.ops if op not in ALL_OPS]
         if unknown:
             raise AugmentError(f"unknown augmentation ops {unknown}")

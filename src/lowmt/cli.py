@@ -536,6 +536,8 @@ def cmd_evaluate(ctx, args):
     if len(hyps) != len(refs):
         raise ValueError(f"hypothesis/reference count mismatch: {args.hyp} has "
                          f"{len(hyps)} lines, {args.ref} has {len(refs)}")
+    if not hyps:
+        raise ValueError(f"empty corpus: {args.hyp} and {args.ref} have no lines")
     report = bleu.corpus_bleu(hyps, refs, smoothing=ctx.config["evaluation"]["smoothing"])
     with open(ctx.write(ctx.path("bleu.json")), "w", encoding="utf-8") as f:
         json.dump(dataclasses.asdict(report), f, indent=2)

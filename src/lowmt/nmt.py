@@ -27,19 +27,22 @@ softmax(W_attn [x; h] + b) over encoder positions, context = weights @
 encoder_outputs, combined = relu(W_comb [x; context] + b), GRU step on the
 combined vector, log-softmax output layer.
 
-Backward (BPTT): only the dh recurrence runs step by step, in reverse. Each
-step stores its gate pre-activation gradients as a row of DA (T x 3d, same
-z|r|h order) and its comb and attention gradients as rows of T x d arrays;
-after the loop every weight gradient is one product over the whole sequence
-(dW = DA^T X, the GRU input gradient DA W) and every bias gradient a column
-sum. The output layer does not depend on the recurrence and is done before
-the loop. Those products and sums write into a gradient workspace, one buffer
-per dense parameter, that train allocates once and every pair overwrites: at
-H=256 the dense gradients are about 9 MB, and when each pair allocated its
-own, the allocator gave them back to the OS after the SGD step and the next
-pair's GEMMs page-faulted them in again. Embedding gradients are sparse (touched
-rows, row gradients); they count in the clip norm and train updates only
-those rows.
+Backward (BPTT): the training forward records the pair's inputs once (source,
+previous-token and gold ids, dropout masks) and, per step, only what the
+backward cannot rebuild exactly: log-probs, h', attention weights, context,
+comb_pre, z|r and c. The backward stacks each once and rebuilds the rest by
+elementwise ops and concatenation (probs, the decoder GRU's input, r*h, [x; h],
+[x; context], the encoder's inputs and previous hidden states). Only the dh
+recurrence runs step by step, in reverse: each step writes its gate
+pre-activation gradients as a row of DA (T x 3d, z|r|h order) and its comb and
+attention gradients as rows of T x d arrays; then every weight gradient is one
+product over the whole sequence (dW = DA^T X, input gradient DA W) and every
+bias gradient a column sum. The output layer's come before the loop. Those
+products and sums write into a gradient workspace, one buffer per dense
+parameter, that train allocates once: at H=256, when each pair allocated its
+own (about 9 MB), the OS took them back after the SGD step and the next pair
+page-faulted them in again. Embedding gradients are sparse (touched rows, row gradients); they
+count in the clip norm and train updates only those rows.
 
 Checkpoint format 2 stores PARAM_ORDER; format 1 (lowmt 0.2.0 and earlier),
 with a separate W, U and b per gate, is still read.
@@ -116,6 +119,8 @@ class TrainConfig:
             raise NmtError("learning_rate must be >= 0")
         if not (0.0 <= self.teacher_forcing_ratio <= 1.0):
             raise NmtError("teacher_forcing_ratio must be in [0, 1]")
+        if self.grad_clip_norm < 0:
+            raise NmtError("grad_clip_norm must be >= 0 (0: no clipping)")
 
 
 @dataclass
@@ -165,32 +170,30 @@ def _sigmoid(x):
 
 
 def _gru_forward(W, U, b, x, h):
-    """One GRU step on a row block: x and h are B x d, or single rows."""
+    """One GRU step on a row block: x and h are B x d, or single rows.
+    Returns (h', the gates z|r, the candidate c)."""
     d = h.shape[-1]
     a = x @ W.T + b
     zr = _sigmoid(a[..., :2 * d] + h @ U[:2 * d].T)
     z, r = zr[..., :d], zr[..., d:]
-    rh = r * h
-    c = np.tanh(a[..., 2 * d:] + rh @ U[2 * d:].T)
-    h_new = (1.0 - z) * h + z * c
-    return h_new, {"x": x, "h": h, "z": z, "r": r, "rh": rh, "c": c}
+    c = np.tanh(a[..., 2 * d:] + (r * h) @ U[2 * d:].T)
+    return (1.0 - z) * h + z * c, zr, c
 
 
-def _gru_tape(U, caches):
-    """Stack one sequence's GRU step caches into T x d arrays for the backward.
+def _gru_tape(U, X, H, ZR, C):
+    """One sequence's GRU steps as rows: inputs X, previous hidden H, z|r, c.
 
     Precomputes, per step, the factors that turn dL/dh' into the gate
     pre-activation gradients, and allocates DA (T x 3d), whose row t
     _gru_step_back fills with [da_z | da_r | da_h].
     """
-    X, H, Z, R, RH, C = (np.stack([c[k] for c in caches])
-                         for k in ("x", "h", "z", "r", "rh", "c"))
     d = H.shape[1]
+    Z, R = ZR[:, :d], ZR[:, d:]
     return {
-        "X": X, "H": H, "RH": RH, "R": R, "carry": 1.0 - Z,
+        "X": X, "H": H, "RH": R * H, "R": R, "carry": 1.0 - Z,
         "kz": (C - H) * Z * (1.0 - Z), "kr": H * R * (1.0 - R),
         "kh": Z * (1.0 - C * C),
-        "DA": np.empty((len(caches), 3 * d)),
+        "DA": np.empty((len(H), 3 * d)),
         "Uzr": U[:2 * d], "Uh": U[2 * d:],
     }
 
@@ -224,11 +227,11 @@ def _padded(seqs):
     return ids, lengths
 
 
-def _encode(model, ids, lengths, caches=None):
+def _encode(model, ids, lengths, gates=None):
     """Run the encoder on one source (ids, its length) or on a block of
     sources (B x T ids padded as by _padded, B lengths); returns the outputs
     ([B x] max_len x d) and the final hidden state ([B x] d). Each step's
-    cache is appended to caches, if given.
+    (z|r, c) is appended to gates, if given.
 
     A row's hidden state is frozen past its length and its outputs there
     stay zero.
@@ -240,15 +243,15 @@ def _encode(model, ids, lengths, caches=None):
     outputs = np.zeros(X.shape[:-2] + (cfg.max_len, cfg.hidden))
     shortest = np.min(lengths)
     for t in range(X.shape[-2]):
-        h_new, cache = _gru_forward(*gru, X[..., t, :], h)
+        h_new, zr, c = _gru_forward(*gru, X[..., t, :], h)
         if t < shortest:
             h = outputs[..., t, :] = h_new
         else:
             live = (t < lengths)[:, None]
             h = np.where(live, h_new, h)
             outputs[:, t] = np.where(live, h, 0.0)
-        if caches is not None:
-            caches.append(cache)
+        if gates is not None:
+            gates.append((zr, c))
     return outputs, h
 
 
@@ -261,41 +264,34 @@ def _encode_rows(model, sources):
 
 def encode_sequence(model, src_ids):
     """Run the encoder on one source; returns (max_len x d outputs, final
-    hidden, caches)."""
+    hidden, each step's (z|r, c))."""
     _check_source(model.config, src_ids)
-    caches = []
-    outputs, h = _encode(model, src_ids, len(src_ids), caches)
-    return outputs, h, caches
+    gates = []
+    outputs, h = _encode(model, src_ids, len(src_ids), gates)
+    return outputs, h, gates
 
 
-def _decode_step(model, prev_ids, hidden, encoder_outputs, dropout_mask=None):
+def _decode_step(model, prev_ids, hidden, encoder_outputs, dropout_mask=1.0):
     """One decoder step on a row block: prev_ids (B), hidden (B x d) and
-    encoder_outputs (B x max_len x d), or a single row without the B axis."""
-    cfg = model.config
+    encoder_outputs (B x max_len x d), or a single row without the B axis.
+    Returns (log-probs, h', attention, (context, comb_pre, z|r, c) for the backward)."""
     p = model.params
-    mask = dropout_mask if dropout_mask is not None else np.ones(cfg.hidden)
     try:
-        xd = p["dec_embed"][prev_ids] * mask
+        xd = p["dec_embed"][prev_ids] * dropout_mask
     except IndexError:
         raise NmtError(f"target token id {prev_ids} out of range") from None
-    eh = np.concatenate([xd, hidden], axis=-1)
-    attn_logits = eh @ p["attn_W"].T + p["attn_b"]
+    attn_logits = np.concatenate([xd, hidden], axis=-1) @ p["attn_W"].T + p["attn_b"]
     attn_logits = attn_logits - attn_logits.max(axis=-1, keepdims=True)
     a = np.exp(attn_logits)
     a /= a.sum(axis=-1, keepdims=True)
     context = (a[..., None, :] @ encoder_outputs)[..., 0, :]
-    xc = np.concatenate([xd, context], axis=-1)
-    comb_pre = xc @ p["comb_W"].T + p["comb_b"]
-    comb = np.maximum(comb_pre, 0.0)
-    h_new, gru_cache = _gru_forward(p["dec_W"], p["dec_U"], p["dec_b"], comb, hidden)
+    comb_pre = np.concatenate([xd, context], axis=-1) @ p["comb_W"].T + p["comb_b"]
+    h_new, zr, c = _gru_forward(p["dec_W"], p["dec_U"], p["dec_b"],
+                                np.maximum(comb_pre, 0.0), hidden)
     logits = h_new @ p["out_W"].T + p["out_b"]
     top = logits.max(axis=-1, keepdims=True)
     logp = logits - (top + np.log(np.exp(logits - top).sum(axis=-1, keepdims=True)))
-    cache = {"prev_id": prev_ids, "mask": mask, "xd": xd, "eh": eh, "a": a,
-             "context": context, "xc": xc, "comb_pre": comb_pre,
-             "gru": gru_cache, "h_new": h_new, "probs": np.exp(logp),
-             "enc_out": encoder_outputs}
-    return logp, h_new, a, cache
+    return logp, h_new, a, (context, comb_pre, zr, c)
 
 
 def _dropout_mask(cfg, rng):
@@ -308,26 +304,27 @@ def _forward_pair(model, src_ids, tgt_ids, tf_gold=None, dropout_masks=None):
     """Teacher-forced/free decoding of one pair.
 
     tf_gold[t] says whether step t consumes the gold previous token (default:
-    every step does); step 0 always starts from SOS. Returns (mean NLL,
-    caches for backward).
+    every step does); step 0 always starts from SOS. Returns (mean NLL, the
+    record that _backward_pair reads; see the module docstring).
     """
     _check_ids(tgt_ids, model.config.tgt_vocab_size, "target")
-    enc_out, h, enc_caches = encode_sequence(model, src_ids)
+    enc_out, h, enc_gates = encode_sequence(model, src_ids)
     gold = list(tgt_ids) + [EOS_ID]
+    prev_ids = [SOS_ID]
     steps = []
     loss = 0.0
-    prev = SOS_ID
     for t, gold_id in enumerate(gold):
-        mask = dropout_masks[t] if dropout_masks is not None else None
-        logp, h, _, cache = _decode_step(model, prev, h, enc_out, mask)
-        cache["gold"] = gold_id
-        steps.append(cache)
+        mask = dropout_masks[t] if dropout_masks is not None else 1.0
+        logp, h, a, rest = _decode_step(model, prev_ids[t], h, enc_out, mask)
+        steps.append((logp, h, a, *rest))
         loss -= logp[gold_id]
         if t + 1 < len(gold):
-            prev = gold_id if tf_gold is None or tf_gold[t + 1] else _greedy_ids(logp)
+            prev_ids.append(gold_id if tf_gold is None or tf_gold[t + 1]
+                            else _greedy_ids(logp))
     loss /= len(gold)
-    return loss, {"enc_caches": enc_caches, "enc_out": enc_out,
-                  "src_ids": list(src_ids), "steps": steps}
+    return loss, {"src_ids": list(src_ids), "prev_ids": prev_ids, "gold": gold,
+                  "masks": dropout_masks, "enc_out": enc_out, "enc_gates": enc_gates,
+                  "steps": steps}
 
 
 def _greedy_ids(logp):
@@ -371,23 +368,25 @@ def _backward_pair(model, fwd, workspace):
     """
     p = model.params
     d = model.config.hidden
-    steps = fwd["steps"]
-    T = len(steps)
+    LOGP, H_NEW, A, CTX, COMB_PRE, ZR, C = map(np.stack, zip(*fwd["steps"]))
+    T = len(LOGP)
+    src_ids, prev_ids, enc_out = fwd["src_ids"], fwd["prev_ids"], fwd["enc_out"]
+    S = len(src_ids)
+    masks = 1.0 if fwd["masks"] is None else np.stack(fwd["masks"])
+    XD = p["dec_embed"][prev_ids] * masks
+    H = np.concatenate([enc_out[S - 1:S], H_NEW[:-1]])
 
     # The output layer does not depend on the recurrence.
-    dlogits = np.stack([s["probs"] for s in steps]) / T
-    dlogits[np.arange(T), [s["gold"] for s in steps]] -= 1.0 / T
-    g = {"out_W": np.matmul(dlogits.T, np.stack([s["h_new"] for s in steps]),
-                            out=workspace["out_W"]),
+    dlogits = np.exp(LOGP) / T
+    dlogits[np.arange(T), fwd["gold"]] -= 1.0 / T
+    g = {"out_W": np.matmul(dlogits.T, H_NEW, out=workspace["out_W"]),
          "out_b": np.sum(dlogits, axis=0, out=workspace["out_b"])}
     dh_out = dlogits @ p["out_W"]
 
-    tape = _gru_tape(p["dec_U"], [s["gru"] for s in steps])
+    tape = _gru_tape(p["dec_U"], np.maximum(COMB_PRE, 0.0), H, ZR, C)
     comb_ctx = p["comb_W"][:, d:]
     attn_h = p["attn_W"][:, d:]
-    relu = np.stack([s["comb_pre"] for s in steps]) > 0.0
-    A = np.stack([s["a"] for s in steps])
-    enc_out = fwd["enc_out"]
+    relu = COMB_PRE > 0.0
     dcomb_pre = np.empty((T, d))
     dcontext = np.empty((T, d))
     dattn = np.empty_like(A)
@@ -402,20 +401,19 @@ def _backward_pair(model, fwd, workspace):
 
     g["dec_W"], g["dec_U"], g["dec_b"] = _gru_weight_grads(
         tape, workspace["dec_W"], workspace["dec_U"], workspace["dec_b"])
-    g["comb_W"] = np.matmul(dcomb_pre.T, np.stack([s["xc"] for s in steps]),
+    g["comb_W"] = np.matmul(dcomb_pre.T, np.concatenate([XD, CTX], axis=1),
                             out=workspace["comb_W"])
     g["comb_b"] = np.sum(dcomb_pre, axis=0, out=workspace["comb_b"])
-    g["attn_W"] = np.matmul(dattn.T, np.stack([s["eh"] for s in steps]),
+    g["attn_W"] = np.matmul(dattn.T, np.concatenate([XD, H], axis=1),
                             out=workspace["attn_W"])
     g["attn_b"] = np.sum(dattn, axis=0, out=workspace["attn_b"])
     dxd = dcomb_pre @ p["comb_W"][:, :d] + dattn @ p["attn_W"][:, :d]
-    g["dec_embed"] = _row_grads([s["prev_id"] for s in steps],
-                                dxd * np.stack([s["mask"] for s in steps]))
+    g["dec_embed"] = _row_grads(prev_ids, dxd * masks)
 
-    src_ids = fwd["src_ids"]
-    S = len(src_ids)
     denc_out = A[:, :S].T @ dcontext
-    tape = _gru_tape(p["enc_U"], fwd["enc_caches"])
+    tape = _gru_tape(p["enc_U"], p["enc_embed"][src_ids],
+                     np.concatenate([np.zeros((1, d)), enc_out[:S - 1]]),
+                     *map(np.stack, zip(*fwd["enc_gates"])))
     dh_carry = dh_next
     for t in range(S - 1, -1, -1):
         dh_carry = _gru_step_back(tape, t, denc_out[t] + dh_carry)

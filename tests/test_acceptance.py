@@ -13,6 +13,7 @@ from lowmt import aligner, analysis, augment, bleu, cli, nmt, subword
 from lowmt.aligner import DatasetSplit, TextPair
 from lowmt.corpus import ParallelUnit
 
+from test_analysis import cosine
 from test_bleu import oracle_bleu
 from test_cli import validate_export
 
@@ -229,9 +230,9 @@ def test_criterion_9_embedding_clusters():
         sents += [[rng.choice(b) for _ in range(5)] for _ in range(500)]
         model = analysis.train_embeddings(sents, dim=32, window=5, negatives=5,
                                           epochs=5, seed=seed)
-        intra = np.mean([analysis.cosine(model.vector(x), model.vector(y))
+        intra = np.mean([cosine(model.vector(x), model.vector(y))
                          for ws in (a, b) for x in ws for y in ws if x < y])
-        inter = np.mean([analysis.cosine(model.vector(x), model.vector(y))
+        inter = np.mean([cosine(model.vector(x), model.vector(y))
                          for x in a for y in b])
         gaps.append(float(intra - inter))
     elapsed = time.time() - start

@@ -202,6 +202,11 @@ class TestPolicyValidation:
         with pytest.raises(augment.AugmentError):
             augment.AugmentPolicy(n_aug=0)
 
+    def test_max_pairs_bounds(self):
+        with pytest.raises(augment.AugmentError, match="max_pairs must be >= 0, got -1"):
+            augment.AugmentPolicy(max_pairs=-1)
+        assert augment.AugmentPolicy(max_pairs=0).max_pairs == 0
+
     def test_unknown_op(self):
         for op in ("grammar_rewrite", "round_trip"):
             with pytest.raises(augment.AugmentError, match="unknown augmentation ops"):

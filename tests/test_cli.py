@@ -182,6 +182,16 @@ class TestEvaluate:
         assert (f"error: hypothesis/reference count mismatch: {hyp} has 2 lines, "
                 f"{ref} has 1" in capsys.readouterr().err)
 
+    def test_empty_files_name_both(self, work, tmp_path, capsys):
+        hyp = tmp_path / "hyp.txt"
+        ref = tmp_path / "ref.txt"
+        hyp.write_text("")
+        ref.write_text("")
+        assert run(["evaluate", "--hyp", str(hyp), "--ref", str(ref)],
+                   work) == cli.EXIT_DATA
+        assert (f"error: empty corpus: {hyp} and {ref} have no lines"
+                in capsys.readouterr().err)
+
     def test_identity_prints_100(self, work, tmp_path, capsys):
         os.makedirs(work, exist_ok=True)
         hyp = tmp_path / "hyp.txt"
@@ -766,15 +776,19 @@ class TestImportCost:
         assert result.returncode == 0, result.stderr
 
     def test_runtime_chain_runs_without_jsonschema(self, work):
-        """ingest, split and export-ft run where jsonschema cannot be imported,
-        as after an install of the runtime dependencies alone."""
+        """The CI chain, ingest through translate, runs where jsonschema
+        cannot be imported, as after an install of the runtime dependencies
+        alone."""
         code = ("import sys\nsys.modules['jsonschema'] = None\nfrom lowmt import cli\n"
-                "for args in (['ingest', '--synthetic', '30'], ['split'], ['export-ft']):\n"
+                "for args in (['ingest', '--synthetic', '30'], ['split'], ['export-ft'],\n"
+                "             ['tok-train'], ['train', '--epochs', '1', '--hidden', '8'],\n"
+                "             ['translate', '--text', 'ba ce di.']):\n"
                 "    rc = cli.main(['--workdir', sys.argv[1], *args])\n"
                 "    if rc:\n        sys.exit(rc)\n")
         result = self.python(code, str(work))
         assert result.returncode == 0, result.stderr
         assert (work / "finetune.jsonl").exists()
+        assert (work / "model.ckpt").exists() and result.stdout.strip()
 
     def test_numpy_runs_only_in_numeric_stages(self, work, tmp_path):
         """Stages that do no numerics never run numpy's import; both kinds

@@ -122,6 +122,69 @@ def _ref_backward_pair(model, fwd):
     return fused
 
 
+# Frozen copy of lowmt 0.6.0's training forward, one vector at a time: it
+# builds the per-step cache dicts that _ref_backward_pair reads.
+def _ref_gru_cache(W, U, b, x, h):
+    d = h.shape[0]
+    a = x @ W.T + b
+    zr = 1.0 / (1.0 + np.exp(-(a[:2 * d] + h @ U[:2 * d].T)))
+    z, r = zr[:d], zr[d:]
+    rh = r * h
+    c = np.tanh(a[2 * d:] + rh @ U[2 * d:].T)
+    return (1.0 - z) * h + z * c, {"x": x, "h": h, "z": z, "r": r, "rh": rh, "c": c}
+
+
+def _ref_forward_pair(model, src_ids, tgt_ids, tf_gold=None, dropout_masks=None):
+    cfg, p = model.config, model.params
+    enc_out = np.zeros((cfg.max_len, cfg.hidden))
+    h = np.zeros(cfg.hidden)
+    enc_caches = []
+    for t, tid in enumerate(src_ids):
+        h, cache = _ref_gru_cache(p["enc_W"], p["enc_U"], p["enc_b"],
+                                  p["enc_embed"][tid], h)
+        enc_out[t] = h
+        enc_caches.append(cache)
+    gold = list(tgt_ids) + [EOS_ID]
+    steps = []
+    loss = 0.0
+    prev = SOS_ID
+    for t, gold_id in enumerate(gold):
+        mask = dropout_masks[t] if dropout_masks is not None else np.ones(cfg.hidden)
+        xd = p["dec_embed"][prev] * mask
+        eh = np.concatenate([xd, h])
+        attn_logits = eh @ p["attn_W"].T + p["attn_b"]
+        attn_logits = attn_logits - attn_logits.max()
+        a = np.exp(attn_logits)
+        a /= a.sum()
+        context = (a[None, :] @ enc_out)[0]
+        xc = np.concatenate([xd, context])
+        comb_pre = xc @ p["comb_W"].T + p["comb_b"]
+        h_new, gru = _ref_gru_cache(p["dec_W"], p["dec_U"], p["dec_b"],
+                                    np.maximum(comb_pre, 0.0), h)
+        logits = h_new @ p["out_W"].T + p["out_b"]
+        logp = logits - (logits.max() + np.log(np.exp(logits - logits.max()).sum()))
+        steps.append({"prev_id": prev, "mask": mask, "xd": xd, "eh": eh, "a": a,
+                      "context": context, "xc": xc, "comb_pre": comb_pre,
+                      "gru": gru, "h_new": h_new, "probs": np.exp(logp),
+                      "enc_out": enc_out, "gold": gold_id})
+        loss -= logp[gold_id]
+        h = h_new
+        if tf_gold is None or t + 1 == len(gold) or tf_gold[t + 1]:
+            prev = gold_id
+        else:
+            masked = logp.copy()
+            masked[[PAD_ID, SOS_ID]] = -np.inf
+            prev = int(np.argmax(masked))
+    return loss / len(gold), {"enc_caches": enc_caches, "enc_out": enc_out,
+                              "src_ids": list(src_ids), "steps": steps}
+
+
+def _ref_gradients(model, *pair):
+    """The frozen forward and backward's loss and gradients of one pair."""
+    loss, fwd = _ref_forward_pair(model, *pair)
+    return loss, _ref_backward_pair(model, fwd)
+
+
 def _ref_sgd_step(params, grads, learning_rate, max_norm):
     total = np.sqrt(sum(float(np.sum(v * v)) for v in grads.values()))
     if max_norm > 0 and total > max_norm:
@@ -314,6 +377,9 @@ class TestConfigValidation:
             nmt.TrainConfig(teacher_forcing_ratio=1.5)
         with pytest.raises(nmt.NmtError, match="epochs"):
             nmt.TrainConfig(epochs=0)
+        with pytest.raises(nmt.NmtError, match="grad_clip_norm"):
+            nmt.TrainConfig(grad_clip_norm=-1.0)
+        assert nmt.TrainConfig(grad_clip_norm=0.0).grad_clip_norm == 0.0
 
 
 class TestInitModel:
@@ -634,11 +700,12 @@ class TestBackwardEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_frozen_per_step_backward(self, seed):
         model, src, tgt, tf_gold, masks = _random_case(seed)
-        _, fwd = nmt._forward_pair(model, src, tgt, tf_gold, masks)
+        loss, fwd = nmt._forward_pair(model, src, tgt, tf_gold, masks)
         assert len(set(src)) < len(src) or len(set(tgt)) < len(tgt) + 1
         workspace = nmt._grad_workspace(model.config)
         new = nmt._dense_grads(model, nmt._backward_pair(model, fwd, workspace))
-        ref = _ref_backward_pair(model, fwd)
+        ref_loss, ref = _ref_gradients(model, src, tgt, tf_gold, masks)
+        assert loss == ref_loss
         assert new.keys() == ref.keys()
         for name in nmt.PARAM_ORDER:
             assert np.max(np.abs(new[name] - ref[name])) <= 1e-10, name
@@ -656,7 +723,7 @@ class TestBackwardEquivalence:
         for pair in ((src, tgt, tf_gold, masks), (src2, tgt2, None, masks2)):
             _, fwd = nmt._forward_pair(model, *pair)
             new = nmt._dense_grads(model, nmt._backward_pair(model, fwd, workspace))
-            ref = _ref_backward_pair(model, fwd)
+            _, ref = _ref_gradients(model, *pair)
             for name in nmt.PARAM_ORDER:
                 assert np.max(np.abs(new[name] - ref[name])) <= 1e-10, name
 
@@ -699,8 +766,9 @@ class TestBackwardEquivalence:
         model, src, tgt, tf_gold, masks = _random_case(3)
         _, fwd = nmt._forward_pair(model, src, tgt, tf_gold, masks)
         ref_params = copy.deepcopy(model.params)
-        ref_norm = _ref_sgd_step(ref_params, _ref_backward_pair(model, fwd), 0.1,
-                                 max_norm)
+        ref_norm = _ref_sgd_step(ref_params,
+                                 _ref_gradients(model, src, tgt, tf_gold, masks)[1],
+                                 0.1, max_norm)
         grads = nmt._backward_pair(model, fwd, nmt._grad_workspace(model.config))
         norm, clipped = nmt._sgd_step(model.params, grads, 0.1, max_norm)
         assert abs(norm - ref_norm) <= 1e-12
