@@ -11,9 +11,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import top_words
-from .util import lazy_numpy, read_exact
+from .util import lazy_module, read_exact
 
-np = lazy_numpy()
+np = lazy_module("numpy")
 
 MAGIC = b"LMTE"
 FORMAT_VERSION = 1

@@ -9,10 +9,13 @@ depend on iteration order.
 import random
 from dataclasses import dataclass, replace
 
-from .aligner import DatasetSplit, GROUP_ONE2ONE
-from .analysis import most_similar
 from .corpus import SIDES
-from .util import derive_seed, read_lines
+from .util import derive_seed, lazy_module, read_lines
+
+# cli reads EDA_OPS and ALL_OPS in every stage; these run their imports only
+# in a stage that augments (analysis: only for embed_replace).
+aligner = lazy_module("lowmt.aligner")
+analysis = lazy_module("lowmt.analysis")
 
 EDA_OPS = ("synonym_replace", "random_delete", "random_swap", "synonym_insert")
 ALL_OPS = EDA_OPS + ("embed_replace",)
@@ -112,7 +115,7 @@ def embed_replace(tokens, model, mask_prob, k_candidates, rng):
     out = []
     for tok in tokens:
         if tok in model and rng.random() < mask_prob:
-            neighbors = most_similar(model, tok, k_candidates)
+            neighbors = analysis.most_similar(model, tok, k_candidates)
             out.append(rng.choice(neighbors)[0] if neighbors else tok)
         else:
             out.append(tok)
@@ -148,7 +151,8 @@ def augment_training_set(split, side, policy, lexicon=None, model=None):
     if "embed_replace" in policy.ops and model is None:
         raise AugmentError("embed_replace requires an embedding model")
 
-    candidates = [i for i, p in enumerate(split.train) if p.group == GROUP_ONE2ONE]
+    candidates = [i for i, p in enumerate(split.train)
+                  if p.group == aligner.GROUP_ONE2ONE]
     if policy.max_pairs is not None and policy.max_pairs < len(candidates):
         cap_rng = random.Random(derive_seed(policy.seed, "cap"))
         candidates = sorted(cap_rng.sample(candidates, policy.max_pairs))
@@ -172,5 +176,5 @@ def augment_training_set(split, side, policy, lexicon=None, model=None):
         "augmented_pairs": len(chosen),
         "train_before": len(split.train), "train_after": len(new_train),
     }
-    return DatasetSplit(train=new_train, test=list(split.test),
-                        validation=list(split.validation), manifest=manifest)
+    return aligner.DatasetSplit(train=new_train, test=list(split.test),
+                                validation=list(split.validation), manifest=manifest)

@@ -12,6 +12,7 @@ import argparse
 import copy
 import dataclasses
 import json
+import math
 import os
 import random
 import sys
@@ -20,9 +21,15 @@ from collections import Counter
 
 import yaml
 
-from . import __version__, aligner, analysis, augment, bleu, corpus, nmt, subword
-from .util import (config_hash, derive_seed, numpy_version, read_lines, sha256_file,
-                   write_jsonl)
+from . import __version__, corpus
+from .util import (config_hash, derive_seed, lazy_module, numpy_version, read_lines,
+                   sha256_file, write_jsonl)
+
+# Each runs its import at its first use, so a stage process compiles and runs
+# only the lowmt modules that stage uses.
+aligner, analysis, augment, bleu, nmt, subword = map(lazy_module, (
+    "lowmt.aligner", "lowmt.analysis", "lowmt.augment", "lowmt.bleu", "lowmt.nmt",
+    "lowmt.subword"))
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -71,7 +78,8 @@ def _fits(value, default):
 def _deep_merge(base, override, path, prefix=""):
     """base with override's values merged in; a key that base lacks, a
     non-mapping where base has a section, a value of another type than the
-    default's, or one outside its CONFIG_CHOICES raises naming its dotted key."""
+    default's, a float that is not finite, or a value outside its
+    CONFIG_CHOICES raises naming its dotted key."""
     merged = dict(base)
     for key, value in override.items():
         dotted = f"{prefix}{key}"
@@ -88,9 +96,13 @@ def _deep_merge(base, override, path, prefix=""):
                         if isinstance(default, list) else type(default).__name__)
                 raise ValueError(f"{path}: config key {dotted!r} must be {kind}, "
                                  f"got {value!r}")
+            items = value if isinstance(value, list) else [value]
+            if not all(math.isfinite(item) for item in items if type(item) is float):
+                raise ValueError(f"{path}: config key {dotted!r} must be finite, "
+                                 f"got {value!r}")
             if dotted in CONFIG_CHOICES:
                 allowed = CONFIG_CHOICES[dotted]
-                for item in value if isinstance(value, list) else [value]:
+                for item in items:
                     if item not in allowed:
                         raise ValueError(f"{path}: config key {dotted!r} takes "
                                          f"{', '.join(allowed)}; got {item!r}")
@@ -248,8 +260,11 @@ def arg(*flags, **kwargs):
 
 
 def ratios(text):
-    """The argparse type of --ratios: comma-separated numbers."""
-    return [float(r) for r in text.split(",")]
+    """The argparse type of --ratios: comma-separated finite numbers."""
+    values = [float(r) for r in text.split(",")]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(text)
+    return values
 
 
 SIDE = arg("--side", choices=corpus.SIDES, default="src")
@@ -619,12 +634,14 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         run_stage(args.command, load_config(args.config), args)
-    except nmt.NmtNumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except DATA_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
+    # A RuntimeError, so checking it second changes no outcome; checked first,
+    # it would load nmt for a data error in a stage that never used nmt.
+    except nmt.NmtNumericalError as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

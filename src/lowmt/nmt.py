@@ -56,9 +56,9 @@ import struct
 from dataclasses import asdict, dataclass
 
 from .subword import PAD_ID, SOS_ID, EOS_ID, UNK_ID
-from .util import derive_seed, lazy_numpy, read_exact
+from .util import derive_seed, lazy_module, read_exact
 
-np = lazy_numpy()
+np = lazy_module("numpy")
 
 MAGIC = b"LMTS"
 FORMAT_VERSION = 2

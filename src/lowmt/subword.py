@@ -192,10 +192,13 @@ def save_vocab(vocab, path):
 
 
 def load_vocab(path):
-    """Read a save_vocab file; each piece must be new and have its position as id."""
+    """Read a save_vocab file; each piece must be new and have its position as
+    id, ids 0-3 must be the SPECIALS, and each merge must join two strings into
+    a listed piece."""
     name = os.path.basename(path)
     pieces = []
     merges = []
+    merge_lines = []
     seen = set()
     target_size = None
     marker = MARKER
@@ -211,6 +214,7 @@ def load_vocab(path):
                     marker = fields[1]
                 elif fields[0] == "merge":
                     merges.append((fields[1], fields[2]))
+                    merge_lines.append(lineno)
                 continue
             piece, pid, score = line.split("\t")
             pieces.append((piece, int(pid), float(score)))
@@ -219,10 +223,18 @@ def load_vocab(path):
         if pieces[-1][1] != len(pieces) - 1 or piece in seen:
             raise SubwordError(f"{name}: line {lineno}: piece {piece!r} with id {pid} is "
                                f"listed twice or not at position {len(pieces) - 1}")
+        if len(pieces) <= len(SPECIALS) and piece != SPECIALS[len(pieces) - 1]:
+            raise SubwordError(f"{name}: line {lineno}: id {pid} must be "
+                               f"{SPECIALS[len(pieces) - 1]!r}, got {piece!r}")
         seen.add(piece)
     if target_size is None:
         target_size = len(pieces)
-    if not pieces:
-        raise SubwordError(f"{name}: empty vocab file")
+    if len(pieces) < len(SPECIALS):
+        raise SubwordError(f"{name}: {len(pieces)} pieces, fewer than the "
+                           f"{len(SPECIALS)} specials {' '.join(SPECIALS)}")
+    for lineno, (left, right) in zip(merge_lines, merges):
+        if left + right not in seen:
+            raise SubwordError(f"{name}: line {lineno}: merge {left!r} {right!r} makes "
+                               f"{left + right!r}, which is not a listed piece")
     return SubwordVocab(pieces=pieces, merges=merges, target_size=target_size,
                         marker=marker)

@@ -1,7 +1,9 @@
 """Shared helpers: seed derivation, file hashing, binary reads, line and JSONL
-I/O, and a numpy whose import runs only when a stage first uses it."""
+I/O, modules whose import runs only when a stage first uses them, and
+numpy's version read without running numpy's import."""
 
 import hashlib
+import importlib.machinery
 import importlib.util
 import json
 import os
@@ -88,28 +90,39 @@ def write_jsonl(path, records):
             f.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-def lazy_numpy():
-    """The numpy module: the one this process has already imported, or else
-    one whose import runs at its first attribute access, so that a stage that
-    does no numerics never runs numpy's import."""
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    spec = importlib.util.find_spec("numpy")
+def lazy_module(name):
+    """The module name: the one this process has already imported, or else
+    one whose import runs at its first attribute access, so that a stage
+    never runs the import of a module it does not use."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
+    sys.modules[name] = module
+    parent, _, child = name.rpartition(".")
+    if parent:  # as the import system binds a submodule on its package
+        setattr(sys.modules[parent], child, module)
     spec.loader.exec_module(module)
     return module
 
 
 def numpy_version():
-    """numpy's version string. numpy.__version__ once numpy has been
-    imported; otherwise the installed distribution's version, which is the
-    same string and leaves numpy unimported."""
+    """numpy.__version__. If numpy's import has not run, it is read from
+    numpy/version.py, the file numpy.__init__ takes it from, and numpy's
+    import still does not run."""
     module = sys.modules.get("numpy")
-    # A lazily imported numpy that nothing has used yet is of a ModuleType
+    # A lazily bound module that nothing has used yet is of a ModuleType
     # subclass until its first attribute access runs its import.
     if type(module) is types.ModuleType:
         return module.__version__
-    from importlib.metadata import version
-    return version("numpy")
+    # Not importlib.util.find_spec: it returns a lazy numpy's __spec__, and
+    # reading that runs numpy's import.
+    spec = importlib.machinery.PathFinder.find_spec("numpy")
+    path = os.path.join(spec.submodule_search_locations[0], "version.py")
+    # Run as numpy.version: from numpy 1.26 on it only assigns strings; before,
+    # it imports from numpy, which then runs numpy's import.
+    namespace = {"__name__": "numpy.version", "__package__": "numpy"}
+    with open(path, "rb") as f:
+        exec(compile(f.read(), path, "exec"), namespace)
+    return namespace["__version__"]

@@ -105,6 +105,16 @@ class TestIngestSplit:
         assert "argument --ratios: invalid ratios value: '0.8,x,0.1'" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("ratios", ["nan,0.5,0.5", "0.5,inf,0.5", "0.8,0.1,-inf"])
+    def test_non_finite_ratios_exit_2_naming_the_flag(self, work, capsys, ratios):
+        assert run(["ingest", "--synthetic", "30"], work) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(["split", "--ratios", ratios], work)
+        assert exc.value.code == 2
+        assert f"argument --ratios: invalid ratios value: '{ratios}'" in \
+            capsys.readouterr().err
+        assert not (work / "split").exists()
+
     def test_flags_override_config_keys(self, work):
         assert run(["ingest", "--synthetic", "60"], work) == 0
         assert run(["split", "--ratios", "0.5,0.25,0.25"], work) == 0
@@ -340,9 +350,13 @@ class TestConfig:
          "'augment.ops' must be a list of str, got ['random_swap', 3]"),
         ("augment:\n  lexicon: 3\n", "'augment.lexicon' must be str, got 3"),
         ("augment:\n  max_pairs: 2.0\n", "'augment.max_pairs' must be int, got 2.0"),
+        ("train:\n  grad_clip_norm: .nan\n", "'train.grad_clip_norm' must be finite, got nan"),
+        ("train:\n  learning_rate: .inf\n", "'train.learning_rate' must be finite, got inf"),
+        ("split:\n  ratios: [.nan, 0.5, 0.5]\n",
+         "'split.ratios' must be finite, got [nan, 0.5, 0.5]"),
     ], ids=["epochs-str", "hidden-float", "seed-str", "seed-null", "lr-bool",
             "hidden-bool", "ratios-item", "ratios-scalar", "ops-item", "lexicon",
-            "max_pairs"])
+            "max_pairs", "clip-nan", "lr-inf", "ratios-nan"])
     def test_wrong_value_type_exits_3_naming_key_and_file(self, work, tmp_path,
                                                          capsys, text, message):
         cfg = tmp_path / "cfg.yaml"
@@ -750,15 +764,17 @@ class TestRunContext:
 
 
 class TestImportCost:
-    """No stage imports jsonschema, which only the tests need: its import
-    would add about 0.1 s to a stage's start-up."""
+    """A stage process imports only what it runs: no jsonschema, which only
+    the tests need (its import would add about 0.1 s to a stage's start-up),
+    and of lowmt and numpy only what the stage uses."""
 
     @staticmethod
-    def python(code, *args):
-        """Run code in a fresh interpreter that imports lowmt from src/."""
+    def python(*args):
+        """Run python with args in a fresh interpreter that imports lowmt
+        from src/."""
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
-        return subprocess.run([sys.executable, "-c", code, *args], env=env,
+        return subprocess.run([sys.executable, *args], env=env,
                               capture_output=True, text=True)
 
     @pytest.mark.parametrize("stage", ["stats", "evaluate", "export-ft"])
@@ -772,7 +788,7 @@ class TestImportCost:
         code = ("import sys\nfrom lowmt import cli\nrc = cli.main(sys.argv[1:])\n"
                 "assert 'jsonschema' not in sys.modules, 'jsonschema imported'\n"
                 "sys.exit(rc)\n")
-        result = self.python(code, "--workdir", str(work), *args)
+        result = self.python("-c", code, "--workdir", str(work), *args)
         assert result.returncode == 0, result.stderr
 
     def test_runtime_chain_runs_without_jsonschema(self, work):
@@ -785,32 +801,67 @@ class TestImportCost:
                 "             ['translate', '--text', 'ba ce di.']):\n"
                 "    rc = cli.main(['--workdir', sys.argv[1], *args])\n"
                 "    if rc:\n        sys.exit(rc)\n")
-        result = self.python(code, str(work))
+        result = self.python("-c", code, str(work))
         assert result.returncode == 0, result.stderr
         assert (work / "finetune.jsonl").exists()
         assert (work / "model.ckpt").exists() and result.stdout.strip()
 
     def test_numpy_runs_only_in_numeric_stages(self, work, tmp_path):
-        """Stages that do no numerics never run numpy's import; both kinds
-        record numpy's version in their manifest."""
+        """Stages that do no numerics never run numpy's import, and a stage
+        runs only the lowmt modules it uses; both kinds record numpy's version
+        in their manifest, and none imports importlib.metadata to find it."""
         cfg = tmp_path / "small.yaml"
         cfg.write_text(SMALL_CONFIG)
         text = tmp_path / "text.txt"
         text.write_text("a b c d\n")
-        code = ("import sys\nfrom lowmt import cli\nrc = cli.main(sys.argv[1:])\n"
-                "print('numpy._core' in sys.modules)\nsys.exit(rc)\n")
-        numeric = {}
+        # A lazily bound module whose import has not run is of a subclass.
+        code = ("import sys, types\nfrom lowmt import cli\nrc = cli.main(sys.argv[1:])\n"
+                "print('numpy._core' in sys.modules, 'importlib.metadata' in sys.modules,"
+                " *[n for n, m in sys.modules.items()\n"
+                "    if n.startswith('lowmt.') and type(m) is types.ModuleType])\n"
+                "sys.exit(rc)\n")
+        numeric, ran = {}, {}
         for args in (["ingest", "--synthetic", "30"], ["stats"], ["split"],
                      ["tok-train", "--vocab-size", "80"], ["augment"],
                      ["evaluate", "--hyp", str(text), "--ref", str(text)],
                      ["export-ft"], ["train"]):
-            result = self.python(code, "--workdir", str(work), "--config", str(cfg),
-                                 *args)
+            result = self.python("-c", code, "--workdir", str(work), "--config",
+                                 str(cfg), *args)
             assert result.returncode == 0, result.stderr
-            numeric[args[0]] = result.stdout.split()[-1] == "True"
+            uses_numpy, metadata, *modules = result.stdout.splitlines()[-1].split()
+            numeric[args[0]] = uses_numpy == "True"
+            assert metadata == "False", f"{args[0]} imported importlib.metadata"
+            ran[args[0]] = set(modules)
             name = "stats.src" if args[0] == "stats" else args[0]
             assert manifest(work, name)["versions"]["numpy"] == numpy.__version__
         assert [stage for stage, ran in numeric.items() if ran] == ["train"]
+        for stage in ("ingest", "stats", "split", "evaluate", "export-ft"):
+            assert not ran[stage] & {"lowmt.nmt", "lowmt.subword"}, stage
+        assert "lowmt.analysis" not in ran["evaluate"]
+        assert {"lowmt.nmt", "lowmt.subword"} <= ran["train"]
+
+    @pytest.mark.parametrize("stage, spans", [
+        ("evaluate", {"bleu.corpus_bleu", "util.sha256_file"}),
+        ("augment", {"augment.augment_training_set", "aligner.load_split",
+                     "aligner.save_split", "util.sha256_file"}),
+    ])
+    def test_tracer_wraps_lazily_bound_modules(self, small, work, tmp_path, stage, spans):
+        """bench/tracer.py wraps the functions of modules that cli binds
+        lazily: it loads them when it looks their targets up."""
+        for args in (["ingest", "--synthetic", "30"], ["split"]):
+            assert small(*args) == 0
+        text = tmp_path / "text.txt"
+        text.write_text("a b c d\n")
+        stage_args = {"evaluate": ["evaluate", "--hyp", str(text), "--ref", str(text)],
+                      "augment": ["augment"]}[stage]
+        spans_path = tmp_path / "spans.json"
+        result = self.python(str(ROOT / "bench" / "tracer.py"), str(spans_path), "run-0",
+                             "--workdir", str(work), "--config",
+                             str(tmp_path / "small.yaml"), *stage_args)
+        assert result.returncode == 0, result.stderr
+        assert "tracer:" not in result.stderr
+        recorded = {span[0] for span in json.loads(spans_path.read_text())["spans"]}
+        assert spans | {"cli.main"} <= recorded
 
 
 class TestConfigCopy:

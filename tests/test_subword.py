@@ -110,10 +110,13 @@ class TestPersistence:
         ({"a\t4\t": "a\t5\t", "b\t5\t": "b\t4\t"}, "a\t4\t",
          "piece 'a' with id 5 is listed twice or not at position 4"),
         ({"b\t5\t": "a\t5\t"}, "b\t5\t", "piece 'a' with id 5 is listed twice"),
-    ], ids=["swapped-ids", "repeated-piece"])
+        ({"<pad>\t0\t": "x\t0\t"}, "<pad>\t0\t", "id 0 must be '<pad>', got 'x'"),
+        ({"ab\t7\t": "ba\t7\t"}, "# merge\ta\tb",
+         "merge 'a' 'b' makes 'ab', which is not a listed piece"),
+    ], ids=["swapped-ids", "repeated-piece", "not-a-special", "merge-unlisted"])
     def test_piece_ids_must_be_positions(self, tmp_path, edit, at, message):
         path = tmp_path / "vocab.src.tsv"
-        subword.save_vocab(train(["ab ba"], 7), path)
+        subword.save_vocab(train(["ab ba"], 8), path)
         text = path.read_text(encoding="utf-8")
         lineno = next(i for i, line in enumerate(text.split("\n"), start=1)
                       if line.startswith(at))
@@ -134,6 +137,20 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(subword.SubwordError,
                            match=r"vocab\.src\.tsv: malformed line 4: "):
+            subword.load_vocab(path)
+
+    @pytest.mark.parametrize("pieces, message", [
+        (["a", "\u2581", "b"], "line 1: id 0 must be '<pad>', got 'a'"),
+        (["<pad>", "<unk>"], "2 pieces, fewer than the 4 specials"),
+        ([], "0 pieces, fewer than the 4 specials"),
+    ], ids=["no-specials", "two-specials", "empty"])
+    def test_ids_0_to_3_must_be_the_specials(self, tmp_path, pieces, message):
+        """A vocab without them would take its own pieces for PAD, SOS and
+        EOS, and decode would drop them."""
+        path = tmp_path / "vocab.src.tsv"
+        path.write_text("".join(f"{p}\t{i}\t0.0\n" for i, p in enumerate(pieces)),
+                        encoding="utf-8")
+        with pytest.raises(subword.SubwordError, match=rf"vocab\.src\.tsv: {message}"):
             subword.load_vocab(path)
 
 

@@ -50,3 +50,10 @@ class TestLazyNumpy:
                       "print(util.numpy_version())\n"
                       "print('numpy._core' in sys.modules)\n")
         assert out == [numpy.__version__, "False"]
+
+
+class TestLazyModule:
+    def test_bound_on_its_package_like_an_import(self):
+        out = _python("from lowmt import cli\nimport lowmt.nmt\n"
+                      "print(lowmt.nmt is cli.nmt)\n")
+        assert out == ["True"]
