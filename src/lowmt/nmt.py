@@ -35,14 +35,19 @@ elementwise ops and concatenation (probs, the decoder GRU's input, r*h, [x; h],
 [x; context], the encoder's inputs and previous hidden states). Only the dh
 recurrence runs step by step, in reverse: each step writes its gate
 pre-activation gradients as a row of DA (T x 3d, z|r|h order) and its comb and
-attention gradients as rows of T x d arrays; then every weight gradient is one
-product over the whole sequence (dW = DA^T X, input gradient DA W) and every
-bias gradient a column sum. The output layer's come before the loop. Those
-products and sums write into a gradient workspace, one buffer per dense
-parameter, that train allocates once: at H=256, when each pair allocated its
-own (about 9 MB), the OS took them back after the SGD step and the next pair
-page-faulted them in again. Embedding gradients are sparse (touched rows, row gradients); they
-count in the clip norm and train updates only those rows.
+attention gradients as rows of T x d arrays. The output layer's come before
+the loop.
+
+Factored gradients: every weight gradient is a sum over the sequence, so it
+is one product A^T B of two T-row factors (dW = DA^T X, dU = DA^T H per gate
+block, d out_W = dlogits^T h'), and the backward returns it as such terms,
+(rows, A, B), never as a dense array. Its L2 norm comes from the T x T Gram
+matrices: |A^T B|^2 = <A A^T, B B^T> (Goodfellow 2015, arXiv:1510.01799).
+The SGD step multiplies each term out UPDATE_CHUNK_BYTES at a time into one
+buffer that train allocates once, so no dense gradient exists in full (at
+H=256 and V=8k it would be 23 MB per pair). Bias gradients are column sums;
+embedding gradients are sparse (touched rows, row gradients). Both count in
+the clip norm, and train updates only the touched embedding rows.
 
 Checkpoint format 2 stores PARAM_ORDER; format 1 (lowmt 0.2.0 and earlier),
 with a separate W, U and b per gate, is still read.
@@ -67,6 +72,10 @@ FORMAT_VERSION = 2
 # while the buffers of one bucket stay well under a MiB at the bench sizes.
 BUCKET_SIZE = 32
 
+# The SGD step multiplies a factored weight gradient out in row chunks of
+# about this many bytes, into one buffer reused for every chunk.
+UPDATE_CHUNK_BYTES = 256 * 1024
+
 PARAM_ORDER = [
     "enc_embed", "enc_W", "enc_U", "enc_b",
     "dec_embed", "attn_W", "attn_b", "comb_W", "comb_b",
@@ -81,7 +90,7 @@ class NmtError(ValueError):
 
 
 class NmtNumericalError(RuntimeError):
-    """Training produced a NaN/inf loss."""
+    """Training produced a NaN/inf loss or gradient norm."""
 
 
 @dataclass
@@ -160,8 +169,10 @@ def init_model(config):
     shapes = param_shapes(config)
     params = {name: np.empty(shape) for name, shape in shapes.items()}
     for name, rows in _gate_blocks(shapes, config.hidden):
-        block = params[name][rows]
-        block[...] = rng.uniform(-bound, bound, size=block.shape)
+        # In place, the same draws and bits as rng.uniform(-bound, bound).
+        block = rng.random(out=params[name][rows])
+        block *= 2.0 * bound
+        block += -bound
     return Seq2SeqModel(params=params, config=config)
 
 
@@ -209,13 +220,15 @@ def _gru_step_back(tape, t, dh_new):
     return dh_new * tape["carry"][t] + drh * tape["R"][t] + da[:2 * d] @ tape["Uzr"]
 
 
-def _gru_weight_grads(tape, dW, dU, db):
-    """Write dW, dU and db of the GRU over the whole sequence; returns them."""
+def _gru_weight_grads(tape):
+    """The GRU's W and U gradients over the whole sequence, as factored terms
+    (see _backward_pair), and its bias gradient."""
     DA = tape["DA"]
     d = tape["H"].shape[1]
-    np.matmul(DA[:, :2 * d].T, tape["H"], out=dU[:2 * d])
-    np.matmul(DA[:, 2 * d:].T, tape["RH"], out=dU[2 * d:])
-    return np.matmul(DA.T, tape["X"], out=dW), dU, np.sum(DA, axis=0, out=db)
+    return ([(slice(None), DA, tape["X"])],
+            [(slice(None, 2 * d), DA[:, :2 * d], tape["H"]),
+             (slice(2 * d, None), DA[:, 2 * d:], tape["RH"])],
+            np.sum(DA, axis=0))
 
 
 def _padded(seqs):
@@ -271,26 +284,30 @@ def encode_sequence(model, src_ids):
     return outputs, h, gates
 
 
-def _decode_step(model, prev_ids, hidden, encoder_outputs, dropout_mask=1.0):
+def _decode_step(model, prev_ids, hidden, encoder_outputs, dropout_mask=None):
     """One decoder step on a row block: prev_ids (B), hidden (B x d) and
     encoder_outputs (B x max_len x d), or a single row without the B axis.
     Returns (log-probs, h', attention, (context, comb_pre, z|r, c) for the backward)."""
     p = model.params
     try:
-        xd = p["dec_embed"][prev_ids] * dropout_mask
+        xd = p["dec_embed"][prev_ids]
     except IndexError:
         raise NmtError(f"target token id {prev_ids} out of range") from None
+    if dropout_mask is not None:
+        xd = xd * dropout_mask
+    # The ufuncs' reduce, not the ndarray methods: the same bits, less overhead.
     attn_logits = np.concatenate([xd, hidden], axis=-1) @ p["attn_W"].T + p["attn_b"]
-    attn_logits = attn_logits - attn_logits.max(axis=-1, keepdims=True)
+    attn_logits = attn_logits - np.maximum.reduce(attn_logits, axis=-1, keepdims=True)
     a = np.exp(attn_logits)
-    a /= a.sum(axis=-1, keepdims=True)
+    a /= np.add.reduce(a, axis=-1, keepdims=True)
     context = (a[..., None, :] @ encoder_outputs)[..., 0, :]
     comb_pre = np.concatenate([xd, context], axis=-1) @ p["comb_W"].T + p["comb_b"]
     h_new, zr, c = _gru_forward(p["dec_W"], p["dec_U"], p["dec_b"],
                                 np.maximum(comb_pre, 0.0), hidden)
     logits = h_new @ p["out_W"].T + p["out_b"]
-    top = logits.max(axis=-1, keepdims=True)
-    logp = logits - (top + np.log(np.exp(logits - top).sum(axis=-1, keepdims=True)))
+    top = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    logp = logits - (top + np.log(np.add.reduce(np.exp(logits - top), axis=-1,
+                                                keepdims=True)))
     return logp, h_new, a, (context, comb_pre, zr, c)
 
 
@@ -314,7 +331,7 @@ def _forward_pair(model, src_ids, tgt_ids, tf_gold=None, dropout_masks=None):
     steps = []
     loss = 0.0
     for t, gold_id in enumerate(gold):
-        mask = dropout_masks[t] if dropout_masks is not None else 1.0
+        mask = None if dropout_masks is None else dropout_masks[t]
         logp, h, a, rest = _decode_step(model, prev_ids[t], h, enc_out, mask)
         steps.append((logp, h, a, *rest))
         loss -= logp[gold_id]
@@ -349,38 +366,33 @@ def _row_grads(ids, grads):
     return np.array(list(index)), summed
 
 
-def _grad_workspace(config):
-    """One buffer per dense (non-embedding) parameter gradient, for
-    _backward_pair to overwrite pair after pair."""
-    return {name: np.empty(shape) for name, shape in param_shapes(config).items()
-            if not name.endswith("_embed")}
-
-
-def _backward_pair(model, fwd, workspace):
-    """Gradients of the pair's mean NLL.
+def _backward_pair(model, fwd):
+    """Gradients of the pair's mean NLL, by name.
 
     Only the dh recurrence runs step by step in reverse; each step records
-    its gate, comb and attention gradients as rows, and every weight
-    gradient is then one product over the whole sequence, written into its
-    buffer of workspace (see _grad_workspace). The returned dict holds those
-    buffers and the embedding gradients, sparse (rows, row grads) pairs; see
-    _dense_grads.
+    its gate, comb and attention gradients as rows. Every weight gradient is
+    then a list of factored terms (rows, A, B): the gradient of
+    param[rows] is A.T @ B, a product over the whole sequence that is never
+    formed here (see _sgd_step). Biases get vectors, and embeddings sparse
+    (rows, row grads) pairs; _dense_grads turns all three into arrays.
     """
     p = model.params
     d = model.config.hidden
-    LOGP, H_NEW, A, CTX, COMB_PRE, ZR, C = map(np.stack, zip(*fwd["steps"]))
+    # np.array, not np.stack: the same copy with less overhead per call.
+    LOGP, H_NEW, A, CTX, COMB_PRE, ZR, C = map(np.array, zip(*fwd["steps"]))
     T = len(LOGP)
     src_ids, prev_ids, enc_out = fwd["src_ids"], fwd["prev_ids"], fwd["enc_out"]
     S = len(src_ids)
-    masks = 1.0 if fwd["masks"] is None else np.stack(fwd["masks"])
+    masks = 1.0 if fwd["masks"] is None else np.array(fwd["masks"])
     XD = p["dec_embed"][prev_ids] * masks
     H = np.concatenate([enc_out[S - 1:S], H_NEW[:-1]])
 
-    # The output layer does not depend on the recurrence.
-    dlogits = np.exp(LOGP) / T
+    # The output layer does not depend on the recurrence. In place: at a
+    # large vocabulary LOGP is the largest array of the backward.
+    dlogits = np.exp(LOGP, out=LOGP)
+    dlogits /= T
     dlogits[np.arange(T), fwd["gold"]] -= 1.0 / T
-    g = {"out_W": np.matmul(dlogits.T, H_NEW, out=workspace["out_W"]),
-         "out_b": np.sum(dlogits, axis=0, out=workspace["out_b"])}
+    g = {"out_W": [(slice(None), dlogits, H_NEW)], "out_b": np.sum(dlogits, axis=0)}
     dh_out = dlogits @ p["out_W"]
 
     tape = _gru_tape(p["dec_U"], np.maximum(COMB_PRE, 0.0), H, ZR, C)
@@ -399,52 +411,108 @@ def _backward_pair(model, fwd, workspace):
         np.multiply(A[t], da - np.dot(A[t], da), out=dattn[t])
         dh_next = dh_prev + dattn[t] @ attn_h
 
-    g["dec_W"], g["dec_U"], g["dec_b"] = _gru_weight_grads(
-        tape, workspace["dec_W"], workspace["dec_U"], workspace["dec_b"])
-    g["comb_W"] = np.matmul(dcomb_pre.T, np.concatenate([XD, CTX], axis=1),
-                            out=workspace["comb_W"])
-    g["comb_b"] = np.sum(dcomb_pre, axis=0, out=workspace["comb_b"])
-    g["attn_W"] = np.matmul(dattn.T, np.concatenate([XD, H], axis=1),
-                            out=workspace["attn_W"])
-    g["attn_b"] = np.sum(dattn, axis=0, out=workspace["attn_b"])
+    g["dec_W"], g["dec_U"], g["dec_b"] = _gru_weight_grads(tape)
+    g["comb_W"] = [(slice(None), dcomb_pre, np.concatenate([XD, CTX], axis=1))]
+    g["comb_b"] = np.sum(dcomb_pre, axis=0)
+    g["attn_W"] = [(slice(None), dattn, np.concatenate([XD, H], axis=1))]
+    g["attn_b"] = np.sum(dattn, axis=0)
     dxd = dcomb_pre @ p["comb_W"][:, :d] + dattn @ p["attn_W"][:, :d]
     g["dec_embed"] = _row_grads(prev_ids, dxd * masks)
 
     denc_out = A[:, :S].T @ dcontext
     tape = _gru_tape(p["enc_U"], p["enc_embed"][src_ids],
                      np.concatenate([np.zeros((1, d)), enc_out[:S - 1]]),
-                     *map(np.stack, zip(*fwd["enc_gates"])))
+                     *map(np.array, zip(*fwd["enc_gates"])))
     dh_carry = dh_next
     for t in range(S - 1, -1, -1):
         dh_carry = _gru_step_back(tape, t, denc_out[t] + dh_carry)
-    g["enc_W"], g["enc_U"], g["enc_b"] = _gru_weight_grads(
-        tape, workspace["enc_W"], workspace["enc_U"], workspace["enc_b"])
+    g["enc_W"], g["enc_U"], g["enc_b"] = _gru_weight_grads(tape)
     g["enc_embed"] = _row_grads(src_ids, tape["DA"] @ p["enc_W"])
     return g
 
 
 def _dense_grads(model, grads):
-    """grads with each sparse embedding gradient as a full-size array."""
-    dense = dict(grads)
-    for name in ("enc_embed", "dec_embed"):
-        rows, row_grads = grads[name]
+    """grads with each factored and each sparse gradient as a full-size array."""
+    dense = {}
+    for name, grad in grads.items():
+        if isinstance(grad, np.ndarray):
+            dense[name] = grad
+            continue
         dense[name] = np.zeros_like(model.params[name])
-        dense[name][rows] = row_grads
+        if isinstance(grad, tuple):
+            rows, row_grads = grad
+            dense[name][rows] = row_grads
+        else:
+            for rows, A, B in grad:
+                dense[name][rows] = A.T @ B
     return dense
 
 
-def _sgd_step(params, grads, learning_rate, max_norm):
-    """Clip grads to L2 norm max_norm (sparse embedding rows included) and
-    take one SGD step in place; grads are scaled in place too.
+def _grad_norm(grads):
+    """L2 norm of _backward_pair's gradients, sparse embedding rows included.
+
+    A term's square |A^T B|^2 is <A A^T, B B^T>, from two T x T Gram
+    matrices. Rounding can take an exactly cancelling term just below 0, so
+    each is clamped there; max(nan, 0.0) is nan, so a NaN still shows.
+    """
+    squares = 0.0
+    for grad in grads.values():
+        if isinstance(grad, list):
+            for _, A, B in grad:
+                squares += max(float(np.vdot(A @ A.T, B @ B.T)), 0.0)
+        else:
+            v = grad[1] if isinstance(grad, tuple) else grad
+            squares += float(np.vdot(v, v))
+    return math.sqrt(squares)
+
+
+def _update_buffer(config):
+    """The buffer _sgd_step multiplies weight gradients out into: at most
+    UPDATE_CHUNK_BYTES or the largest weight, at least two rows of the
+    widest."""
+    shapes = [shape for name, shape in param_shapes(config).items()
+              if len(shape) == 2 and not name.endswith("_embed")]
+    widest = max(cols for _, cols in shapes)
+    return np.empty(min(max(UPDATE_CHUNK_BYTES // 8, 2 * widest),
+                        max(math.prod(shape) for shape in shapes)))
+
+
+def _subtract_product(target, A, B, step, buffer):
+    """target -= step * (A.T @ B), multiplied out in row chunks that fill buffer.
+
+    Every chunk has at least two rows, a short last one being recomputed from
+    a full chunk: numpy multiplies a single row by gemv, whose bits can differ
+    from that row of the whole product's gemm.
+    """
+    m, n = target.shape
+    k = min(m, max(2, buffer.size // n))
+    chunk = buffer[:k * n].reshape(k, n)
+    for i in range(0, m, k):
+        lo = min(i, m - k)
+        np.matmul(A[:, lo:lo + k].T, B, out=chunk)
+        rows = chunk[i - lo:]
+        rows *= step
+        target[i:i + k] -= rows
+
+
+def _sgd_step(params, grads, learning_rate, max_norm, buffer):
+    """Clip grads (from _backward_pair) to L2 norm max_norm and take one SGD
+    step in place, through buffer (from _update_buffer); bias and embedding
+    gradients are scaled in place too. A non-finite norm raises
+    NmtNumericalError before any parameter moves.
 
     Returns (pre-clip norm, whether it was clipped).
     """
-    arrays = [grad[1] if isinstance(grad, tuple) else grad for grad in grads.values()]
-    total = math.sqrt(sum(float(np.vdot(v, v)) for v in arrays))
+    total = _grad_norm(grads)
+    if not math.isfinite(total):
+        raise NmtNumericalError(f"non-finite gradient norm {total}")
     clipped = max_norm > 0 and total > max_norm
     step = learning_rate * (max_norm / total if clipped else 1.0)
     for name, grad in grads.items():
-        if isinstance(grad, tuple):
+        if isinstance(grad, list):
+            for rows, A, B in grad:
+                _subtract_product(params[name][rows], A, B, step, buffer)
+        elif isinstance(grad, tuple):
             rows, row_grads = grad
             row_grads *= step
             params[name][rows] -= row_grads
@@ -486,7 +554,9 @@ def train(model, pairs, train_config, validation_pairs=None, on_epoch=None):
     Each history entry has the epoch, its mean_loss, the mean pre-clip
     gradient L2 norm (grad_norm), the fraction of pairs whose gradient was
     clipped (clip_rate) and, with validation pairs, val_loss. on_epoch, if
-    given, is called with each entry as soon as its epoch ends.
+    given, is called with each entry as soon as its epoch ends. A non-finite
+    loss or gradient norm (naming the epoch and pair) or val_loss (naming the
+    epoch) raises NmtNumericalError.
     """
     cfg = model.config
     if not pairs:
@@ -496,7 +566,7 @@ def train(model, pairs, train_config, validation_pairs=None, on_epoch=None):
 
     tf_rng = random.Random(derive_seed(train_config.seed, "teacher_forcing"))
     drop_rng = np.random.default_rng(derive_seed(train_config.seed, "dropout"))
-    workspace = _grad_workspace(cfg)
+    buffer = _update_buffer(cfg)
     history = []
     for epoch in range(train_config.epochs):
         order = list(range(len(pairs)))
@@ -514,10 +584,12 @@ def train(model, pairs, train_config, validation_pairs=None, on_epoch=None):
             if not np.isfinite(loss):
                 raise NmtNumericalError(
                     f"non-finite loss at epoch {epoch}, pair {idx}: {loss}")
-            norm, clipped = _sgd_step(model.params,
-                                      _backward_pair(model, fwd, workspace),
-                                      train_config.learning_rate,
-                                      train_config.grad_clip_norm)
+            try:
+                norm, clipped = _sgd_step(model.params, _backward_pair(model, fwd),
+                                          train_config.learning_rate,
+                                          train_config.grad_clip_norm, buffer)
+            except NmtNumericalError as e:
+                raise NmtNumericalError(f"{e} at epoch {epoch}, pair {idx}") from None
             epoch_loss += loss
             norm_sum += norm
             n_clipped += clipped
@@ -526,6 +598,9 @@ def train(model, pairs, train_config, validation_pairs=None, on_epoch=None):
                  "clip_rate": n_clipped / len(pairs)}
         if validation_pairs:
             entry["val_loss"] = mean_loss(model, validation_pairs)
+            if not math.isfinite(entry["val_loss"]):
+                raise NmtNumericalError(
+                    f"non-finite validation loss at epoch {epoch}: {entry['val_loss']}")
         history.append(entry)
         if on_epoch is not None:
             on_epoch(entry)
@@ -615,8 +690,7 @@ def pair_loss(model, src_ids, tgt_ids):
 def pair_gradients(model, src_ids, tgt_ids):
     """(loss, dense gradients) from the backward pass that train uses."""
     loss, fwd = _forward_pair(model, src_ids, tgt_ids)
-    grads = _backward_pair(model, fwd, _grad_workspace(model.config))
-    return loss, _dense_grads(model, grads)
+    return loss, _dense_grads(model, _backward_pair(model, fwd))
 
 
 def gradient_check(model, pair, epsilon=1e-5, n_params_sampled=200, seed=0):
@@ -660,7 +734,10 @@ def save_checkpoint(model, path):
         f.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(config_blob)))
         f.write(config_blob)
         for name in PARAM_ORDER:
-            f.write(np.ascontiguousarray(model.params[name], dtype="<f8").tobytes())
+            # A view of the array's bytes: no copy unless it is not little-endian
+            # float64 in C order already.
+            array = np.ascontiguousarray(model.params[name], dtype="<f8")
+            f.write(memoryview(array).cast("B"))
 
 
 def load_checkpoint(path):

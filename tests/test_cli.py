@@ -466,6 +466,28 @@ class TestTrainReporting:
         assert manifest(work, "train")["outputs"].keys() == {"model.ckpt", "loss.csv"}
 
 
+    @pytest.mark.parametrize("failure", ["updates", "validation"])
+    def test_non_finite_training_exits_4_before_writing(self, work, tmp_path, capsys,
+                                                        monkeypatch, failure):
+        cfg = tmp_path / "cfg.yaml"
+        lr = "1.0e+300" if failure == "updates" else "0.05"
+        cfg.write_text("model:\n  hidden: 8\n  max_len: 24\n  dropout_p: 0.0\n"
+                       f"train:\n  epochs: 1\n  learning_rate: {lr}\n"
+                       "  grad_clip_norm: 0\n")
+        base = ["--workdir", str(work), "--config", str(cfg)]
+        for args in (["ingest", "--synthetic", "30"], ["split"],
+                     ["tok-train", "--vocab-size", "80"]):
+            assert cli.main(base + args) == 0
+        if failure == "validation":
+            monkeypatch.setattr(nmt, "mean_loss", lambda model, pairs: float("nan"))
+        capsys.readouterr()
+        with numpy.errstate(all="ignore"):
+            assert cli.main(base + ["train"]) == cli.EXIT_NUMERICAL
+        assert "numerical failure: non-finite" in capsys.readouterr().err
+        assert not any((work / name).exists()
+                       for name in ("model.ckpt", "loss.csv", "train.manifest.json"))
+
+
 SMALL_CONFIG = (
     "model:\n  hidden: 16\n  max_len: 24\n  dropout_p: 0.0\n"
     "train:\n  epochs: 1\n  learning_rate: 0.05\n"

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -529,6 +530,28 @@ class TestTraining:
         assert [h["epoch"] for h in history] == [0, 1, 2]
         assert all(np.isfinite(h["mean_loss"]) for h in history)
 
+    def test_non_finite_validation_loss_raises(self, tiny_model):
+        cfg = nmt.TrainConfig(epochs=1, learning_rate=1e300, grad_clip_norm=0.0,
+                              seed=0)
+        with np.errstate(all="ignore"), pytest.raises(
+                nmt.NmtNumericalError, match="non-finite validation loss at epoch 0"):
+            nmt.train(tiny_model, [PAIR], cfg, validation_pairs=[PAIR])
+
+    def test_non_finite_gradient_norm_names_epoch_and_pair(self, tiny_model):
+        # Saturated encoder gates keep the loss finite, while dW = DA^T X with
+        # inputs of 1e200 has a norm that overflows.
+        tiny_model.params["enc_embed"][PAIR[0]] = 1e200
+        before = copy.deepcopy(tiny_model.params)
+        cfg = nmt.TrainConfig(epochs=1, grad_clip_norm=1.0, seed=0)
+        with np.errstate(all="ignore"):
+            assert np.isfinite(nmt.pair_loss(tiny_model, *PAIR))
+        with np.errstate(all="ignore"), pytest.raises(
+                nmt.NmtNumericalError,
+                match=r"non-finite gradient norm (inf|nan) at epoch 0, pair 0"):
+            nmt.train(tiny_model, [PAIR], cfg)
+        for name in nmt.PARAM_ORDER:
+            assert np.array_equal(before[name], tiny_model.params[name]), name
+
     def test_copy_task_loss_decreases(self):
         rng = random.Random(11)
         pairs = []
@@ -702,8 +725,7 @@ class TestBackwardEquivalence:
         model, src, tgt, tf_gold, masks = _random_case(seed)
         loss, fwd = nmt._forward_pair(model, src, tgt, tf_gold, masks)
         assert len(set(src)) < len(src) or len(set(tgt)) < len(tgt) + 1
-        workspace = nmt._grad_workspace(model.config)
-        new = nmt._dense_grads(model, nmt._backward_pair(model, fwd, workspace))
+        new = nmt._dense_grads(model, nmt._backward_pair(model, fwd))
         ref_loss, ref = _ref_gradients(model, src, tgt, tf_gold, masks)
         assert loss == ref_loss
         assert new.keys() == ref.keys()
@@ -712,20 +734,23 @@ class TestBackwardEquivalence:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_one_workspace_for_two_pairs(self, seed):
-        """The second pair through a workspace overwrites every buffer."""
+        """Two SGD steps through one update buffer: the second pair's
+        products overwrite the first's in every chunk."""
         model, src, tgt, tf_gold, masks = _random_case(seed)
         cfg = model.config
         rng = random.Random(100 + seed)
         src2 = [rng.randrange(4, cfg.src_vocab_size) for _ in range(cfg.max_len)]
         tgt2 = [rng.randrange(4, cfg.tgt_vocab_size) for _ in range(2)]
         masks2 = [nmt._dropout_mask(cfg, np.random.default_rng(seed)) for _ in range(3)]
-        workspace = nmt._grad_workspace(cfg)
+        buffer = nmt._update_buffer(cfg)
+        ref_params = copy.deepcopy(model.params)
         for pair in ((src, tgt, tf_gold, masks), (src2, tgt2, None, masks2)):
             _, fwd = nmt._forward_pair(model, *pair)
-            new = nmt._dense_grads(model, nmt._backward_pair(model, fwd, workspace))
-            _, ref = _ref_gradients(model, *pair)
+            nmt._sgd_step(model.params, nmt._backward_pair(model, fwd), 0.1, 0.0, buffer)
+            ref_model = nmt.Seq2SeqModel(ref_params, cfg)
+            _ref_sgd_step(ref_params, _ref_gradients(ref_model, *pair)[1], 0.1, 0.0)
             for name in nmt.PARAM_ORDER:
-                assert np.max(np.abs(new[name] - ref[name])) <= 1e-10, name
+                assert np.max(np.abs(model.params[name] - ref_params[name])) <= 1e-10, name
 
     def test_train_equals_fresh_workspace_per_pair(self):
         cfg = tiny_config(dropout_p=0.2, seed=5)
@@ -735,7 +760,7 @@ class TestBackwardEquivalence:
         pairs = [PAIR, ([5, 4, 4], [6, 5]), ([7], [4, 4, 5, 6])]
         trained, _ = nmt.train(nmt.init_model(cfg), pairs, tcfg)
 
-        # train's seeded streams and order, with a new workspace per pair
+        # train's seeded streams and order, with a new update buffer per pair
         model = nmt.init_model(cfg)
         tf_rng = random.Random(derive_seed(tcfg.seed, "teacher_forcing"))
         drop_rng = np.random.default_rng(derive_seed(tcfg.seed, "dropout"))
@@ -748,9 +773,9 @@ class TestBackwardEquivalence:
                            for _ in range(len(tgt) + 1)]
                 masks = [nmt._dropout_mask(cfg, drop_rng) for _ in tf_gold]
                 _, fwd = nmt._forward_pair(model, src, tgt, tf_gold, masks)
-                grads = nmt._backward_pair(model, fwd, nmt._grad_workspace(cfg))
-                nmt._sgd_step(model.params, grads, tcfg.learning_rate,
-                              tcfg.grad_clip_norm)
+                nmt._sgd_step(model.params, nmt._backward_pair(model, fwd),
+                              tcfg.learning_rate, tcfg.grad_clip_norm,
+                              nmt._update_buffer(cfg))
         for name in nmt.PARAM_ORDER:
             assert np.array_equal(trained.params[name], model.params[name]), name
 
@@ -769,12 +794,103 @@ class TestBackwardEquivalence:
         ref_norm = _ref_sgd_step(ref_params,
                                  _ref_gradients(model, src, tgt, tf_gold, masks)[1],
                                  0.1, max_norm)
-        grads = nmt._backward_pair(model, fwd, nmt._grad_workspace(model.config))
-        norm, clipped = nmt._sgd_step(model.params, grads, 0.1, max_norm)
+        grads = nmt._backward_pair(model, fwd)
+        norm, clipped = nmt._sgd_step(model.params, grads, 0.1, max_norm,
+                                      nmt._update_buffer(model.config))
         assert abs(norm - ref_norm) <= 1e-12
         assert clipped == (max_norm == 1e-3)
         for name in nmt.PARAM_ORDER:
             assert np.max(np.abs(model.params[name] - ref_params[name])) <= 1e-10
+
+
+def _dense_sgd_step(params, dense, step):
+    """The update with dense gradients, in the order train used before the
+    factored update: scale each gradient, then subtract it."""
+    for name, grad in dense.items():
+        grad = grad.copy()
+        grad *= step
+        params[name] -= grad
+
+
+class TestFactoredUpdate:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gram_norm_equals_dense_norm(self, seed):
+        model, src, tgt, tf_gold, masks = _random_case(seed)
+        _, fwd = nmt._forward_pair(model, src, tgt, tf_gold, masks)
+        grads = nmt._backward_pair(model, fwd)
+        dense = nmt._dense_grads(model, grads)
+        expected = math.sqrt(sum(float(np.vdot(g, g)) for g in dense.values()))
+        assert abs(nmt._grad_norm(grads) - expected) <= 1e-12 * expected
+
+    def test_exactly_zero_term_has_norm_zero(self):
+        # A^T B is exactly 0, but <A A^T, B B^T> rounds to about -5.5e-18
+        # with OpenBLAS, and math.sqrt of that would raise.
+        x, y = 0.1257302210933933, -0.1321048632913019
+        A, B = np.ones((3, 1)), np.array([[x], [y], [-(x + y)]])
+        assert (A.T @ B == 0.0).all()
+        assert nmt._grad_norm({"out_W": [(slice(None), A, B)]}) == 0.0
+
+    def test_non_finite_norm_raises_before_any_update(self, tiny_model):
+        _, fwd = nmt._forward_pair(tiny_model, *PAIR)
+        grads = nmt._backward_pair(tiny_model, fwd)
+        grads["out_b"][0] = np.nan
+        before = copy.deepcopy(tiny_model.params)
+        with pytest.raises(nmt.NmtNumericalError, match="non-finite gradient norm nan"):
+            nmt._sgd_step(tiny_model.params, grads, 0.1, 1.0,
+                          nmt._update_buffer(tiny_model.config))
+        for name in nmt.PARAM_ORDER:
+            assert np.array_equal(before[name], tiny_model.params[name]), name
+
+    @pytest.mark.parametrize("chunk", ["one row", "default"])
+    @pytest.mark.parametrize("max_norm", [0.0, 1e-3])
+    def test_chunked_update_bit_identical_to_dense(self, monkeypatch, chunk, max_norm):
+        """Chunks, their recomputed tails included, give the bits of the
+        whole products, scaled and subtracted as dense gradients."""
+        cfg = tiny_config(src_vocab_size=30, tgt_vocab_size=37, hidden=12,
+                          max_len=9, dropout_p=0.3, seed=4)
+        if chunk == "one row":
+            monkeypatch.setattr(nmt, "UPDATE_CHUNK_BYTES", 8 * cfg.hidden)
+        rng = random.Random(4)
+        src = [rng.randrange(4, 30) for _ in range(9)]
+        tgt = [rng.randrange(4, 37) for _ in range(7)]
+        masks = [nmt._dropout_mask(cfg, np.random.default_rng(4)) for _ in range(8)]
+        model = nmt.init_model(cfg)
+        _, fwd = nmt._forward_pair(model, src, tgt, [True, False] * 4, masks)
+        grads = nmt._backward_pair(model, fwd)
+        # A copy: _sgd_step scales the bias gradients in place.
+        dense = copy.deepcopy(nmt._dense_grads(model, grads))
+        ref_params = copy.deepcopy(model.params)
+        buffer = nmt._update_buffer(cfg)
+        assert buffer.size == (4 * cfg.hidden if chunk == "one row" else 37 * 12)
+        # Step 1 on zero parameters leaves -A.T @ B itself, every bit of it.
+        zeros = {name: np.zeros_like(value) for name, value in model.params.items()}
+        nmt._sgd_step(zeros, grads, 1.0, 0.0, buffer)
+        for name in nmt.PARAM_ORDER:
+            assert np.array_equal(zeros[name], -dense[name]), name
+        norm, clipped = nmt._sgd_step(model.params, grads, 0.1, max_norm, buffer)
+        assert clipped == (max_norm > 0)
+        _dense_sgd_step(ref_params, dense, 0.1 * (max_norm / norm if clipped else 1.0))
+        for name in nmt.PARAM_ORDER:
+            assert np.array_equal(model.params[name], ref_params[name]), name
+
+    def test_train_allocates_less_than_dense_gradients(self):
+        cfg = nmt.ModelConfig(src_vocab_size=2000, tgt_vocab_size=2000, hidden=64,
+                              max_len=24, dropout_p=0.1, seed=0)
+        dense_bytes = sum(8 * math.prod(shape)
+                          for name, shape in nmt.param_shapes(cfg).items()
+                          if not name.endswith("_embed"))
+        rng = random.Random(0)
+        pairs = [([rng.randrange(4, 2000) for _ in range(rng.randint(8, 20))],
+                  [rng.randrange(4, 2000) for _ in range(rng.randint(8, 20))])
+                 for _ in range(3)]
+        model = nmt.init_model(cfg)
+        tracemalloc.start()
+        try:
+            nmt.train(model, pairs, nmt.TrainConfig(epochs=1, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes
 
 
 class TestCheckpoint:
