@@ -117,12 +117,14 @@ def load_config(path=None):
     if path:
         with open(path, "r", encoding="utf-8") as f:
             try:
-                user = yaml.safe_load(f) or {}
+                user = yaml.safe_load(f)
             except yaml.YAMLError as e:
                 mark = getattr(e, "problem_mark", None)
                 where = f"line {mark.line + 1}: " if mark else ""
                 problem = getattr(e, "problem", None) or str(e).partition("\n")[0]
                 raise ValueError(f"{path}: {where}invalid YAML: {problem}") from e
+        if user is None:  # an empty document: no overrides
+            user = {}
         if not isinstance(user, dict):
             raise ValueError(f"{path}: config must be a mapping")
         config = _deep_merge(config, user, path)
@@ -202,11 +204,6 @@ class StageContext:
         }
         with open(self.path(self.manifest_name), "w", encoding="utf-8") as f:
             json.dump(manifest, f, indent=2)
-        shared = self.stage + MANIFEST_SUFFIX
-        if self.manifest_name != shared and os.path.exists(self.path(shared)):
-            # Left by a lowmt before per-side names; it would be found first
-            # and its stale digests checked instead of this manifest's.
-            os.remove(self.path(shared))
 
     def _producer(self, key):
         """Name of the manifest in the workdir that lists key as an output."""

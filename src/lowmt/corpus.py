@@ -77,20 +77,29 @@ class CorpusStats:
     bottom_k: list = field(default_factory=list)
 
 
+# The types a record value may have (never bool); a TSV cell is always text.
+RECORD_TYPES = {"id": ((str, int), "a string or an integer"), "book": (str, "a string"),
+                "src": (str, "a string"), "tgt": (str, "a string")}
+
+
 def _unit_from_record(record, where):
     if not isinstance(record, dict):
         raise CorpusError(f"{where}: expected an object")
     missing = [k for k in ("id", "src", "tgt") if k not in record]
     if missing:
         raise CorpusError(f"{where}: missing fields {missing}")
-    src = normalize_text(str(record["src"]))
-    tgt = normalize_text(str(record["tgt"]))
+    for key, (types, kind) in RECORD_TYPES.items():
+        value = record.get(key, "")
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise CorpusError(f"{where}: record key {key!r} must be {kind}, got {value!r}")
+    src = normalize_text(record["src"])
+    tgt = normalize_text(record["tgt"])
     if not src or not tgt:
         raise CorpusError(f"{where}: empty src or tgt")
     try:
         return ParallelUnit(
             id=str(record["id"]),
-            book=str(record.get("book", "")),
+            book=record.get("book", ""),
             chapter=int(record.get("chapter", 0)),
             verse=int(record.get("verse", 0)),
             src=src,

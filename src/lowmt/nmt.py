@@ -5,14 +5,13 @@ forcing, epoch order) comes from seeded streams so training is fully
 reproducible. The backward pass is verified against central finite
 differences (gradient_check).
 
-Row blocks: the GRU step and the decoder step work on a block of B rows at
-once (hidden B x d, products X @ W.T), or on a single row given as a vector.
-Training runs one pair at a time, as single rows. Greedy translation and the
-validation loss sort their inputs by length into buckets of BUCKET_SIZE rows
-and run each bucket in lockstep: the batched encoder freezes a row's hidden
-state past its source length and leaves its encoder outputs there zero, so
-attention over the max_len positions means what it does for one sentence; a
-done-mask (translation) or a target mask (loss) ends each row at its </s>.
+Row blocks: the encoder, the GRU step and the decoder step work on blocks of
+B rows (hidden B x d). Training runs one pair at a time, as blocks of B=1.
+Greedy translation and the validation loss sort their inputs by length into
+buckets of BUCKET_SIZE rows and run each in lockstep: the encoder freezes a
+row's hidden state past its source length and leaves its outputs there zero,
+so attention over the max_len positions means what it does for one sentence;
+a done-mask (translation) or a target mask (loss) ends each row at its </s>.
 
 Gate equations, per step with input x and previous hidden h:
     z = sigmoid(Wz x + Uz h + bz)
@@ -29,14 +28,14 @@ combined vector, log-softmax output layer.
 
 Backward (BPTT): the training forward records the pair's inputs once (source,
 previous-token and gold ids, dropout masks) and, per step, only what the
-backward cannot rebuild exactly: log-probs, h', attention weights, context,
-comb_pre, z|r and c. The backward stacks each once and rebuilds the rest by
-elementwise ops and concatenation (probs, the decoder GRU's input, r*h, [x; h],
-[x; context], the encoder's inputs and previous hidden states). Only the dh
-recurrence runs step by step, in reverse: each step writes its gate
-pre-activation gradients as a row of DA (T x 3d, z|r|h order) and its comb and
-attention gradients as rows of T x d arrays. The output layer's come before
-the loop.
+backward cannot rebuild exactly, as 1-row blocks: log-probs, h', attention
+weights, context, comb_pre, z|r and c. The backward concatenates each into
+one T-row array once and rebuilds the rest by elementwise ops and
+concatenation (probs, the decoder GRU's input, r*h, [x; h], [x; context],
+the encoder's inputs and previous hidden states). Only the dh recurrence
+runs step by step, in reverse: each step writes its gate pre-activation
+gradients as a row of DA (T x 3d, z|r|h order) and its comb and attention
+gradients as rows of T x d arrays. The output layer's come before the loop.
 
 Factored gradients: every weight gradient is a sum over the sequence, so it
 is one product A^T B of two T-row factors (dW = DA^T X, dU = DA^T H per gate
@@ -49,8 +48,7 @@ H=256 and V=8k it would be 23 MB per pair). Bias gradients are column sums;
 embedding gradients are sparse (touched rows, row gradients). Both count in
 the clip norm, and train updates only the touched embedding rows.
 
-Checkpoint format 2 stores PARAM_ORDER; format 1 (lowmt 0.2.0 and earlier),
-with a separate W, U and b per gate, is still read.
+Checkpoint format 2 stores the arrays of PARAM_ORDER, in that order.
 """
 
 import json
@@ -150,7 +148,7 @@ def param_shapes(config):
 
 def _gate_blocks(names, d):
     """(name, rows) of each array in names, each GRU split gate by gate as
-    lowmt 0.2.0 drew and format 1 stored it: W U b of z, then r, then h."""
+    lowmt 0.2.0 drew and stored it: W U b of z, then r, then h."""
     blocks = []
     for name in names:
         side, kind = name.split("_", 1)
@@ -176,18 +174,21 @@ def init_model(config):
     return Seq2SeqModel(params=params, config=config)
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+def _affine(X, W, b):
+    """X @ W.T + b for a block X of B rows, with less overhead per call at
+    small sizes: np.dot runs the same gemv (B=1) or gemm as @, with the same
+    bits, and a 1-row block adds the 1-row b[None] without a broadcast."""
+    return np.dot(X, W.T) + b[None]
 
 
 def _gru_forward(W, U, b, x, h):
-    """One GRU step on a row block: x and h are B x d, or single rows.
-    Returns (h', the gates z|r, the candidate c)."""
-    d = h.shape[-1]
-    a = x @ W.T + b
-    zr = _sigmoid(a[..., :2 * d] + h @ U[:2 * d].T)
-    z, r = zr[..., :d], zr[..., d:]
-    c = np.tanh(a[..., 2 * d:] + (r * h) @ U[2 * d:].T)
+    """One GRU step on a row block: x and h are B x d. Returns (h', the gates
+    z|r, the candidate c)."""
+    d = h.shape[1]
+    a = _affine(x, W, b)
+    zr = 1.0 / (1.0 + np.exp(-(a[:, :2 * d] + np.dot(h, U[:2 * d].T))))
+    z, r = zr[:, :d], zr[:, d:]
+    c = np.tanh(a[:, 2 * d:] + np.dot(r * h, U[2 * d:].T))
     return (1.0 - z) * h + z * c, zr, c
 
 
@@ -240,25 +241,28 @@ def _padded(seqs):
     return ids, lengths
 
 
-def _encode(model, ids, lengths, gates=None):
-    """Run the encoder on one source (ids, its length) or on a block of
-    sources (B x T ids padded as by _padded, B lengths); returns the outputs
-    ([B x] max_len x d) and the final hidden state ([B x] d). Each step's
+def encode_sequence(model, sources, gates=None):
+    """Run the encoder on a block of B sources; returns the outputs
+    (B x max_len x d) and the final hidden state (B x d). Each step's
     (z|r, c) is appended to gates, if given.
 
-    A row's hidden state is frozen past its length and its outputs there
-    stay zero.
+    A row's hidden state is frozen past its source length and its outputs
+    there stay zero.
     """
     cfg, p = model.config, model.params
+    for src_ids in sources:
+        _check_pair(cfg, src_ids)
+        _check_ids(src_ids, cfg.src_vocab_size, "source")
+    ids, lengths = _padded(sources)
     gru = p["enc_W"], p["enc_U"], p["enc_b"]
-    X = p["enc_embed"][ids]
-    h = np.zeros(X.shape[:-2] + (cfg.hidden,))
-    outputs = np.zeros(X.shape[:-2] + (cfg.max_len, cfg.hidden))
-    shortest = np.min(lengths)
-    for t in range(X.shape[-2]):
-        h_new, zr, c = _gru_forward(*gru, X[..., t, :], h)
+    X = p["enc_embed"][ids.T]  # time-major: X[t] is step t's B x d block
+    h = np.zeros((len(sources), cfg.hidden))
+    outputs = np.zeros((len(sources), cfg.max_len, cfg.hidden))
+    shortest = lengths.min()
+    for t, x in enumerate(X):
+        h_new, zr, c = _gru_forward(*gru, x, h)
         if t < shortest:
-            h = outputs[..., t, :] = h_new
+            h = outputs[:, t] = h_new
         else:
             live = (t < lengths)[:, None]
             h = np.where(live, h_new, h)
@@ -268,45 +272,30 @@ def _encode(model, ids, lengths, gates=None):
     return outputs, h
 
 
-def _encode_rows(model, sources):
-    """The encoder over a block of sources: (B x max_len x d, B x d)."""
-    for src_ids in sources:
-        _check_source(model.config, src_ids)
-    return _encode(model, *_padded(sources))
-
-
-def encode_sequence(model, src_ids):
-    """Run the encoder on one source; returns (max_len x d outputs, final
-    hidden, each step's (z|r, c))."""
-    _check_source(model.config, src_ids)
-    gates = []
-    outputs, h = _encode(model, src_ids, len(src_ids), gates)
-    return outputs, h, gates
-
-
 def _decode_step(model, prev_ids, hidden, encoder_outputs, dropout_mask=None):
     """One decoder step on a row block: prev_ids (B), hidden (B x d) and
-    encoder_outputs (B x max_len x d), or a single row without the B axis.
-    Returns (log-probs, h', attention, (context, comb_pre, z|r, c) for the backward)."""
+    encoder_outputs (B x max_len x d). Returns (log-probs, h', attention,
+    (context, comb_pre, z|r, c) for the backward)."""
     p = model.params
     try:
-        xd = p["dec_embed"][prev_ids]
+        # take, not [prev_ids]: the same rows with less overhead per call.
+        xd = p["dec_embed"].take(prev_ids, 0)
     except IndexError:
         raise NmtError(f"target token id {prev_ids} out of range") from None
     if dropout_mask is not None:
         xd = xd * dropout_mask
     # The ufuncs' reduce, not the ndarray methods: the same bits, less overhead.
-    attn_logits = np.concatenate([xd, hidden], axis=-1) @ p["attn_W"].T + p["attn_b"]
-    attn_logits = attn_logits - np.maximum.reduce(attn_logits, axis=-1, keepdims=True)
+    attn_logits = _affine(np.concatenate([xd, hidden], axis=1), p["attn_W"], p["attn_b"])
+    attn_logits = attn_logits - np.maximum.reduce(attn_logits, axis=1, keepdims=True)
     a = np.exp(attn_logits)
-    a /= np.add.reduce(a, axis=-1, keepdims=True)
-    context = (a[..., None, :] @ encoder_outputs)[..., 0, :]
-    comb_pre = np.concatenate([xd, context], axis=-1) @ p["comb_W"].T + p["comb_b"]
+    a /= np.add.reduce(a, axis=1, keepdims=True)
+    context = (a[:, None] @ encoder_outputs)[:, 0]
+    comb_pre = _affine(np.concatenate([xd, context], axis=1), p["comb_W"], p["comb_b"])
     h_new, zr, c = _gru_forward(p["dec_W"], p["dec_U"], p["dec_b"],
                                 np.maximum(comb_pre, 0.0), hidden)
-    logits = h_new @ p["out_W"].T + p["out_b"]
-    top = np.maximum.reduce(logits, axis=-1, keepdims=True)
-    logp = logits - (top + np.log(np.add.reduce(np.exp(logits - top), axis=-1,
+    logits = _affine(h_new, p["out_W"], p["out_b"])
+    top = np.maximum.reduce(logits, axis=1, keepdims=True)
+    logp = logits - (top + np.log(np.add.reduce(np.exp(logits - top), axis=1,
                                                 keepdims=True)))
     return logp, h_new, a, (context, comb_pre, zr, c)
 
@@ -325,22 +314,23 @@ def _forward_pair(model, src_ids, tgt_ids, tf_gold=None, dropout_masks=None):
     record that _backward_pair reads; see the module docstring).
     """
     _check_ids(tgt_ids, model.config.tgt_vocab_size, "target")
-    enc_out, h, enc_gates = encode_sequence(model, src_ids)
+    enc_gates = []
+    enc_out, h = encode_sequence(model, [src_ids], enc_gates)
     gold = list(tgt_ids) + [EOS_ID]
-    prev_ids = [SOS_ID]
+    prev_ids = np.full(len(gold), SOS_ID)
     steps = []
     loss = 0.0
     for t, gold_id in enumerate(gold):
         mask = None if dropout_masks is None else dropout_masks[t]
-        logp, h, a, rest = _decode_step(model, prev_ids[t], h, enc_out, mask)
+        logp, h, a, rest = _decode_step(model, prev_ids[t:t + 1], h, enc_out, mask)
         steps.append((logp, h, a, *rest))
-        loss -= logp[gold_id]
+        loss -= logp[0, gold_id]
         if t + 1 < len(gold):
-            prev_ids.append(gold_id if tf_gold is None or tf_gold[t + 1]
-                            else _greedy_ids(logp))
+            prev_ids[t + 1] = (gold_id if tf_gold is None or tf_gold[t + 1]
+                               else _greedy_ids(logp)[0])
     loss /= len(gold)
-    return loss, {"src_ids": list(src_ids), "prev_ids": prev_ids, "gold": gold,
-                  "masks": dropout_masks, "enc_out": enc_out, "enc_gates": enc_gates,
+    return loss, {"src_ids": list(src_ids), "prev_ids": prev_ids.tolist(), "gold": gold,
+                  "masks": dropout_masks, "enc_out": enc_out[0], "enc_gates": enc_gates,
                   "steps": steps}
 
 
@@ -378,8 +368,9 @@ def _backward_pair(model, fwd):
     """
     p = model.params
     d = model.config.hidden
-    # np.array, not np.stack: the same copy with less overhead per call.
-    LOGP, H_NEW, A, CTX, COMB_PRE, ZR, C = map(np.array, zip(*fwd["steps"]))
+    # The steps leave the record here, so each one's 1-row blocks die as
+    # soon as they are concatenated into T-row arrays.
+    LOGP, H_NEW, A, CTX, COMB_PRE, ZR, C = map(np.concatenate, zip(*fwd.pop("steps")))
     T = len(LOGP)
     src_ids, prev_ids, enc_out = fwd["src_ids"], fwd["prev_ids"], fwd["enc_out"]
     S = len(src_ids)
@@ -422,7 +413,7 @@ def _backward_pair(model, fwd):
     denc_out = A[:, :S].T @ dcontext
     tape = _gru_tape(p["enc_U"], p["enc_embed"][src_ids],
                      np.concatenate([np.zeros((1, d)), enc_out[:S - 1]]),
-                     *map(np.array, zip(*fwd["enc_gates"])))
+                     *map(np.concatenate, zip(*fwd["enc_gates"])))
     dh_carry = dh_next
     for t in range(S - 1, -1, -1):
         dh_carry = _gru_step_back(tape, t, denc_out[t] + dh_carry)
@@ -543,11 +534,6 @@ def _check_ids(ids, vocab_size, side):
             raise NmtError(f"{side} token id {tid} out of range")
 
 
-def _check_source(cfg, src_ids):
-    _check_pair(cfg, src_ids)
-    _check_ids(src_ids, cfg.src_vocab_size, "source")
-
-
 def train(model, pairs, train_config, validation_pairs=None, on_epoch=None):
     """Per-pair SGD with teacher forcing; returns (model, history).
 
@@ -590,6 +576,7 @@ def train(model, pairs, train_config, validation_pairs=None, on_epoch=None):
                                           train_config.grad_clip_norm, buffer)
             except NmtNumericalError as e:
                 raise NmtNumericalError(f"{e} at epoch {epoch}, pair {idx}") from None
+            del fwd  # before the next pair's forward, not after it
             epoch_loss += loss
             norm_sum += norm
             n_clipped += clipped
@@ -617,7 +604,7 @@ def mean_loss(model, pairs):
         _check_ids(tgt_ids, model.config.tgt_vocab_size, "target")
     losses = [0.0] * len(pairs)
     for rows in _buckets([len(tgt_ids) for _, tgt_ids in pairs]):
-        enc_out, h = _encode_rows(model, [pairs[i][0] for i in rows])
+        enc_out, h = encode_sequence(model, [pairs[i][0] for i in rows])
         gold, n_steps = _padded([list(pairs[i][1]) + [EOS_ID] for i in rows])
         block = np.arange(len(rows))
         loss = np.zeros(len(rows))
@@ -649,7 +636,7 @@ def translate_batch(model, sources, max_out_len=None, attention=True):
         max_out_len = cfg.max_len
     results = [None] * len(sources)
     for rows in _buckets([len(src_ids) for src_ids in sources]):
-        enc_out, h = _encode_rows(model, [
+        enc_out, h = encode_sequence(model, [
             [tid if 0 <= tid < cfg.src_vocab_size else UNK_ID for tid in sources[i]]
             for i in rows])
         out = np.empty((len(rows), max_out_len), dtype=np.int64)
@@ -699,8 +686,8 @@ def gradient_check(model, pair, epsilon=1e-5, n_params_sampled=200, seed=0):
     _check_pair(model.config, src_ids, tgt_ids)
     _, grads = pair_gradients(model, src_ids, tgt_ids)
 
-    # Flat indices run over the per-gate layout of checkpoint format 1, so a
-    # seed samples the same scalars as in lowmt 0.2.0.
+    # Flat indices run over lowmt 0.2.0's per-gate layout, so a seed samples
+    # the same scalars as it did there.
     blocks = [(model.params[name][rows], grads[name][rows])
               for name, rows in _gate_blocks(PARAM_ORDER, model.config.hidden)]
     total = sum(arr.size for arr, _ in blocks)
@@ -741,13 +728,12 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(path):
-    """Read a format 2 or format 1 checkpoint; a malformed file raises
-    NmtError naming it."""
+    """Read a format 2 checkpoint; a malformed file raises NmtError naming it."""
     with open(path, "rb") as f:
         if f.read(4) != MAGIC:
             raise NmtError(f"{path}: not a checkpoint file")
         version, clen = struct.unpack("<II", read_exact(f, 8, NmtError, "header"))
-        if version not in (1, FORMAT_VERSION):
+        if version != FORMAT_VERSION:
             raise NmtError(f"{path}: unsupported checkpoint version {version}")
         blob = read_exact(f, clen, NmtError, "config")
         try:
@@ -759,10 +745,8 @@ def load_checkpoint(path):
         if size != 8 * sum(math.prod(shape) for shape in shapes.values()):
             raise NmtError(f"{path}: {size} bytes of parameters do not match its config")
         params = {name: np.empty(shape, dtype="<f8") for name, shape in shapes.items()}
-        blocks = (_gate_blocks(PARAM_ORDER, cfg.hidden) if version == 1
-                  else [(name, slice(None)) for name in PARAM_ORDER])
-        for name, rows in blocks:
-            f.readinto(memoryview(params[name][rows]).cast("B"))
+        for name in PARAM_ORDER:
+            f.readinto(memoryview(params[name]).cast("B"))
     return Seq2SeqModel(params=params, config=cfg)
 
 

@@ -130,6 +130,15 @@ class TestIngestSplit:
         assert len(hashes) == 1
 
 
+def test_ingest_non_text_jsonl_value_exits_3(work, tmp_path, capsys):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "u1", "src": null, "tgt": "x."}\n', encoding="utf-8")
+    assert run(["ingest", "--input", str(path)], work) == cli.EXIT_DATA
+    assert (f"error: {path}: line 1: record key 'src' must be a string, got None"
+            in capsys.readouterr().err)
+    assert not (work / "corpus.jsonl").exists()
+
+
 # Line breaks to str.splitlines(), but not to a file's lines.
 ODD_BREAKS = "\u2028\u0085"
 
@@ -307,6 +316,21 @@ class TestConfig:
                          "ingest", "--synthetic", "3"]) == cli.EXIT_DATA
         assert f"{cfg}: {message}" in capsys.readouterr().err
         assert not (work / "corpus.jsonl").exists()
+
+    @pytest.mark.parametrize("text", ["[]\n", "0\n", "false\n", "''\n"],
+                             ids=["list", "zero", "false", "empty-string"])
+    def test_falsy_document_is_not_a_mapping(self, work, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        assert cli.main(["--workdir", str(work), "--config", str(cfg),
+                         "ingest", "--synthetic", "3"]) == cli.EXIT_DATA
+        assert f"{cfg}: config must be a mapping" in capsys.readouterr().err
+        assert not (work / "corpus.jsonl").exists()
+
+    def test_empty_document_means_defaults(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("# no overrides\n")
+        assert cli.load_config(cfg) == cli.load_config()
 
     @pytest.mark.parametrize("text, message", [
         ("a: [\n", "line 2: invalid YAML: expected the node content"),
@@ -740,17 +764,6 @@ class TestRunContext:
                      "--top-k", "3", strict=True) == cli.EXIT_DATA
         assert ("embeddings.src.bin has changed since embed wrote it"
                 in capsys.readouterr().err)
-
-    def test_side_manifest_replaces_shared_one(self, small, work):
-        assert small("ingest", "--synthetic", "30") == 0
-        assert small("split") == 0
-        (work / "embed.manifest.json").write_text(json.dumps(
-            {"stage": "embed", "config_hash": "old", "seeds": {}, "inputs": {},
-             "outputs": {"embeddings.src.bin": "0" * 64}}))
-        assert small("embed", "--side", "src") == 0
-        assert not (work / "embed.manifest.json").exists()
-        assert small("report", "--side", "src", "--project-word", "ba",
-                     "--top-k", "3", strict=True) == 0
 
     def test_translate_warns_on_truncated_source(self, small, capsys):
         train_small(small)

@@ -84,6 +84,24 @@ class TestLoadCorpus:
         with pytest.raises(corpus.CorpusError, match=re.escape(f"{path}: {message}")):
             corpus.load_corpus(path)
 
+    @pytest.mark.parametrize("key, value, kind", [
+        ("src", None, "a string"), ("tgt", ["x", "y"], "a string"),
+        ("src", 12, "a string"), ("book", 3, "a string"),
+        ("id", None, "a string or an integer"), ("id", True, "a string or an integer"),
+    ], ids=["null-src", "list-tgt", "int-src", "int-book", "null-id", "bool-id"])
+    def test_non_text_value_names_file_line_and_key(self, tmp_path, key, value, kind):
+        path = tmp_path / "c.jsonl"
+        record = {"id": "u1", "src": "a.", "tgt": "x.", key: value}
+        self.write_jsonl(path, [{"id": "u0", "src": "b.", "tgt": "y."}, record])
+        with pytest.raises(corpus.CorpusError, match=re.escape(
+                f"{path}: line 2: record key {key!r} must be {kind}, got {value!r}")):
+            corpus.load_corpus(path)
+
+    def test_integer_id_is_text(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        self.write_jsonl(path, [{"id": 7, "book": "B", "src": "a.", "tgt": "x."}])
+        assert corpus.load_corpus(path).units[0].id == "7"
+
     def test_duplicate_id_named(self, tmp_path):
         path = tmp_path / "c.jsonl"
         self.write_jsonl(path, [

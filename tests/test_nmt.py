@@ -1,6 +1,5 @@
 import copy
 import functools
-import json
 import math
 import random
 import struct
@@ -238,34 +237,6 @@ def _init_model_0_2_0(config):
     return params
 
 
-PARAM_ORDER_0_2_0 = [
-    "enc_embed",
-    "enc_Wz", "enc_Uz", "enc_bz", "enc_Wr", "enc_Ur", "enc_br",
-    "enc_Wh", "enc_Uh", "enc_bh",
-    "dec_embed",
-    "attn_W", "attn_b", "comb_W", "comb_b",
-    "dec_Wz", "dec_Uz", "dec_bz", "dec_Wr", "dec_Ur", "dec_br",
-    "dec_Wh", "dec_Uh", "dec_bh",
-    "out_W", "out_b",
-]
-
-
-# Frozen copy of lowmt 0.2.0's save_checkpoint (format 1), fed per-gate params.
-def _save_checkpoint_0_2_0(params, cfg, path):
-    config_blob = json.dumps({
-        "src_vocab_size": cfg.src_vocab_size, "tgt_vocab_size": cfg.tgt_vocab_size,
-        "hidden": cfg.hidden, "max_len": cfg.max_len,
-        "dropout_p": cfg.dropout_p, "seed": cfg.seed,
-    }, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(nmt.MAGIC)
-        f.write(struct.pack("<I", 1))
-        f.write(struct.pack("<I", len(config_blob)))
-        f.write(config_blob)
-        for name in PARAM_ORDER_0_2_0:
-            f.write(np.ascontiguousarray(params[name], dtype="<f8").tobytes())
-
-
 # Frozen copy of lowmt 0.4.0's per-sentence forward, one vector at a time:
 # the reference for the row-block encoder and decoder step.
 def _ref_gru_forward(W, U, b, x, h):
@@ -430,61 +401,80 @@ class TestEncodeSequence:
         model = nmt.Seq2SeqModel(
             params={k: np.zeros_like(v) for k, v in tiny_model.params.items()},
             config=tiny_model.config)
-        outputs, h, _ = nmt.encode_sequence(model, [4, 5, 6])
+        outputs, h = nmt.encode_sequence(model, [[4, 5, 6]])
         assert np.array_equal(outputs, np.zeros_like(outputs))
-        assert np.array_equal(h, np.zeros(8))
+        assert np.array_equal(h, np.zeros((1, 8)))
 
     def test_padding_rows_zero(self, tiny_model):
-        outputs, _, _ = nmt.encode_sequence(tiny_model, [4])
-        assert np.array_equal(outputs[1:], np.zeros((5, 8)))
-        assert np.any(outputs[0] != 0)
+        outputs, _ = nmt.encode_sequence(tiny_model, [[4]])
+        assert np.array_equal(outputs[0, 1:], np.zeros((5, 8)))
+        assert np.any(outputs[0, 0] != 0)
 
     def test_too_long_rejected(self, tiny_model):
         with pytest.raises(nmt.NmtError, match="max_len"):
-            nmt.encode_sequence(tiny_model, [4] * 7)
+            nmt.encode_sequence(tiny_model, [[4] * 7])
 
     def test_finiteness_random_inputs(self, tiny_model):
         rng = random.Random(0)
         for _ in range(1000):
             ids = [rng.randrange(12) for _ in range(rng.randint(1, 6))]
-            outputs, h, _ = nmt.encode_sequence(tiny_model, ids)
+            outputs, h = nmt.encode_sequence(tiny_model, [ids])
             assert np.all(np.isfinite(outputs))
             assert np.all(np.isfinite(h))
+
+    def test_one_row_block_matches_0_4_0(self, tiny_model):
+        gates = []
+        outputs, h = nmt.encode_sequence(tiny_model, [PAIR[0]], gates)
+        ref_outputs, ref_h = _ref_encode(tiny_model, PAIR[0])
+        assert np.array_equal(outputs[0], ref_outputs)
+        assert np.array_equal(h[0], ref_h)
+        assert [(zr.shape, c.shape) for zr, c in gates] == [((1, 16), (1, 8))] * 4
+
+
+SOS = np.array([SOS_ID])
 
 
 class TestDecodeStep:
     def test_attention_sums_to_one(self, tiny_model):
-        enc_out, h, _ = nmt.encode_sequence(tiny_model, PAIR[0])
-        _, _, attn, _ = nmt._decode_step(tiny_model, SOS_ID, h, enc_out)
+        enc_out, h = nmt.encode_sequence(tiny_model, [PAIR[0]])
+        _, _, attn, _ = nmt._decode_step(tiny_model, SOS, h, enc_out)
         assert abs(attn.sum() - 1.0) < 1e-12
 
     def test_log_probs_normalize(self, tiny_model):
-        enc_out, h, _ = nmt.encode_sequence(tiny_model, PAIR[0])
-        logp, _, _, _ = nmt._decode_step(tiny_model, SOS_ID, h, enc_out)
+        enc_out, h = nmt.encode_sequence(tiny_model, [PAIR[0]])
+        logp, _, _, _ = nmt._decode_step(tiny_model, SOS, h, enc_out)
         assert abs(np.exp(logp).sum() - 1.0) < 1e-6
 
     def test_eval_mode_deterministic(self, tiny_model):
-        enc_out, h, _ = nmt.encode_sequence(tiny_model, PAIR[0])
-        a = nmt._decode_step(tiny_model, SOS_ID, h, enc_out)
-        b = nmt._decode_step(tiny_model, SOS_ID, h, enc_out)
+        enc_out, h = nmt.encode_sequence(tiny_model, [PAIR[0]])
+        a = nmt._decode_step(tiny_model, SOS, h, enc_out)
+        b = nmt._decode_step(tiny_model, SOS, h, enc_out)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
     def test_bad_token_rejected(self, tiny_model):
-        enc_out, h, _ = nmt.encode_sequence(tiny_model, PAIR[0])
+        enc_out, h = nmt.encode_sequence(tiny_model, [PAIR[0]])
         with pytest.raises(nmt.NmtError):
-            nmt._decode_step(tiny_model, 99, h, enc_out)
+            nmt._decode_step(tiny_model, np.array([99]), h, enc_out)
 
     def test_train_mode_dropout_draws_one_mask(self):
         model = nmt.init_model(tiny_config(dropout_p=0.4))
-        enc_out, h, _ = nmt.encode_sequence(model, PAIR[0])
+        enc_out, h = nmt.encode_sequence(model, [PAIR[0]])
         logp, _, _, _ = nmt._decode_step(
-            model, SOS_ID, h, enc_out,
+            model, SOS, h, enc_out,
             nmt._dropout_mask(model.config, np.random.default_rng(5)))
         draw = np.random.default_rng(5).random(8)
         mask = (draw < 0.6).astype(np.float64) / 0.6
-        expected, _, _, _ = nmt._decode_step(model, SOS_ID, h, enc_out, mask)
+        expected, _, _, _ = nmt._decode_step(model, SOS, h, enc_out, mask)
         assert np.array_equal(logp, expected)
+
+    def test_one_row_block_matches_0_4_0(self, tiny_model):
+        enc_out, h = nmt.encode_sequence(tiny_model, [PAIR[0]])
+        logp, h_new, attn, _ = nmt._decode_step(tiny_model, SOS, h, enc_out)
+        ref = _ref_decode_step(tiny_model, SOS_ID, h[0], enc_out[0])
+        for got, want in zip((logp, h_new, attn), ref):
+            assert got.shape == (1,) + want.shape
+            assert np.array_equal(got[0], want)
 
 
 class TestTraining:
@@ -628,7 +618,7 @@ class TestTranslateBatch:
             return logp, hidden, np.full((len(prev_ids), 6), 1.0 / 6), None
 
         sources = [[5] * k for k in (3, 1, 6, 2)]
-        monkeypatch.setattr(nmt, "_encode_rows", lambda model, sources: (
+        monkeypatch.setattr(nmt, "encode_sequence", lambda model, sources: (
             np.array([[[1.0]] * len(s) + [[0.0]] * (6 - len(s)) for s in sources]),
             np.zeros((len(sources), 1))))
         monkeypatch.setattr(nmt, "_decode_step", step)
@@ -892,6 +882,31 @@ class TestFactoredUpdate:
             tracemalloc.stop()
         assert peak < dense_bytes
 
+    def test_finished_pair_is_freed_before_the_next_forward(self, monkeypatch):
+        cfg = nmt.ModelConfig(src_vocab_size=2000, tgt_vocab_size=2000, hidden=64,
+                              max_len=24, dropout_p=0.1, seed=0)
+        rng = random.Random(0)
+        pairs = [([rng.randrange(4, 2000) for _ in range(rng.randint(8, 20))],
+                  [rng.randrange(4, 2000) for _ in range(rng.randint(8, 20))])
+                 for _ in range(3)]
+        model = nmt.init_model(cfg)
+        forward, at_entry = nmt._forward_pair, []
+
+        def traced_forward(*args, **kwargs):
+            at_entry.append(tracemalloc.get_traced_memory()[0])
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(nmt, "_forward_pair", traced_forward)
+        tracemalloc.start()
+        try:
+            nmt.train(model, pairs, nmt.TrainConfig(epochs=1, seed=0))
+        finally:
+            tracemalloc.stop()
+        # One decoder step's log-probs alone take 16 KB here; a record left
+        # alive from the previous pair holds hundreds of KB.
+        assert len(at_entry) == 3
+        assert max(at_entry[1:]) - at_entry[0] < 32 * 1024
+
 
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tiny_model, tmp_path):
@@ -913,19 +928,13 @@ class TestCheckpoint:
                           for name in nmt.PARAM_ORDER)
         assert blob.endswith(params)
 
-    def test_reads_format_1(self, tmp_path):
-        cfg = tiny_config(seed=7, tgt_vocab_size=10, hidden=6)
-        model = nmt.init_model(cfg)
-        nmt.train(model, [PAIR, ([6, 5], [4, 7])],
-                  nmt.TrainConfig(epochs=3, learning_rate=0.5, seed=1))
-        path = tmp_path / "v1.ckpt"
-        _save_checkpoint_0_2_0(_gate_views(model.params), cfg, path)
-        loaded = nmt.load_checkpoint(path)
-        assert loaded.config == cfg
-        for name in nmt.PARAM_ORDER:
-            assert np.array_equal(loaded.params[name], model.params[name]), name
-        for src in (PAIR[0], [6, 5], [7, 7, 4]):
-            assert nmt.translate(loaded, src)[0] == nmt.translate(model, src)[0]
+    def test_format_1_is_refused(self, tiny_model, tmp_path):
+        path = tmp_path / "m.ckpt"
+        nmt.save_checkpoint(tiny_model, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+        with pytest.raises(nmt.NmtError, match="m.ckpt: unsupported checkpoint version 1"):
+            nmt.load_checkpoint(path)
 
     @pytest.mark.parametrize("cut, message", [
         (5, "truncated at header"), (12, "truncated at config"),
