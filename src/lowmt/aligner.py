@@ -11,7 +11,7 @@ import random
 import re
 from dataclasses import dataclass, field
 
-from .util import derive_seed, write_jsonl, read_jsonl
+from .util import check_record, derive_seed, read_jsonl, write_jsonl
 
 # Sentence boundary: terminal mark, optional closing quotes/brackets that
 # adhere to the preceding sentence, then whitespace or end of text.
@@ -19,18 +19,15 @@ _BOUNDARY = re.compile(r'[.!?]["\'\)\]\}”’»]*(?=\s|$)')
 
 GROUP_ONE2ONE = "one2one"
 GROUP_VARIABLE = "variable"
-RECORD_KEYS = ("src", "tgt", "origin_id", "group")   # required in split files
 _TEXT = (lambda v: isinstance(v, str) and v != "", "a non-empty string")
-# key -> (check of its value, what the check asks for); the last two keys
-# are optional.
-RECORD_VALUES = {
-    "src": _TEXT, "tgt": _TEXT,
-    "origin_id": (lambda v: isinstance(v, str), "a string"),
-    "group": (lambda v: v in (GROUP_ONE2ONE, GROUP_VARIABLE),
+RECORD_FIELDS = {
+    "src": (True, *_TEXT), "tgt": (True, *_TEXT),
+    "origin_id": (True, lambda v: isinstance(v, str), "a string"),
+    "group": (True, lambda v: v in (GROUP_ONE2ONE, GROUP_VARIABLE),
               f"{GROUP_ONE2ONE} or {GROUP_VARIABLE}"),
-    "augmented": (lambda v: isinstance(v, bool), "a bool"),
-    "aug_ops": (lambda v: isinstance(v, list) and all(isinstance(op, str) for op in v),
-                "a list of strings"),
+    "augmented": (False, lambda v: isinstance(v, bool), "a bool"),
+    "aug_ops": (False, lambda v: isinstance(v, list)
+                and all(isinstance(op, str) for op in v), "a list of strings"),
 }
 SPLIT_PARTS = ("train", "test", "validation")
 SPLIT_FILES = tuple(f"{part}.jsonl" for part in SPLIT_PARTS) + ("manifest.json",)
@@ -197,23 +194,15 @@ def save_split(split, outdir):
 
 
 def _pairs_from_file(path):
-    pairs = []
-    for lineno, rec in read_jsonl(path):
-        missing = [k for k in RECORD_KEYS if not isinstance(rec, dict) or k not in rec]
-        if missing:
-            raise AlignError(f"{path}: line {lineno}: record lacks {', '.join(missing)}")
-        for key, (check, kind) in RECORD_VALUES.items():
-            if key in rec and not check(rec[key]):
-                raise AlignError(f"{path}: line {lineno}: record key {key!r} must be "
-                                 f"{kind}, got {rec[key]!r}")
-        pairs.append(TextPair.from_record(rec))
-    return pairs
+    return [TextPair.from_record(
+        check_record(rec, RECORD_FIELDS, f"{path}: line {lineno}", AlignError))
+        for lineno, rec in read_jsonl(path)]
 
 
 def load_split(outdir):
-    """Read a save_split directory; a record without the keys TextPair needs
-    or with a value that RECORD_VALUES rejects, or a manifest.json that is
-    not a JSON object, raises AlignError naming the file (and the line)."""
+    """Read a save_split directory; a record that RECORD_FIELDS rejects, or a
+    manifest.json that is not a JSON object, raises AlignError naming the
+    file (and the line)."""
     parts = {part: _pairs_from_file(os.path.join(outdir, f"{part}.jsonl"))
              for part in SPLIT_PARTS}
     manifest_path = os.path.join(outdir, "manifest.json")
@@ -224,6 +213,5 @@ def load_split(outdir):
                 manifest = json.load(f)
             except ValueError as e:
                 raise AlignError(f"{manifest_path}: not valid JSON: {e}") from e
-        if not isinstance(manifest, dict):
-            raise AlignError(f"{manifest_path}: expected a JSON object")
+        check_record(manifest, {}, manifest_path, AlignError)
     return DatasetSplit(**parts, manifest=manifest)

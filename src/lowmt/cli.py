@@ -22,8 +22,8 @@ from collections import Counter
 import yaml
 
 from . import __version__, corpus
-from .util import (config_hash, derive_seed, lazy_module, numpy_version, read_lines,
-                   sha256_file, write_jsonl)
+from .util import (check_record, config_hash, derive_seed, lazy_module, numpy_version,
+                   read_lines, sha256_file, write_jsonl)
 
 # Each runs its import at its first use, so a stage process compiles and runs
 # only the lowmt modules that stage uses.
@@ -55,7 +55,9 @@ DEFAULT_CONFIG = {
 DATA_ERRORS = (OSError, ValueError)
 
 MANIFEST_SUFFIX = ".manifest.json"
-MANIFEST_KEYS = {"stage", "config_hash", "inputs", "outputs"}
+_MAPPING = (lambda v: isinstance(v, dict), "a mapping")
+MANIFEST_FIELDS = {"stage": (True, None, None), "config_hash": (True, None, None),
+                   "inputs": (True, *_MAPPING), "outputs": (True, *_MAPPING)}
 
 # The type of each config value whose default is null; null stays allowed.
 NULL_DEFAULT_TYPES = {"augment.lexicon": str, "augment.max_pairs": int}
@@ -216,7 +218,7 @@ class StageContext:
                     except ValueError as e:
                         # Its outputs cannot be checked; re-running its
                         # stage rewrites it.
-                        self._complain(f"{self.path(name)}: malformed manifest: {e}")
+                        self._complain(str(e))
         for name, manifest in self._manifests.items():
             if key in manifest["outputs"]:
                 return name
@@ -242,14 +244,13 @@ class StageContext:
 
 
 def _read_manifest(path):
+    where = f"{path}: malformed manifest"
     with open(path, "r", encoding="utf-8") as f:
-        manifest = json.load(f)
-    if not (isinstance(manifest, dict) and MANIFEST_KEYS <= manifest.keys()
-            and isinstance(manifest["inputs"], dict)
-            and isinstance(manifest["outputs"], dict)):
-        raise ValueError("expected an object with stage, config_hash, inputs "
-                         "and outputs, the last two mappings")
-    return manifest
+        try:
+            manifest = json.load(f)
+        except ValueError as e:
+            raise ValueError(f"{where}: {e}") from e
+    return check_record(manifest, MANIFEST_FIELDS, where, ValueError)
 
 
 def arg(*flags, **kwargs):
@@ -314,6 +315,8 @@ def _load_vocab(ctx, side):
 
 def _input_lines(ctx, args):
     """--text as one line, or the lines of the --input file."""
+    if args.text is not None and args.input is not None:
+        raise ValueError(f"{ctx.stage} takes --text or --input, not both")
     if args.text is not None:
         return [args.text]
     if args.input is None:
@@ -398,12 +401,13 @@ def cmd_embed(ctx, args):
                  if (words := corpus.words(getattr(p, args.side)))]
     model = analysis.train_embeddings(sentences, **ctx.config["embeddings"],
                                       seed=ctx.seed())
+    # Before the write, so that an unknown query word leaves no file behind.
+    neighbors = analysis.most_similar(model, args.query, k=10) if args.query else []
     out_path = ctx.write(ctx.path(f"embeddings.{args.side}.bin"))
     analysis.save_embeddings(model, out_path)
     print(f"trained {len(model.words)}-word embeddings (dim {model.dim}) -> {out_path}")
-    if args.query:
-        for word, sim in analysis.most_similar(model, args.query, k=10):
-            print(f"  {word}\t{sim:.4f}")
+    for word, sim in neighbors:
+        print(f"  {word}\t{sim:.4f}")
 
 
 def cmd_report(ctx, args):

@@ -10,7 +10,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
-from .util import read_jsonl, read_lines, write_jsonl
+from .util import check_record, read_jsonl, read_lines, write_jsonl
 
 TERMINAL_MARKS = ".!?"
 
@@ -77,36 +77,31 @@ class CorpusStats:
     bottom_k: list = field(default_factory=list)
 
 
-# The types a record value may have (never bool); a TSV cell is always text.
-RECORD_TYPES = {"id": ((str, int), "a string or an integer"), "book": (str, "a string"),
-                "src": (str, "a string"), "tgt": (str, "a string")}
+_TEXT = (lambda v: isinstance(v, str), "a string")
+# A TSV cell is always text, so a count may be one of decimal digits.
+_COUNT = (lambda v: (type(v) is int and v >= 0) or (isinstance(v, str) and v.isdecimal()),
+          "a non-negative integer or a string of decimal digits")
+RECORD_FIELDS = {
+    "id": (True, lambda v: isinstance(v, str) or type(v) is int, "a string or an integer"),
+    "book": (False, *_TEXT), "chapter": (False, *_COUNT), "verse": (False, *_COUNT),
+    "src": (True, *_TEXT), "tgt": (True, *_TEXT),
+}
 
 
 def _unit_from_record(record, where):
-    if not isinstance(record, dict):
-        raise CorpusError(f"{where}: expected an object")
-    missing = [k for k in ("id", "src", "tgt") if k not in record]
-    if missing:
-        raise CorpusError(f"{where}: missing fields {missing}")
-    for key, (types, kind) in RECORD_TYPES.items():
-        value = record.get(key, "")
-        if not isinstance(value, types) or isinstance(value, bool):
-            raise CorpusError(f"{where}: record key {key!r} must be {kind}, got {value!r}")
+    check_record(record, RECORD_FIELDS, where, CorpusError)
     src = normalize_text(record["src"])
     tgt = normalize_text(record["tgt"])
     if not src or not tgt:
         raise CorpusError(f"{where}: empty src or tgt")
-    try:
-        return ParallelUnit(
-            id=str(record["id"]),
-            book=record.get("book", ""),
-            chapter=int(record.get("chapter", 0)),
-            verse=int(record.get("verse", 0)),
-            src=src,
-            tgt=tgt,
-        )
-    except (ValueError, TypeError) as e:
-        raise CorpusError(f"{where}: {e}") from e
+    return ParallelUnit(
+        id=str(record["id"]),
+        book=record.get("book", ""),
+        chapter=int(record.get("chapter", 0)),
+        verse=int(record.get("verse", 0)),
+        src=src,
+        tgt=tgt,
+    )
 
 
 def _tsv_records(path):

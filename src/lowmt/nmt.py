@@ -59,7 +59,7 @@ import struct
 from dataclasses import asdict, dataclass
 
 from .subword import PAD_ID, SOS_ID, EOS_ID, UNK_ID
-from .util import derive_seed, lazy_module, read_exact
+from .util import check_record, derive_seed, lazy_module, read_exact
 
 np = lazy_module("numpy")
 
@@ -109,6 +109,14 @@ class ModelConfig:
             raise NmtError("dropout_p must be in [0, 1)")
         if self.hidden < 1:
             raise NmtError("hidden must be positive")
+
+
+_INT = (lambda v: type(v) is int, "an integer")
+# The checkpoint header's types; ModelConfig checks the ranges.
+HEADER_FIELDS = {"src_vocab_size": (True, *_INT), "tgt_vocab_size": (True, *_INT),
+                 "hidden": (False, *_INT), "max_len": (False, *_INT),
+                 "dropout_p": (False, lambda v: type(v) in (int, float), "a number"),
+                 "seed": (False, *_INT)}
 
 
 @dataclass
@@ -736,10 +744,16 @@ def load_checkpoint(path):
         if version != FORMAT_VERSION:
             raise NmtError(f"{path}: unsupported checkpoint version {version}")
         blob = read_exact(f, clen, NmtError, "config")
+        where = f"{path}: bad checkpoint config"
         try:
-            cfg = ModelConfig(**json.loads(blob))
+            header = json.loads(blob)
+        except ValueError as e:
+            raise NmtError(f"{where}: {e}") from e
+        check_record(header, HEADER_FIELDS, where, NmtError)
+        try:
+            cfg = ModelConfig(**header)
         except (TypeError, ValueError) as e:
-            raise NmtError(f"{path}: bad checkpoint config: {e}") from e
+            raise NmtError(f"{where}: {e}") from e
         shapes = param_shapes(cfg)
         size = os.fstat(f.fileno()).st_size - f.tell()
         if size != 8 * sum(math.prod(shape) for shape in shapes.values()):

@@ -1,6 +1,6 @@
 """Shared helpers: seed derivation, file hashing, binary reads, line and JSONL
-I/O, modules whose import runs only when a stage first uses them, and
-numpy's version read without running numpy's import."""
+I/O, record checks, modules whose import runs only when a stage first uses
+them, and numpy's version read without running numpy's import."""
 
 import hashlib
 import importlib.machinery
@@ -82,6 +82,23 @@ def read_jsonl(path):
             except json.JSONDecodeError as e:
                 raise ValueError(f"{path}: malformed JSON at line {lineno}: {e}") from e
     return records
+
+
+def check_record(record, fields, where, error):
+    """record, if it is a JSON object that passes fields, a table of
+    key -> (required, check, kind): check(value) says if a value is allowed
+    (None: any is), kind what it asks for. Else error naming where."""
+    if not isinstance(record, dict):
+        raise error(f"{where}: expected a JSON object")
+    missing = [key for key, (required, _, _) in fields.items()
+               if required and key not in record]
+    if missing:
+        raise error(f"{where}: record lacks {', '.join(missing)}")
+    for key, (_, check, kind) in fields.items():
+        if check and key in record and not check(record[key]):
+            raise error(f"{where}: record key {key!r} must be {kind}, "
+                        f"got {record[key]!r}")
+    return record
 
 
 def write_jsonl(path, records):

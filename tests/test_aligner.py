@@ -146,18 +146,18 @@ class TestSplitPersistence:
         assert loaded.validation == split.validation
         assert loaded.manifest["seed"] == 3
 
-    @pytest.mark.parametrize("line, lacks", [
-        ('{"tgt": "y.", "origin_id": "u", "group": "one2one"}', "src"),
-        ('{"src": "x.", "tgt": "y."}', "origin_id, group"),
-        ('["x.", "y."]', "src, tgt, origin_id, group"),
+    @pytest.mark.parametrize("line, message", [
+        ('{"tgt": "y.", "origin_id": "u", "group": "one2one"}', "record lacks src"),
+        ('{"src": "x.", "tgt": "y."}', "record lacks origin_id, group"),
+        ('["x.", "y."]', "expected a JSON object"),
     ], ids=["src", "origin_id-group", "list"])
-    def test_record_without_keys_names_file_and_line(self, tmp_path, line, lacks):
+    def test_record_without_keys_names_file_and_line(self, tmp_path, line, message):
         split = aligner.split_dataset(make_pairs(20), make_variables(10), seed=3)
         aligner.save_split(split, tmp_path / "split")
         path = tmp_path / "split" / "test.jsonl"
         path.write_text("\n" + line + "\n" + path.read_text())
         with pytest.raises(aligner.AlignError,
-                           match=f"test.jsonl: line 2: record lacks {lacks}$"):
+                           match=f"test.jsonl: line 2: {message}$"):
             aligner.load_split(tmp_path / "split")
 
     @pytest.mark.parametrize("change, key, kind", [

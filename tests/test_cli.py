@@ -2,6 +2,7 @@ import importlib.util
 import json
 import os
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -790,12 +791,48 @@ class TestRunContext:
         assert small("translate", "--text", "ba ce.") == cli.EXIT_DATA
         assert "model.ckpt: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("hidden", 16.0), ("seed", "x")])
+    def test_checkpoint_header_type_exits_3_naming_key(self, small, work, capsys,
+                                                       key, value):
+        train_small(small)
+        path = work / "model.ckpt"
+        blob = path.read_bytes()
+        (clen,) = struct.unpack("<I", blob[8:12])
+        header = json.dumps({**json.loads(blob[12:12 + clen]), key: value}).encode()
+        path.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
+                         + blob[12 + clen:])
+        capsys.readouterr()
+        assert small("translate", "--text", "ba ce.") == cli.EXIT_DATA
+        assert (f"model.ckpt: bad checkpoint config: record key {key!r} must be an "
+                f"integer, got {value!r}") in capsys.readouterr().err
+
     def test_tok_apply_writes_no_manifest(self, small, work):
         assert small("ingest", "--synthetic", "30") == 0
         assert small("split") == 0
         assert small("tok-train", "--vocab-size", "80") == 0
         assert small("tok-apply", "--text", "ba ce.") == 0
         assert not (work / "tok-apply.manifest.json").exists()
+
+    def test_text_with_input_exits_3(self, small, work, tmp_path, capsys):
+        train_small(small)
+        src = tmp_path / "src.txt"
+        src.write_text("ba ce.\n")
+        before = sorted(os.listdir(work))
+        for stage in ("tok-apply", "translate"):
+            capsys.readouterr()
+            assert small(stage, "--text", "di fo.", "--input", str(src)) == cli.EXIT_DATA
+            assert (f"error: {stage} takes --text or --input, not both"
+                    in capsys.readouterr().err)
+        assert sorted(os.listdir(work)) == before
+
+    def test_unknown_query_word_leaves_no_file(self, small, work, capsys):
+        assert small("ingest", "--synthetic", "30") == 0
+        assert small("split") == 0
+        before = sorted(os.listdir(work))
+        capsys.readouterr()
+        assert small("embed", "--query", "zz") == cli.EXIT_DATA
+        assert "word 'zz' not in vocabulary" in capsys.readouterr().err
+        assert sorted(os.listdir(work)) == before
 
 
 class TestImportCost:

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from lowmt import corpus
 
+COUNT = "a non-negative integer or a string of decimal digits"
+
 
 def make_corpus(texts):
     units = [corpus.ParallelUnit(id=f"u{i}", book="B", chapter=1, verse=i,
@@ -73,10 +75,10 @@ class TestLoadCorpus:
             corpus.load_corpus(path)
 
     @pytest.mark.parametrize("record, message", [
-        ({"id": "u1", "src": "a."}, "line 1: missing fields ['tgt']"),
+        ({"id": "u1", "src": "a."}, "line 1: record lacks tgt"),
         ({"id": "u1", "src": "a.", "tgt": "x.", "chapter": "one"},
-         "line 1: invalid literal for int() with base 10: 'one'"),
-        (["u1", "a.", "x."], "line 1: expected an object"),
+         f"line 1: record key 'chapter' must be {COUNT}, got 'one'"),
+        (["u1", "a.", "x."], "line 1: expected a JSON object"),
     ], ids=["missing-tgt", "bad-chapter", "not-an-object"])
     def test_bad_record_names_file_and_line(self, tmp_path, record, message):
         path = tmp_path / "c.jsonl"
@@ -88,7 +90,11 @@ class TestLoadCorpus:
         ("src", None, "a string"), ("tgt", ["x", "y"], "a string"),
         ("src", 12, "a string"), ("book", 3, "a string"),
         ("id", None, "a string or an integer"), ("id", True, "a string or an integer"),
-    ], ids=["null-src", "list-tgt", "int-src", "int-book", "null-id", "bool-id"])
+        ("chapter", 1.7, COUNT), ("verse", True, COUNT), ("chapter", None, COUNT),
+        ("verse", "x", COUNT), ("chapter", -1, COUNT),
+    ], ids=["null-src", "list-tgt", "int-src", "int-book", "null-id", "bool-id",
+            "float-chapter", "bool-verse", "null-chapter", "text-verse",
+            "negative-chapter"])
     def test_non_text_value_names_file_line_and_key(self, tmp_path, key, value, kind):
         path = tmp_path / "c.jsonl"
         record = {"id": "u1", "src": "a.", "tgt": "x.", key: value}
@@ -96,6 +102,22 @@ class TestLoadCorpus:
         with pytest.raises(corpus.CorpusError, match=re.escape(
                 f"{path}: line 2: record key {key!r} must be {kind}, got {value!r}")):
             corpus.load_corpus(path)
+
+    def test_digit_string_count_is_an_integer(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        self.write_jsonl(path, [{"id": "u1", "chapter": "3", "verse": 4,
+                                 "src": "a.", "tgt": "x."}])
+        unit = corpus.load_corpus(path).units[0]
+        assert (unit.chapter, unit.verse) == (3, 4)
+
+    def test_tsv_count_cell_names_file_line_and_key(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        path.write_text("\t".join(corpus.TSV_COLUMNS) + "\n"
+                        "u0\tB\t1\t1\tb.\ty.\n"
+                        "u1\tB\t1.5\t2\ta.\tx.\n", encoding="utf-8")
+        with pytest.raises(corpus.CorpusError, match=re.escape(
+                f"{path}: line 3: record key 'chapter' must be {COUNT}, got '1.5'")):
+            corpus.load_corpus(path, "tsv")
 
     def test_integer_id_is_text(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -966,7 +966,10 @@ class TestCheckpoint:
     @pytest.mark.parametrize("blob", [
         b'{"tgt_vocab_size": 12}', b'{"src_vocab_size": 12, "tgt_vocab_size": 2}',
         b'{"src_vocab_size": 12, "tgt_vocab_size": 12, "colour": 1}', b"[1, 2]",
-        b"{not json"])
+        b"{not json", b'{"src_vocab_size": 12, "tgt_vocab_size": 12, "hidden": 4.0}',
+        b'{"src_vocab_size": 12, "tgt_vocab_size": 12, "seed": "x"}',
+        b'{"src_vocab_size": true, "tgt_vocab_size": 12}',
+        b'{"src_vocab_size": 12, "tgt_vocab_size": 12, "dropout_p": "0.1"}'])
     def test_bad_config_names_file(self, tmp_path, blob):
         path = tmp_path / "m.ckpt"
         path.write_bytes(nmt.MAGIC + struct.pack("<II", 2, len(blob)) + blob)

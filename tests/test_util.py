@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lowmt.util import read_lines
+from lowmt.util import check_record, read_lines
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,6 +27,27 @@ class TestReadLines:
         path.write_bytes(b"word\n" * 5000 + b"\xc3(\n")
         with pytest.raises(ValueError, match=r"line 5001: byte 0xc3 is not UTF-8"):
             list(read_lines(path))
+
+
+class TestCheckRecord:
+    FIELDS = {"a": (True, lambda v: type(v) is int, "an integer"),
+              "b": (False, lambda v: isinstance(v, str), "a string"),
+              "c": (True, None, None)}
+
+    @pytest.mark.parametrize("record, message", [
+        ([1], "f: line 2: expected a JSON object"),
+        ({"b": "x"}, "f: line 2: record lacks a, c"),
+        ({"a": True, "c": 0}, "f: line 2: record key 'a' must be an integer, got True"),
+        ({"a": 1, "b": None, "c": 0}, "f: line 2: record key 'b' must be a string, got None"),
+    ], ids=["not-an-object", "lacks", "bool-a", "null-b"])
+    def test_names_where_and_the_fault(self, record, message):
+        with pytest.raises(KeyError) as info:
+            check_record(record, self.FIELDS, "f: line 2", KeyError)
+        assert info.value.args == (message,)
+
+    def test_passes_what_its_fields_allow(self):
+        record = {"a": 1, "c": [None], "extra": {}}
+        assert check_record(record, self.FIELDS, "f", ValueError) is record
 
 
 def _python(code):
