@@ -5,23 +5,29 @@ single thread so that a fixed seed gives a bitwise-identical vector table.
 The 2-D projection uses PCA on the selected word subset.
 """
 
-import json
-import struct
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import top_words
-from .util import lazy_module, read_exact
+from .util import lazy_module, load_arrays, save_arrays
 
 np = lazy_module("numpy")
 
 MAGIC = b"LMTE"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 LEARNING_RATE = 0.025   # initial SGNS step, decayed linearly to 1e-4 of it
 
 
 class AnalysisError(ValueError):
     pass
+
+
+_COUNT = (True, lambda v: type(v) is int and v >= 0, "a non-negative integer")
+# Embedding format 2 (util.save_arrays): a header of EmbeddingModel's keys but vectors.
+HEADER_FIELDS = {"dim": _COUNT, "window": _COUNT, "negatives": _COUNT, "epochs": _COUNT,
+                 "min_count": _COUNT, "seed": _COUNT,
+                 "words": (True, lambda v: type(v) is list and all(type(w) is str for w in v)
+                           and len(set(v)) == len(v), "a list of distinct strings")}
 
 
 @dataclass
@@ -49,6 +55,16 @@ class EmbeddingModel:
         return self.vectors[self.index[word]]
 
 
+def vocabulary(sentences, min_count=1):
+    """word -> count of each word seen at least min_count times in the
+    tokenized sentences, most frequent first: the embedding vocabulary."""
+    counts = Counter(tok for sent in sentences for tok in sent)
+    kept = {w: c for w, c in counts.items() if c >= min_count}
+    if not kept:
+        raise AnalysisError("effective vocabulary is empty (min_count too high?)")
+    return dict(top_words(kept, len(kept)))
+
+
 def train_embeddings(sentences, dim=100, window=5, negatives=5, epochs=5,
                      min_count=1, seed=0):
     """Skip-gram with negative sampling over tokenized sentences."""
@@ -58,11 +74,8 @@ def train_embeddings(sentences, dim=100, window=5, negatives=5, epochs=5,
     if not sentences:
         raise AnalysisError("no training sentences")
 
-    counts = Counter(tok for sent in sentences for tok in sent)
-    kept = {w: c for w, c in counts.items() if c >= min_count}
-    if not kept:
-        raise AnalysisError("effective vocabulary is empty (min_count too high?)")
-    vocab = [w for w, _ in top_words(kept, len(kept))]
+    counts = vocabulary(sentences, min_count)
+    vocab = list(counts)
     index = {w: i for i, w in enumerate(vocab)}
 
     rng = np.random.default_rng(seed)
@@ -70,7 +83,7 @@ def train_embeddings(sentences, dim=100, window=5, negatives=5, epochs=5,
     W = (rng.random((n, dim)) - 0.5) / dim       # input vectors
     C = np.zeros((n, dim))                       # context vectors
 
-    noise = np.array([counts[w] for w in vocab], dtype=np.float64) ** 0.75
+    noise = np.array(list(counts.values()), dtype=np.float64) ** 0.75
     noise_cdf = np.cumsum(noise / noise.sum())
 
     encoded = [[index[t] for t in sent if t in index] for sent in sentences]
@@ -158,43 +171,19 @@ def project_2d(model, word, k_similar=10, k_dissimilar=10):
 
 
 def save_embeddings(model, path):
-    config = {"dim": model.dim, "window": model.window,
-              "negatives": model.negatives, "epochs": model.epochs,
-              "min_count": model.min_count, "seed": model.seed}
-    vocab_blob = "\n".join(model.words).encode("utf-8")
-    config_blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<III", FORMAT_VERSION, len(model.words), model.dim))
-        f.write(struct.pack("<I", len(config_blob)))
-        f.write(config_blob)
-        f.write(struct.pack("<I", len(vocab_blob)))
-        f.write(vocab_blob)
-        f.write(np.ascontiguousarray(model.vectors, dtype="<f8").tobytes())
+    save_arrays(path, MAGIC, FORMAT_VERSION,
+                {key: getattr(model, key) for key in HEADER_FIELDS}, [model.vectors])
+
+
+def _vector_shapes(header):
+    unknown = sorted(header.keys() - HEADER_FIELDS.keys())
+    if unknown:  # as EmbeddingModel(**header) would refuse it
+        raise TypeError(f"unexpected key {unknown[0]!r}")
+    return {"vectors": (len(header["words"]), header["dim"])}
 
 
 def load_embeddings(path):
-    """Read a save_embeddings file; a malformed one raises AnalysisError
-    naming it."""
-    with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise AnalysisError(f"{path}: not an embedding file")
-        version, n, dim, clen = struct.unpack(
-            "<IIII", read_exact(f, 16, AnalysisError, "header"))
-        if version != FORMAT_VERSION:
-            raise AnalysisError(f"{path}: unsupported version {version}")
-        config_blob = read_exact(f, clen, AnalysisError, "config")
-        (vlen,) = struct.unpack("<I", read_exact(f, 4, AnalysisError, "vocab length"))
-        words_blob = read_exact(f, vlen, AnalysisError, "vocab")
-        vectors = np.frombuffer(read_exact(f, n * dim * 8, AnalysisError, "vectors"),
-                                dtype="<f8").reshape(n, dim).copy()
-    try:
-        config = json.loads(config_blob)
-        hyper = {key: config[key]
-                 for key in ("window", "negatives", "epochs", "min_count", "seed")}
-        words = words_blob.decode("utf-8").split("\n")
-    except (ValueError, KeyError, TypeError) as e:
-        raise AnalysisError(f"{path}: malformed header: {e!r}") from e
-    if len(words) != n:
-        raise AnalysisError(f"{path}: vocab length mismatch")
-    return EmbeddingModel(words=words, vectors=vectors, dim=dim, **hyper)
+    """Read a save_embeddings file; a malformed one raises AnalysisError naming it."""
+    header, arrays = load_arrays(path, MAGIC, FORMAT_VERSION, HEADER_FIELDS,
+                                 _vector_shapes, AnalysisError, "embedding")
+    return EmbeddingModel(vectors=arrays["vectors"], **header)

@@ -399,9 +399,13 @@ def cmd_embed(ctx, args):
     split = _load_split(ctx, args)
     sentences = [words for p in split.train
                  if (words := corpus.words(getattr(p, args.side)))]
+    # Before training and before any write: an unknown query word fails at
+    # once and leaves no file behind.
+    if args.query and args.query not in analysis.vocabulary(
+            sentences, ctx.config["embeddings"]["min_count"]):
+        raise analysis.AnalysisError(f"word {args.query!r} not in vocabulary")
     model = analysis.train_embeddings(sentences, **ctx.config["embeddings"],
                                       seed=ctx.seed())
-    # Before the write, so that an unknown query word leaves no file behind.
     neighbors = analysis.most_similar(model, args.query, k=10) if args.query else []
     out_path = ctx.write(ctx.path(f"embeddings.{args.side}.bin"))
     analysis.save_embeddings(model, out_path)
@@ -413,17 +417,20 @@ def cmd_embed(ctx, args):
 def cmd_report(ctx, args):
     corp = corpus.load_corpus(ctx.read(ctx.path("corpus.jsonl"), "corpus"))
     counts = Counter(corpus.side_tokens(corp, args.side))
-    for direction in ("most", "least"):
-        ranked = corpus.top_words(counts, args.top_k, direction)
-        with open(ctx.write(ctx.path(f"freq.{args.side}.{direction}.tsv")), "w",
-                  encoding="utf-8") as f:
-            f.write("word\tcount\n")
-            for word, count in ranked:
-                f.write(f"{word}\t{count}\n")
+    # All of it before the first write, so that a failure leaves no file.
+    ranked = {direction: corpus.top_words(counts, args.top_k, direction)
+              for direction in ("most", "least")}
     if args.project_word:
         model = analysis.load_embeddings(
             ctx.read(ctx.path(f"embeddings.{args.side}.bin"), "embedding model"))
         rows = analysis.project_2d(model, args.project_word, args.top_k, args.top_k)
+    for direction, words in ranked.items():
+        with open(ctx.write(ctx.path(f"freq.{args.side}.{direction}.tsv")), "w",
+                  encoding="utf-8") as f:
+            f.write("word\tcount\n")
+            for word, count in words:
+                f.write(f"{word}\t{count}\n")
+    if args.project_word:
         with open(ctx.write(ctx.path(f"projection.{args.side}.tsv")), "w",
                   encoding="utf-8") as f:
             f.write("word\tx\ty\tclass\n")

@@ -48,18 +48,15 @@ H=256 and V=8k it would be 23 MB per pair). Bias gradients are column sums;
 embedding gradients are sparse (touched rows, row gradients). Both count in
 the clip norm, and train updates only the touched embedding rows.
 
-Checkpoint format 2 stores the arrays of PARAM_ORDER, in that order.
+Checkpoint format 2 (util.save_arrays) holds the config, then PARAM_ORDER.
 """
 
-import json
 import math
-import os
 import random
-import struct
 from dataclasses import asdict, dataclass
 
 from .subword import PAD_ID, SOS_ID, EOS_ID, UNK_ID
-from .util import check_record, derive_seed, lazy_module, read_exact
+from .util import derive_seed, lazy_module, load_arrays, save_arrays
 
 np = lazy_module("numpy")
 
@@ -724,44 +721,20 @@ def gradient_check(model, pair, epsilon=1e-5, n_params_sampled=200, seed=0):
 
 
 def save_checkpoint(model, path):
-    config_blob = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(config_blob)))
-        f.write(config_blob)
-        for name in PARAM_ORDER:
-            # A view of the array's bytes: no copy unless it is not little-endian
-            # float64 in C order already.
-            array = np.ascontiguousarray(model.params[name], dtype="<f8")
-            f.write(memoryview(array).cast("B"))
+    save_arrays(path, MAGIC, FORMAT_VERSION, asdict(model.config),
+                [model.params[name] for name in PARAM_ORDER])
+
+
+def _checkpoint_shapes(header):
+    shapes = param_shapes(ModelConfig(**header))
+    return {name: shapes[name] for name in PARAM_ORDER}
 
 
 def load_checkpoint(path):
     """Read a format 2 checkpoint; a malformed file raises NmtError naming it."""
-    with open(path, "rb") as f:
-        if f.read(4) != MAGIC:
-            raise NmtError(f"{path}: not a checkpoint file")
-        version, clen = struct.unpack("<II", read_exact(f, 8, NmtError, "header"))
-        if version != FORMAT_VERSION:
-            raise NmtError(f"{path}: unsupported checkpoint version {version}")
-        blob = read_exact(f, clen, NmtError, "config")
-        where = f"{path}: bad checkpoint config"
-        try:
-            header = json.loads(blob)
-        except ValueError as e:
-            raise NmtError(f"{where}: {e}") from e
-        check_record(header, HEADER_FIELDS, where, NmtError)
-        try:
-            cfg = ModelConfig(**header)
-        except (TypeError, ValueError) as e:
-            raise NmtError(f"{where}: {e}") from e
-        shapes = param_shapes(cfg)
-        size = os.fstat(f.fileno()).st_size - f.tell()
-        if size != 8 * sum(math.prod(shape) for shape in shapes.values()):
-            raise NmtError(f"{path}: {size} bytes of parameters do not match its config")
-        params = {name: np.empty(shape, dtype="<f8") for name, shape in shapes.items()}
-        for name in PARAM_ORDER:
-            f.readinto(memoryview(params[name]).cast("B"))
-    return Seq2SeqModel(params=params, config=cfg)
+    header, params = load_arrays(path, MAGIC, FORMAT_VERSION, HEADER_FIELDS,
+                                 _checkpoint_shapes, NmtError, "checkpoint")
+    return Seq2SeqModel(params=params, config=ModelConfig(**header))
 
 
 def save_loss_history(history, path):

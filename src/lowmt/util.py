@@ -1,12 +1,14 @@
-"""Shared helpers: seed derivation, file hashing, binary reads, line and JSONL
-I/O, record checks, modules whose import runs only when a stage first uses
-them, and numpy's version read without running numpy's import."""
+"""Shared helpers: seed derivation, file hashing, line and JSONL I/O, record
+checks, one binary container of arrays, modules whose import runs only when a
+stage first uses them, and numpy's version read without running its import."""
 
 import hashlib
 import importlib.machinery
 import importlib.util
 import json
+import math
 import os
+import struct
 import sys
 import types
 
@@ -99,6 +101,48 @@ def check_record(record, fields, where, error):
             raise error(f"{where}: record key {key!r} must be {kind}, "
                         f"got {record[key]!r}")
     return record
+
+
+def save_arrays(path, magic, version, header, arrays):
+    """Write magic, <II (version, header length), header as JSON with sorted
+    keys, then each array as little-endian float64 in C order."""
+    import numpy as np  # here, so that stages that never run numpy skip its import
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(magic + struct.pack("<II", version, len(blob)) + blob)
+        for array in arrays:
+            # A view of its bytes: no copy if it is <f8 in C order already.
+            f.write(memoryview(np.ascontiguousarray(array, dtype="<f8")).cast("B"))
+
+
+def load_arrays(path, magic, version, fields, shapes, error, what):
+    """(header, name -> array) of a save_arrays file whose header passes fields
+    and whose arrays have shapes(header), name -> shape in file order; else error."""
+    import numpy as np
+    with open(path, "rb") as f:
+        if f.read(len(magic)) != magic:
+            raise error(f"{path}: not {'an' if what[0] in 'aeiou' else 'a'} {what} file")
+        found, size = struct.unpack("<II", read_exact(f, 8, error, "header"))
+        if found != version:
+            raise error(f"{path}: unsupported {what} version {found}")
+        blob = read_exact(f, size, error, "config")
+        where = f"{path}: bad {what} config"
+        try:
+            header = json.loads(blob)
+        except ValueError as e:
+            raise error(f"{where}: {e}") from e
+        check_record(header, fields, where, error)
+        try:
+            layout = shapes(header)
+        except (TypeError, ValueError) as e:
+            raise error(f"{where}: {e}") from e
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size != 8 * sum(math.prod(shape) for shape in layout.values()):
+            raise error(f"{path}: {size} bytes of parameters do not match its config")
+        arrays = {name: np.empty(shape, dtype="<f8") for name, shape in layout.items()}
+        for array in arrays.values():
+            f.readinto(memoryview(array).cast("B"))
+    return header, arrays
 
 
 def write_jsonl(path, records):

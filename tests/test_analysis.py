@@ -89,6 +89,8 @@ class TestTrainEmbeddings:
         model = analysis.train_embeddings(sents, dim=4, epochs=1, min_count=2, seed=0)
         assert "rare" not in model
         assert "common" in model
+        assert analysis.vocabulary(sents, min_count=2) == {"common": 4}
+        assert model.words == list(analysis.vocabulary(sents, min_count=2))
 
     def test_cluster_separation(self, cluster_model):
         model, a, b = cluster_model
@@ -176,25 +178,40 @@ class TestPersistence:
         with pytest.raises(analysis.AnalysisError):
             analysis.load_embeddings(path)
 
-    @pytest.mark.parametrize("cut, what", [(10, "header"), (-8, "vectors")])
-    def test_truncated_file_names_it(self, tmp_path, cluster_model, cut, what):
+    def test_format_2_layout(self, tmp_path, cluster_model):
+        model = cluster_model[0]
+        path = tmp_path / "emb.bin"
+        analysis.save_embeddings(model, path)
+        blob = path.read_bytes()
+        assert blob[:4] == b"LMTE" and struct.unpack("<I", blob[4:8]) == (2,)
+        (size,) = struct.unpack("<I", blob[8:12])
+        assert json.loads(blob[12:12 + size]) == {
+            "dim": 16, "window": 5, "negatives": 5, "epochs": 3, "min_count": 1,
+            "seed": 0, "words": model.words}
+        assert blob[12 + size:] == model.vectors.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("cut, message", [
+        pytest.param(10, "truncated at header", id="10-header"),
+        pytest.param(40, "truncated at config", id="40-config"),
+        pytest.param(-8, r"\d+ bytes of parameters do not match its config",
+                     id="-8-vectors")])
+    def test_truncated_file_names_it(self, tmp_path, cluster_model, cut, message):
         path = tmp_path / "emb.bin"
         analysis.save_embeddings(cluster_model[0], path)
         path.write_bytes(path.read_bytes()[:cut])
-        with pytest.raises(analysis.AnalysisError,
-                           match=f"emb.bin: truncated at {what}"):
+        with pytest.raises(analysis.AnalysisError, match=f"emb.bin: {message}"):
             analysis.load_embeddings(path)
 
     def test_config_missing_key_names_file(self, tmp_path, cluster_model):
         path = tmp_path / "emb.bin"
         analysis.save_embeddings(cluster_model[0], path)
         blob = path.read_bytes()
-        (clen,) = struct.unpack("<I", blob[16:20])
-        config = json.loads(blob[20:20 + clen])
-        del config["window"]
-        new = json.dumps(config).encode("utf-8")
-        path.write_bytes(blob[:16] + struct.pack("<I", len(new)) + new
-                         + blob[20 + clen:])
+        (size,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + size])
+        del header["window"]
+        new = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new
+                         + blob[12 + size:])
         with pytest.raises(analysis.AnalysisError,
-                           match="emb.bin: malformed header: KeyError"):
+                           match="emb.bin: bad embedding config: record lacks window"):
             analysis.load_embeddings(path)

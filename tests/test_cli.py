@@ -12,7 +12,7 @@ import numpy
 import pytest
 
 import lowmt
-from lowmt import aligner, cli, corpus, nmt, subword
+from lowmt import aligner, analysis, cli, corpus, nmt, subword
 from lowmt.util import sha256_file
 
 
@@ -544,6 +544,16 @@ def train_small(small):
         assert small(*args) == 0
 
 
+def rewrite_header(path, edit):
+    """Put edit(header) in place of the JSON header of a checkpoint or
+    embedding file."""
+    blob = path.read_bytes()
+    (size,) = struct.unpack("<I", blob[8:12])
+    header = json.dumps(edit(json.loads(blob[12:12 + size]))).encode()
+    path.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
+                     + blob[12 + size:])
+
+
 class TestRunContext:
     def test_manifests_list_split_files_read(self, small, work):
         assert small("ingest", "--synthetic", "30") == 0
@@ -795,16 +805,45 @@ class TestRunContext:
     def test_checkpoint_header_type_exits_3_naming_key(self, small, work, capsys,
                                                        key, value):
         train_small(small)
-        path = work / "model.ckpt"
-        blob = path.read_bytes()
-        (clen,) = struct.unpack("<I", blob[8:12])
-        header = json.dumps({**json.loads(blob[12:12 + clen]), key: value}).encode()
-        path.write_bytes(blob[:8] + struct.pack("<I", len(header)) + header
-                         + blob[12 + clen:])
+        rewrite_header(work / "model.ckpt", lambda header: {**header, key: value})
         capsys.readouterr()
         assert small("translate", "--text", "ba ce.") == cli.EXIT_DATA
         assert (f"model.ckpt: bad checkpoint config: record key {key!r} must be an "
                 f"integer, got {value!r}") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: {**h, "window": "x"},
+         "record key 'window' must be a non-negative integer, got 'x'"),
+        (lambda h: {**h, "seed": 1.5},
+         "record key 'seed' must be a non-negative integer, got 1.5"),
+        (lambda h: {**h, "words": h["words"][:1] * len(h["words"])},
+         "record key 'words' must be a list of distinct strings"),
+        (lambda h: {**h, "colour": 1}, "unexpected key 'colour'")],
+        ids=["window-str", "seed-float", "duplicate-word", "unknown-key"])
+    def test_embedding_header_exits_3_naming_key(self, small, work, capsys, edit,
+                                                 message):
+        for args in (["ingest", "--synthetic", "30"], ["split"], ["embed"]):
+            assert small(*args) == 0
+        rewrite_header(work / "embeddings.src.bin", edit)
+        capsys.readouterr()
+        assert small("report", "--project-word", "ba", "--top-k", "3") == cli.EXIT_DATA
+        assert (f"embeddings.src.bin: bad embedding config: {message}"
+                in capsys.readouterr().err)
+
+    def test_format_1_embeddings_exit_3(self, small, work, capsys):
+        for args in (["ingest", "--synthetic", "30"], ["split"], ["embed"]):
+            assert small(*args) == 0
+        # The layout lowmt 0.7.0 wrote: <IIII (version, words, dim, config
+        # length), the config, <I vocab length, the vocab, the vectors.
+        config = (b'{"dim": 2, "epochs": 1, "min_count": 1, "negatives": 5, '
+                  b'"seed": 0, "window": 5}')
+        (work / "embeddings.src.bin").write_bytes(
+            analysis.MAGIC + struct.pack("<IIII", 1, 2, 2, len(config)) + config
+            + struct.pack("<I", 5) + b"ba\nce" + bytes(32))
+        capsys.readouterr()
+        assert small("report", "--project-word", "ba", "--top-k", "3") == cli.EXIT_DATA
+        assert ("embeddings.src.bin: unsupported embedding version 1"
+                in capsys.readouterr().err)
 
     def test_tok_apply_writes_no_manifest(self, small, work):
         assert small("ingest", "--synthetic", "30") == 0
@@ -833,6 +872,32 @@ class TestRunContext:
         assert small("embed", "--query", "zz") == cli.EXIT_DATA
         assert "word 'zz' not in vocabulary" in capsys.readouterr().err
         assert sorted(os.listdir(work)) == before
+        # A report whose projection fails, for an unknown word or a --top-k
+        # beyond the vocabulary, writes no frequency table either.
+        assert small("embed") == 0
+        before = sorted(os.listdir(work))
+        for args, message in (
+                (["--project-word", "zz"], "word 'zz' not in vocabulary"),
+                (["--project-word", "ba", "--top-k", "1000"], "vocabulary too small")):
+            capsys.readouterr()
+            assert small("report", *args) == cli.EXIT_DATA
+            assert message in capsys.readouterr().err
+        assert sorted(os.listdir(work)) == before
+
+    def test_query_word_is_checked_before_training(self, small, work, capsys,
+                                                  monkeypatch):
+        assert small("ingest", "--synthetic", "30") == 0
+        assert small("split") == 0
+        calls = []
+        train = analysis.train_embeddings
+        monkeypatch.setattr(analysis, "train_embeddings",
+                            lambda *args, **kwargs: calls.append(1) or train(*args, **kwargs))
+        assert small("embed", "--query", "zz") == cli.EXIT_DATA
+        assert calls == []
+        capsys.readouterr()
+        assert small("embed", "--query", "ba") == 0
+        assert calls == [1]
+        assert len(capsys.readouterr().out.splitlines()) == 11  # 10 neighbours
 
 
 class TestImportCost:

@@ -18,7 +18,7 @@ from lowmt import cli, corpus
 
 # Small enough that a translate decodes at most 8 steps.
 CONFIG = ("tokenizer:\n  vocab_size: 60\nmodel:\n  hidden: 8\n  max_len: 8\n"
-          "train:\n  epochs: 1\n")
+          "train:\n  epochs: 1\nembeddings:\n  dim: 8\n  epochs: 1\n")
 
 
 def retyped(value):
@@ -59,7 +59,8 @@ def _json_file(path):
             lambda text: path.write_text(text, encoding="utf-8"))
 
 
-def _checkpoint_header(path):
+def _arrays_header(path):
+    """The JSON header of a checkpoint or embedding file (util.save_arrays)."""
     blob = path.read_bytes()
     (clen,) = struct.unpack("<I", blob[8:12])
     params = blob[12 + clen:]
@@ -81,7 +82,9 @@ CASES = {
     "split": ("split/train.jsonl", lambda p: _line(p, 0, json.loads, json.dumps),
               ["export-ft"]),
     "stage-manifest": ("ingest.manifest.json", _json_file, ["--strict", "stats"]),
-    "checkpoint": ("model.ckpt", _checkpoint_header, ["translate", "--text", "ba ce."]),
+    "checkpoint": ("model.ckpt", _arrays_header, ["translate", "--text", "ba ce."]),
+    "embeddings": ("embeddings.src.bin", _arrays_header,
+                   ["report", "--project-word", "ba", "--top-k", "3"]),
 }
 
 
@@ -92,7 +95,7 @@ def template(tmp_path_factory):
     work.mkdir()
     (work / "fuzz.yaml").write_text(CONFIG)
     with contextlib.redirect_stdout(io.StringIO()):
-        for stage in ("ingest", "split", "tok-train", "train"):
+        for stage in ("ingest", "split", "tok-train", "train", "embed"):
             args = ["--synthetic", "30"] if stage == "ingest" else []
             assert cli.main(base_args(work) + [stage] + args) == 0
     (work / "in.jsonl").write_text("".join(json.dumps(r) + "\n" for r in CORPUS))

@@ -1,11 +1,13 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lowmt.util import check_record, read_lines
+from lowmt.util import check_record, load_arrays, read_lines, save_arrays
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -55,6 +57,55 @@ def _python(code):
                             env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert result.returncode == 0, result.stderr
     return result.stdout.split()
+
+
+def container(version, header):
+    return b"TEST" + struct.pack("<II", version, len(header)) + header
+
+
+class TestArrays:
+    """The binary container of checkpoints and embedding files."""
+
+    FIELDS = {"n": (True, lambda v: type(v) is int, "an integer")}
+
+    @staticmethod
+    def shapes(header):
+        if header["n"] < 0:
+            raise ValueError("n must be >= 0")
+        return {"a": (header["n"], 2), "b": (3,)}
+
+    def load(self, path):
+        return load_arrays(path, b"TEST", 5, self.FIELDS, self.shapes, ValueError, "test")
+
+    def test_layout_and_round_trip(self, tmp_path):
+        path = tmp_path / "x.bin"
+        a, b = np.arange(4.0).reshape(2, 2), np.array([1.5, -2.0, 3.0])
+        save_arrays(path, b"TEST", 5, {"n": 2}, [a.T, b])  # a.T: not C order
+        header = b'{"n": 2}'
+        assert path.read_bytes() == (b"TEST" + struct.pack("<II", 5, len(header))
+                                     + header + a.T.astype("<f8").tobytes()
+                                     + b.astype("<f8").tobytes())
+        loaded, arrays = self.load(path)
+        assert loaded == {"n": 2} and list(arrays) == ["a", "b"]
+        assert np.array_equal(arrays["a"], a.T) and np.array_equal(arrays["b"], b)
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"TES", "not a test file"),
+        (b"TEST\x05\0\0", "truncated at header"),
+        (container(4, b"{}"), "unsupported test version 4"),
+        (container(5, b"{}")[:-1], "truncated at config"),
+        (container(5, b"[]"), "bad test config: expected a JSON object"),
+        (container(5, b"{"), "bad test config: Expecting"),
+        (container(5, b"{}"), "bad test config: record lacks n"),
+        (container(5, b'{"n": -1}'), "bad test config: n must be >= 0"),
+        # 8 * 10^15 bytes of arrays fail on size, before anything is allocated.
+        (container(5, b'{"n": 500000000000000}'),
+         "0 bytes of parameters do not match its config")])
+    def test_bad_file_names_it(self, tmp_path, blob, message):
+        path = tmp_path / "x.bin"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=f"x.bin: {message}"):
+            self.load(path)
 
 
 class TestLazyNumpy:
