@@ -9,7 +9,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import top_words
-from .util import lazy_module, load_arrays, save_arrays
+from .util import check_record, lazy_module, load_arrays, save_arrays
 
 np = lazy_module("numpy")
 
@@ -22,10 +22,14 @@ class AnalysisError(ValueError):
     pass
 
 
-_COUNT = (True, lambda v: type(v) is int and v >= 0, "a non-negative integer")
-# Embedding format 2 (util.save_arrays): a header of EmbeddingModel's keys but vectors.
-HEADER_FIELDS = {"dim": _COUNT, "window": _COUNT, "negatives": _COUNT, "epochs": _COUNT,
-                 "min_count": _COUNT, "seed": _COUNT,
+def _at_least(low):
+    return True, lambda v: type(v) is int and v >= low, f"an integer >= {low}"
+
+
+# Embedding format 2 (util.save_arrays): a header of EmbeddingModel's keys but
+# vectors. train_embeddings checks its settings against the same table.
+HEADER_FIELDS = {"dim": _at_least(2), "window": _at_least(1), "negatives": _at_least(1),
+                 "epochs": _at_least(1), "min_count": _at_least(0), "seed": _at_least(0),
                  "words": (True, lambda v: type(v) is list and all(type(w) is str for w in v)
                            and len(set(v)) == len(v), "a list of distinct strings")}
 
@@ -40,11 +44,10 @@ class EmbeddingModel:
     epochs: int
     min_count: int
     seed: int
-    index: dict = field(default_factory=dict)
+    index: dict = field(init=False)
 
     def __post_init__(self):
-        if not self.index:
-            self.index = {w: i for i, w in enumerate(self.words)}
+        self.index = {w: i for i, w in enumerate(self.words)}
 
     def __contains__(self, word):
         return word in self.index
@@ -68,9 +71,10 @@ def vocabulary(sentences, min_count=1):
 def train_embeddings(sentences, dim=100, window=5, negatives=5, epochs=5,
                      min_count=1, seed=0):
     """Skip-gram with negative sampling over tokenized sentences."""
-    if dim < 2 or window < 1 or negatives < 1 or epochs < 1:
-        raise AnalysisError("dim >= 2, window >= 1, negatives >= 1 and epochs >= 1 "
-                            "required")
+    settings = {"dim": dim, "window": window, "negatives": negatives, "epochs": epochs,
+                "min_count": min_count, "seed": seed}
+    check_record(settings, {key: HEADER_FIELDS[key] for key in settings},
+                 "embedding settings", AnalysisError)
     if not sentences:
         raise AnalysisError("no training sentences")
 
@@ -149,14 +153,14 @@ def most_similar(model, word, k=10):
     return _ranked_by_cosine(model, model.vector(word), {word})[:k]
 
 
-def project_2d(model, word, k_similar=10, k_dissimilar=10):
-    """PCA projection of the query word, its nearest and farthest neighbors."""
+def project_2d(model, word, k=10):
+    """PCA projection of the query word, its k nearest and k farthest neighbors."""
     ranked = _ranked_by_cosine(model, model.vector(word), {word})
-    if len(ranked) < k_similar + k_dissimilar:
-        raise AnalysisError(
-            f"vocabulary too small for {k_similar} similar + {k_dissimilar} dissimilar words")
-    similar = [w for w, _ in ranked[:k_similar]]
-    dissimilar = [w for w, _ in ranked[-k_dissimilar:]] if k_dissimilar else []
+    if len(ranked) < 2 * k:
+        raise AnalysisError(f"vocabulary too small for {k} similar + {k} dissimilar words")
+    similar = [w for w, _ in ranked[:k]]
+    # Not ranked[-k:], which at k=0 is all of it.
+    dissimilar = [w for w, _ in ranked[len(ranked) - k:]]
 
     selected = [(word, "source")]
     selected += [(w, "similar") for w in similar]

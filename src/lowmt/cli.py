@@ -331,8 +331,9 @@ _SYN_SRC = ["ba", "ce", "di", "fo", "gu", "ha", "ji", "ke", "lo", "mu",
 _SYN_MAP = {w: w.upper() for w in _SYN_SRC}
 
 
-def generate_synthetic_corpus(n_units, seed=0, variable_fraction=0.25):
-    """Reversible word-mapped parallel units for tests and demos."""
+def generate_synthetic_corpus(n_units, seed=0):
+    """Reversible word-mapped parallel units for tests and demos. About a
+    quarter of them get one extra target sentence, last: variable units."""
     rng = random.Random(derive_seed(seed, "synthetic"))
     units = []
     for i in range(n_units):
@@ -342,7 +343,7 @@ def generate_synthetic_corpus(n_units, seed=0, variable_fraction=0.25):
             words = [rng.choice(_SYN_SRC) for _ in range(rng.randint(3, 7))]
             src_sents.append(" ".join(words) + ".")
             tgt_sents.append(" ".join(_SYN_MAP[w] for w in words) + ".")
-        if rng.random() < variable_fraction:
+        if rng.random() < 0.25:
             extra = [rng.choice(_SYN_SRC) for _ in range(rng.randint(3, 5))]
             tgt_sents.append(" ".join(_SYN_MAP[w] for w in extra) + ".")
         units.append({
@@ -423,7 +424,7 @@ def cmd_report(ctx, args):
     if args.project_word:
         model = analysis.load_embeddings(
             ctx.read(ctx.path(f"embeddings.{args.side}.bin"), "embedding model"))
-        rows = analysis.project_2d(model, args.project_word, args.top_k, args.top_k)
+        rows = analysis.project_2d(model, args.project_word, args.top_k)
     for direction, words in ranked.items():
         with open(ctx.write(ctx.path(f"freq.{args.side}.{direction}.tsv")), "w",
                   encoding="utf-8") as f:
@@ -442,9 +443,11 @@ def cmd_report(ctx, args):
 def cmd_tok_train(ctx, args):
     split = _load_split(ctx, args)
     vocab_size = ctx.config["tokenizer"]["vocab_size"]
-    for side in corpus.SIDES:
-        sentences = [getattr(p, side) for p in split.train]
-        vocab = subword.train_tokenizer(sentences, vocab_size)
+    # Both sides before the first write, so that a failure leaves no file.
+    vocabs = {side: subword.train_tokenizer([getattr(p, side) for p in split.train],
+                                            vocab_size)
+              for side in corpus.SIDES}
+    for side, vocab in vocabs.items():
         path = ctx.write(ctx.path(f"vocab.{side}.tsv"))
         subword.save_vocab(vocab, path)
         print(f"{side}: {len(vocab)} pieces -> {path}")
@@ -535,9 +538,9 @@ def cmd_translate(ctx, args):
         sources.append(src_ids)
     # A blank line translates to a blank line, keeping one output per input.
     nonblank = [i for i, src_ids in enumerate(sources) if src_ids]
-    results = nmt.translate_batch(model, [sources[i] for i in nonblank], attention=False)
+    results = nmt.translate_batch(model, [sources[i] for i in nonblank])
     out = [""] * len(sources)
-    for i, (tgt_ids, _) in zip(nonblank, results):
+    for i, tgt_ids in zip(nonblank, results):
         out[i] = subword.decode(tgt_vocab, tgt_ids)
     if truncated:
         print(f"warning: truncated {len(truncated)} source lines longer than "

@@ -282,11 +282,8 @@ def _decode_step(model, prev_ids, hidden, encoder_outputs, dropout_mask=None):
     encoder_outputs (B x max_len x d). Returns (log-probs, h', attention,
     (context, comb_pre, z|r, c) for the backward)."""
     p = model.params
-    try:
-        # take, not [prev_ids]: the same rows with less overhead per call.
-        xd = p["dec_embed"].take(prev_ids, 0)
-    except IndexError:
-        raise NmtError(f"target token id {prev_ids} out of range") from None
+    # take, not [prev_ids]: the same rows with less overhead per call.
+    xd = p["dec_embed"].take(prev_ids, 0)
     if dropout_mask is not None:
         xd = xd * dropout_mask
     # The ufuncs' reduce, not the ndarray methods: the same bits, less overhead.
@@ -626,52 +623,39 @@ def mean_loss(model, pairs):
     return total / len(pairs)
 
 
-def translate_batch(model, sources, max_out_len=None, attention=True):
-    """Greedy decoding of many sources; returns one (generated ids without
-    eos, attention rows) per source, in input order.
+def translate_batch(model, sources):
+    """Greedy decoding of many sources; returns the generated ids of each,
+    without eos, in input order.
 
     Source ids out of the source vocabulary map to UNK. Each length-sorted
-    bucket decodes in lockstep until every row has emitted eos or
-    max_out_len steps have run; a row's ids and attention rows end at its
-    eos. With attention=False no attention is kept (None per source), which
-    spares 8 * max_len bytes per output step.
+    bucket decodes in lockstep until every row has emitted eos or max_len
+    steps have run; a row's ids end at its eos.
     """
     cfg = model.config
-    if max_out_len is None:
-        max_out_len = cfg.max_len
     results = [None] * len(sources)
     for rows in _buckets([len(src_ids) for src_ids in sources]):
         enc_out, h = encode_sequence(model, [
             [tid if 0 <= tid < cfg.src_vocab_size else UNK_ID for tid in sources[i]]
             for i in rows])
-        out = np.empty((len(rows), max_out_len), dtype=np.int64)
-        attn = np.empty((len(rows), max_out_len, cfg.max_len)) if attention else None
+        out = np.empty((len(rows), cfg.max_len), dtype=np.int64)
         n_steps = np.zeros(len(rows), dtype=np.int64)
         done = np.zeros(len(rows), dtype=bool)
         prev = np.full(len(rows), SOS_ID)
-        for t in range(max_out_len):
-            logp, h, a, _ = _decode_step(model, prev, h, enc_out)
+        for t in range(cfg.max_len):
+            logp, h, _, _ = _decode_step(model, prev, h, enc_out)
             prev = out[:, t] = _greedy_ids(logp)
-            if attention:
-                attn[:, t] = a
             n_steps += ~done
             done |= prev == EOS_ID
             if done.all():
                 break
-        if attention:
-            # One compact array of the steps each row ran, split into views.
-            ran = np.arange(max_out_len) < n_steps[:, None]
-            attn = np.split(attn[ran], np.cumsum(n_steps)[:-1])
         for b, i in enumerate(rows):
-            results[i] = (out[b, :n_steps[b] - done[b]].tolist(),
-                          attn[b] if attention else None)
+            results[i] = out[b, :n_steps[b] - done[b]].tolist()
     return results
 
 
-def translate(model, src_ids, max_out_len=None):
-    """Greedy decoding of one source; returns (generated ids without eos,
-    attention rows)."""
-    return translate_batch(model, [src_ids], max_out_len)[0]
+def translate(model, src_ids):
+    """Greedy decoding of one source; returns the generated ids without eos."""
+    return translate_batch(model, [src_ids])[0]
 
 
 def pair_loss(model, src_ids, tgt_ids):

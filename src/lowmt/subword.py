@@ -29,23 +29,21 @@ class SubwordVocab:
     pieces: list            # [(piece, id, score)] with dense ids
     merges: list            # [(left, right)] in learned order
     target_size: int
-    marker: str = MARKER
-    piece_to_id: dict = field(default_factory=dict)
-    _merge_rank: dict = field(default_factory=dict)
-    _word_ids: dict = field(default_factory=dict, compare=False, repr=False)  # encode's memo
+    piece_to_id: dict = field(init=False)
+    _merge_rank: dict = field(init=False)
+    _word_ids: dict = field(init=False, compare=False, repr=False)  # encode's memo
 
     def __post_init__(self):
-        if not self.piece_to_id:
-            self.piece_to_id = {p: i for p, i, _ in self.pieces}
-        if not self._merge_rank:
-            self._merge_rank = {pair: r for r, pair in enumerate(self.merges)}
+        self.piece_to_id = {p: i for p, i, _ in self.pieces}
+        self._merge_rank = {pair: r for r, pair in enumerate(self.merges)}
+        self._word_ids = {}
 
     def __len__(self):
         return len(self.pieces)
 
 
-def _word_symbols(word, marker):
-    return (marker,) + tuple(word)
+def _word_symbols(word):
+    return (MARKER,) + tuple(word)
 
 
 def _merge_sequence(symbols, pair, joined):
@@ -86,7 +84,7 @@ def train_tokenizer(sentences, vocab_size):
     # Pair counts and the words each pair occurs in are built once; a merge
     # re-merges only the words that hold its pair and updates the counts of
     # the pairs those words lose and gain (subword-nmt's learn_bpe.py).
-    sequences = [_word_symbols(w, MARKER) for w in words]
+    sequences = [_word_symbols(w) for w in words]
     weights = list(words.values())
     counts = Counter()
     where = defaultdict(set)
@@ -144,7 +142,7 @@ def train_tokenizer(sentences, vocab_size):
 
 
 def _encode_word(vocab, word):
-    symbols = _word_symbols(word, vocab.marker)
+    symbols = _word_symbols(word)
     rank = vocab._merge_rank
     while len(symbols) > 1:
         pairs = [pair for pair in zip(symbols, symbols[1:]) if pair in rank]
@@ -176,14 +174,14 @@ def decode(vocab, ids):
         if i in (PAD_ID, SOS_ID, EOS_ID):
             continue
         chunks.append(vocab.pieces[i][0])
-    return "".join(chunks).replace(vocab.marker, " ").strip()
+    return "".join(chunks).replace(MARKER, " ").strip()
 
 
 def save_vocab(vocab, path):
     with open(path, "w", encoding="utf-8") as f:
         f.write("# algorithm\tbpe\n")
         f.write(f"# vocab_size\t{vocab.target_size}\n")
-        f.write(f"# marker\t{vocab.marker}\n")
+        f.write(f"# marker\t{MARKER}\n")
         f.write("# specials\t" + " ".join(SPECIALS) + "\n")
         for left, right in vocab.merges:
             f.write(f"# merge\t{left}\t{right}\n")
@@ -192,26 +190,26 @@ def save_vocab(vocab, path):
 
 
 def load_vocab(path):
-    """Read a save_vocab file; each piece must be new and have its position as
-    id, ids 0-3 must be the SPECIALS, and each merge must join two strings into
-    a listed piece."""
+    """Read a save_vocab file; a marker line must name MARKER, each piece must
+    be new and have its position as id, ids 0-3 must be the SPECIALS, and
+    each merge must join two strings into a listed piece."""
     name = os.path.basename(path)
     pieces = []
     merges = []
     merge_lines = []
     seen = set()
     target_size = None
-    marker = MARKER
     for lineno, line in read_lines(path):
         if not line:
             continue
+        if line.startswith("# marker") and line != f"# marker\t{MARKER}":
+            raise SubwordError(f"{name}: line {lineno}: {line!r} does not set the marker "
+                               f"{MARKER!r}")
         try:
             if line.startswith("# "):
                 fields = line[2:].split("\t")
                 if fields[0] == "vocab_size":
                     target_size = int(fields[1])
-                elif fields[0] == "marker":
-                    marker = fields[1]
                 elif fields[0] == "merge":
                     merges.append((fields[1], fields[2]))
                     merge_lines.append(lineno)
@@ -236,5 +234,4 @@ def load_vocab(path):
         if left + right not in seen:
             raise SubwordError(f"{name}: line {lineno}: merge {left!r} {right!r} makes "
                                f"{left + right!r}, which is not a listed piece")
-    return SubwordVocab(pieces=pieces, merges=merges, target_size=target_size,
-                        marker=marker)
+    return SubwordVocab(pieces=pieces, merges=merges, target_size=target_size)

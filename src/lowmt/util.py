@@ -92,15 +92,23 @@ def check_record(record, fields, where, error):
     (None: any is), kind what it asks for. Else error naming where."""
     if not isinstance(record, dict):
         raise error(f"{where}: expected a JSON object")
+    for key, (required, check, _) in fields.items():
+        if key in record:
+            if check and not check(record[key]):
+                break
+        elif required:
+            break
+    else:
+        return record
+    # A field failed. Missing keys are reported before a bad value, so the
+    # first failure seen above need not be the one reported.
     missing = [key for key, (required, _, _) in fields.items()
                if required and key not in record]
     if missing:
         raise error(f"{where}: record lacks {', '.join(missing)}")
-    for key, (_, check, kind) in fields.items():
-        if check and key in record and not check(record[key]):
-            raise error(f"{where}: record key {key!r} must be {kind}, "
-                        f"got {record[key]!r}")
-    return record
+    key, kind = next((key, kind) for key, (_, check, kind) in fields.items()
+                     if check and key in record and not check(record[key]))
+    raise error(f"{where}: record key {key!r} must be {kind}, got {record[key]!r}")
 
 
 def save_arrays(path, magic, version, header, arrays):

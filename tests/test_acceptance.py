@@ -189,7 +189,7 @@ def test_criterion_7_copy_task_learning():
     exact = 0
     hyps, refs = [], []
     for src, tgt in pairs:
-        out, _ = nmt.translate(model, src)
+        out = nmt.translate(model, src)
         exact += out == tgt
         hyps.append([str(i) for i in out])
         refs.append([str(i) for i in tgt])

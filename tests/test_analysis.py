@@ -104,6 +104,18 @@ class TestTrainEmbeddings:
         with pytest.raises(analysis.AnalysisError):
             analysis.train_embeddings([["a"]], dim=4, min_count=99, seed=0)
 
+    @pytest.mark.parametrize("key, value, low", [
+        ("dim", 1, 2), ("window", 0, 1), ("negatives", 0, 1), ("epochs", 0, 1),
+        ("min_count", -1, 0), ("seed", -1, 0), ("dim", 4.0, 2)])
+    def test_setting_outside_the_header_table_names_it(self, key, value, low):
+        """train_embeddings refuses what load_embeddings would refuse."""
+        settings = {"dim": 4, "window": 2, "negatives": 2, "epochs": 1, "min_count": 1,
+                    "seed": 0, key: value}
+        with pytest.raises(analysis.AnalysisError,
+                           match=rf"^embedding settings: record key '{key}' must be an "
+                                 rf"integer >= {low}, got {value}$"):
+            analysis.train_embeddings([["a", "b"]], **settings)
+
     def test_finite_vectors(self, cluster_model):
         model, _, _ = cluster_model
         assert np.all(np.isfinite(model.vectors))
@@ -131,7 +143,7 @@ class TestQueries:
 class TestProject2d:
     def test_row_count_and_classes(self, cluster_model):
         model, a, _ = cluster_model
-        rows = analysis.project_2d(model, a[0], 3, 3)
+        rows = analysis.project_2d(model, a[0], 3)
         assert len(rows) == 7
         classes = [cls for _, _, _, cls in rows]
         assert classes.count("source") == 1
@@ -147,7 +159,7 @@ class TestProject2d:
         model = analysis.EmbeddingModel(words=words, vectors=vecs, dim=6,
                                         window=1, negatives=1, epochs=0,
                                         min_count=1, seed=0)
-        rows = analysis.project_2d(model, "w0", 3, 3)
+        rows = analysis.project_2d(model, "w0", 3)
         projected = {w: np.array([x, y]) for w, x, y, _ in rows}
         for wi in projected:
             for wj in projected:
@@ -158,7 +170,7 @@ class TestProject2d:
     def test_vocab_too_small(self, cluster_model):
         model, _, _ = cluster_model
         with pytest.raises(analysis.AnalysisError):
-            analysis.project_2d(model, model.words[0], 50, 50)
+            analysis.project_2d(model, model.words[0], 50)
 
 
 class TestPersistence:
@@ -214,4 +226,17 @@ class TestPersistence:
                          + blob[12 + size:])
         with pytest.raises(analysis.AnalysisError,
                            match="emb.bin: bad embedding config: record lacks window"):
+            analysis.load_embeddings(path)
+
+    def test_config_below_a_minimum_names_file(self, tmp_path, cluster_model):
+        path = tmp_path / "emb.bin"
+        analysis.save_embeddings(cluster_model[0], path)
+        blob = path.read_bytes()
+        (size,) = struct.unpack("<I", blob[8:12])
+        new = json.dumps({**json.loads(blob[12:12 + size]), "dim": 1}).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<I", len(new)) + new
+                         + blob[12 + size:])
+        with pytest.raises(analysis.AnalysisError,
+                           match="emb.bin: bad embedding config: record key 'dim' must be "
+                                 "an integer >= 2, got 1"):
             analysis.load_embeddings(path)

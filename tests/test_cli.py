@@ -58,10 +58,11 @@ class TestSyntheticCorpus:
         assert a == b
 
     def test_reversible_mapping(self):
-        for rec in cli.generate_synthetic_corpus(20, seed=0, variable_fraction=0.0):
+        for rec in cli.generate_synthetic_corpus(20, seed=0):
             src_words = rec["src"].replace(".", "").split()
             tgt_words = rec["tgt"].replace(".", "").split()
-            assert [w.upper() for w in src_words] == tgt_words
+            # A variable unit's extra target sentence comes last.
+            assert [w.upper() for w in src_words] == tgt_words[:len(src_words)]
 
 
 class TestIngestSplit:
@@ -667,6 +668,41 @@ class TestRunContext:
         assert small(*args) == cli.EXIT_DATA
         assert sorted(os.listdir(work)) == before
 
+    @pytest.mark.parametrize("key, value, low", [("min_count", -1, 0), ("dim", 1, 2)])
+    def test_embedding_setting_exits_3_naming_key(self, work, tmp_path, capsys, key,
+                                                  value, low):
+        cfg = tmp_path / "embed.yaml"
+        cfg.write_text(f"embeddings:\n  {key}: {value}\n  epochs: 1\n")
+        for args in (["ingest", "--synthetic", "30"], ["split"]):
+            assert cli.main(["--workdir", str(work), "--config", str(cfg)] + args) == 0
+        capsys.readouterr()
+        assert cli.main(["--workdir", str(work), "--config", str(cfg),
+                         "embed"]) == cli.EXIT_DATA
+        assert (f"error: embedding settings: record key {key!r} must be an integer "
+                f">= {low}, got {value}\n") == capsys.readouterr().err
+        assert not (work / "embeddings.src.bin").exists()
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "after-good-run"])
+    def test_failed_tok_train_writes_nothing(self, work, capsys, earlier):
+        """The target side needs more pieces than the source: tok-train fails
+        on it after the source side trained, and leaves the workdir as it was."""
+        corpus_path = work.parent / "two.jsonl"
+        corpus_path.write_text('{"id": 1, "src": "ab ab.", "tgt": "xyzw qrst."}\n'
+                               '{"id": 2, "src": "ba ab.", "tgt": "uvmn opkl."}\n')
+        for args in (["ingest", "--input", str(corpus_path)], ["split", "--ratios", "1,0,0"]):
+            assert run(args, work) == 0
+        if earlier:
+            assert run(["tok-train", "--vocab-size", "40"], work) == 0
+        before = {name: sha256_file(work / name) for name in os.listdir(work)
+                  if (work / name).is_file()}
+        capsys.readouterr()
+        assert run(["tok-train", "--vocab-size", "9"], work) == cli.EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == "" and "need at least 22" in err
+        assert {name: sha256_file(work / name) for name in os.listdir(work)
+                if (work / name).is_file()} == before
+        assert ("vocab.src.tsv" in before) == earlier
+
     def test_zero_epochs_in_config_exits_3(self, small, work, tmp_path):
         for setup in (["ingest", "--synthetic", "30"], ["split"],
                       ["tok-train", "--vocab-size", "80"]):
@@ -748,7 +784,7 @@ class TestRunContext:
         expected = []
         for line in lines:
             ids = subword.encode(src_vocab, corpus.normalize_text(line))[:24]
-            expected.append(subword.decode(tgt_vocab, nmt.translate(model, ids)[0])
+            expected.append(subword.decode(tgt_vocab, nmt.translate(model, ids))
                             if ids else "")
         assert hyp.read_text().split("\n") == expected + [""]
         assert [i for i, line in enumerate(expected) if not line] == [
@@ -813,9 +849,9 @@ class TestRunContext:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda h: {**h, "window": "x"},
-         "record key 'window' must be a non-negative integer, got 'x'"),
+         "record key 'window' must be an integer >= 1, got 'x'"),
         (lambda h: {**h, "seed": 1.5},
-         "record key 'seed' must be a non-negative integer, got 1.5"),
+         "record key 'seed' must be an integer >= 0, got 1.5"),
         (lambda h: {**h, "words": h["words"][:1] * len(h["words"])},
          "record key 'words' must be a list of distinct strings"),
         (lambda h: {**h, "colour": 1}, "unexpected key 'colour'")],

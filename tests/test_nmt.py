@@ -273,26 +273,22 @@ def _ref_decode_step(model, prev_id, hidden, encoder_outputs):
     return logp, h_new, a
 
 
-def _ref_translate(model, src_ids, max_out_len=None):
+def _ref_translate(model, src_ids):
     cfg = model.config
-    if max_out_len is None:
-        max_out_len = cfg.max_len
     src_ids = [tid if 0 <= tid < cfg.src_vocab_size else nmt.UNK_ID for tid in src_ids]
     enc_out, h = _ref_encode(model, src_ids)
-    out_ids, attn_rows = [], []
+    out_ids = []
     prev = SOS_ID
-    for _ in range(max_out_len):
-        logp, h, a = _ref_decode_step(model, prev, h, enc_out)
+    for _ in range(cfg.max_len):
+        logp, h, _ = _ref_decode_step(model, prev, h, enc_out)
         masked = logp.copy()
         masked[PAD_ID] = masked[SOS_ID] = -np.inf
         nxt = int(np.argmax(masked))
-        attn_rows.append(a)
         if nxt == EOS_ID:
             break
         out_ids.append(nxt)
         prev = nxt
-    attention = np.stack(attn_rows) if attn_rows else np.zeros((0, cfg.max_len))
-    return out_ids, attention
+    return out_ids
 
 
 def _ref_pair_loss(model, src_ids, tgt_ids):
@@ -453,9 +449,9 @@ class TestDecodeStep:
         assert np.array_equal(a[1], b[1])
 
     def test_bad_token_rejected(self, tiny_model):
-        enc_out, h = nmt.encode_sequence(tiny_model, [PAIR[0]])
-        with pytest.raises(nmt.NmtError):
-            nmt._decode_step(tiny_model, np.array([99]), h, enc_out)
+        # mean_loss and the training forward check target ids before any step.
+        with pytest.raises(nmt.NmtError, match="target token id 99 out of range"):
+            nmt.mean_loss(tiny_model, [(PAIR[0], [99])])
 
     def test_train_mode_dropout_draws_one_mask(self):
         model = nmt.init_model(tiny_config(dropout_p=0.4))
@@ -560,50 +556,29 @@ class TestTraining:
 
 class TestTranslate:
     def test_output_length_bounded(self, tiny_model):
-        out, _ = nmt.translate(tiny_model, PAIR[0], max_out_len=3)
-        assert len(out) <= 3
+        out = nmt.translate(tiny_model, PAIR[0])
+        assert len(out) <= tiny_model.config.max_len
 
     def test_never_emits_pad_or_sos(self, tiny_model):
-        out, _ = nmt.translate(tiny_model, PAIR[0], max_out_len=6)
+        out = nmt.translate(tiny_model, PAIR[0])
         assert PAD_ID not in out
         assert SOS_ID not in out
         assert EOS_ID not in out
 
-    def test_attention_rows_sum_to_one(self, tiny_model):
-        _, attention = nmt.translate(tiny_model, PAIR[0], max_out_len=4)
-        for row in attention:
-            assert abs(row.sum() - 1.0) < 1e-12
-
     def test_oov_source_mapped_to_unk(self, tiny_model):
-        out_a, _ = nmt.translate(tiny_model, [4, 999], max_out_len=4)
-        out_b, _ = nmt.translate(tiny_model, [4, 1], max_out_len=4)
-        assert out_a == out_b
+        assert nmt.translate(tiny_model, [4, 999]) == nmt.translate(tiny_model, [4, 1])
 
 
 class TestTranslateBatch:
     @pytest.mark.parametrize("seed", range(6))
-    @pytest.mark.parametrize("max_out_len", [None, 0, 1, 3])
-    def test_matches_per_sentence_loop_of_0_4_0(self, seed, max_out_len):
+    def test_matches_per_sentence_loop_of_0_4_0(self, seed):
         model, sources = _batch_case(seed, 2 * nmt.BUCKET_SIZE + 7)
         assert any(tid >= model.config.src_vocab_size for src in sources for tid in src)
-        batch = nmt.translate_batch(model, sources, max_out_len)
+        batch = nmt.translate_batch(model, sources)
         assert len(batch) == len(sources)
-        if max_out_len is None:
-            assert len({len(attention) for _, attention in batch}) > 1
-        for src, (ids, attention) in zip(sources, batch):
-            ref_ids, ref_attention = _ref_translate(model, src, max_out_len)
-            assert ids == ref_ids
-            assert attention.shape == ref_attention.shape
-            assert np.max(np.abs(attention - ref_attention), initial=0.0) <= 1e-12
-            assert np.all(np.abs(attention.sum(axis=1) - 1.0) <= 1e-12)
-
-    def test_max_out_len_cuts_outputs_short(self):
-        model, sources = _batch_case(0, 40)
-        full = nmt.translate_batch(model, sources)
-        cut = nmt.translate_batch(model, sources, max_out_len=1)
-        assert any(len(ids) > 1 for ids, _ in full)
-        for (ids, _), (short, attention) in zip(full, cut):
-            assert short == ids[:1] and len(attention) == 1
+        assert len({len(ids) for ids in batch}) > 1
+        for src, ids in zip(sources, batch):
+            assert ids == _ref_translate(model, src)
 
     def test_done_rows_stay_done(self, tiny_model, monkeypatch):
         # A stand-in step: row b emits word 4 until step len(source b), then
@@ -615,37 +590,26 @@ class TestTranslateBatch:
             logp = np.full((len(prev_ids), 12), -9.0)
             logp[:, 4] = -1.0
             logp[hidden[:, 0] == lengths, EOS_ID] = 0.0
-            return logp, hidden, np.full((len(prev_ids), 6), 1.0 / 6), None
+            return logp, hidden, None, None
 
         sources = [[5] * k for k in (3, 1, 6, 2)]
         monkeypatch.setattr(nmt, "encode_sequence", lambda model, sources: (
             np.array([[[1.0]] * len(s) + [[0.0]] * (6 - len(s)) for s in sources]),
             np.zeros((len(sources), 1))))
         monkeypatch.setattr(nmt, "_decode_step", step)
-        batch = nmt.translate_batch(tiny_model, sources, max_out_len=5)
-        assert [ids for ids, _ in batch] == [[4, 4], [], [4] * 5, [4]]
-        assert [len(attention) for _, attention in batch] == [3, 1, 5, 2]
+        assert tiny_model.config.max_len == 6
+        assert nmt.translate_batch(tiny_model, sources) == [[4, 4], [], [4] * 5, [4]]
 
     def test_never_emits_pad_or_sos_even_when_most_likely(self):
         model, sources = _batch_case(0, 40)
         model = copy.deepcopy(model)
         model.params["out_b"][[PAD_ID, SOS_ID]] += 100.0
-        for src, (ids, _) in zip(sources, nmt.translate_batch(model, sources)):
-            assert ids == _ref_translate(model, src)[0]
+        for src, ids in zip(sources, nmt.translate_batch(model, sources)):
+            assert ids == _ref_translate(model, src)
             assert PAD_ID not in ids and SOS_ID not in ids
 
-    def test_without_attention_same_ids(self):
-        model, sources = _batch_case(1, 40)
-        plain = nmt.translate_batch(model, sources, attention=False)
-        assert [ids for ids, _ in plain] == [
-            ids for ids, _ in nmt.translate_batch(model, sources)]
-        assert all(attention is None for _, attention in plain)
-
     def test_translate_is_one_row_of_the_batch(self, tiny_model):
-        ids, attention = nmt.translate(tiny_model, PAIR[0])
-        ref_ids, ref_attention = _ref_translate(tiny_model, PAIR[0])
-        assert ids == ref_ids
-        assert np.array_equal(attention, ref_attention)
+        assert nmt.translate(tiny_model, PAIR[0]) == _ref_translate(tiny_model, PAIR[0])
 
     def test_empty_source_rejected(self, tiny_model):
         with pytest.raises(nmt.NmtError, match="source length 0"):
@@ -915,9 +879,7 @@ class TestCheckpoint:
         loaded = nmt.load_checkpoint(path)
         for name in nmt.PARAM_ORDER:
             assert np.array_equal(loaded.params[name], tiny_model.params[name])
-        a = nmt.translate(tiny_model, PAIR[0])[0]
-        b = nmt.translate(loaded, PAIR[0])[0]
-        assert a == b
+        assert nmt.translate(tiny_model, PAIR[0]) == nmt.translate(loaded, PAIR[0])
 
     def test_format_2_layout(self, tiny_model, tmp_path):
         path = tmp_path / "m.ckpt"

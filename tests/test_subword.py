@@ -139,6 +139,17 @@ class TestPersistence:
                            match=r"vocab\.src\.tsv: malformed line 4: "):
             subword.load_vocab(path)
 
+    @pytest.mark.parametrize("line", ["# marker\t_", "# marker\t", "# marker"])
+    def test_marker_other_than_the_constant_refused(self, tmp_path, line):
+        path = tmp_path / "vocab.src.tsv"
+        subword.save_vocab(train(CORPUS, 60), path)
+        text = path.read_text(encoding="utf-8")
+        assert "\n# marker\t\u2581\n" in text
+        path.write_text(text.replace("# marker\t\u2581", line), encoding="utf-8")
+        with pytest.raises(subword.SubwordError,
+                           match=r"vocab\.src\.tsv: line 3: .* does not set the marker"):
+            subword.load_vocab(path)
+
     @pytest.mark.parametrize("pieces, message", [
         (["a", "\u2581", "b"], "line 1: id 0 must be '<pad>', got 'a'"),
         (["<pad>", "<unk>"], "2 pieces, fewer than the 4 specials"),

@@ -41,7 +41,9 @@ class TestCheckRecord:
         ({"b": "x"}, "f: line 2: record lacks a, c"),
         ({"a": True, "c": 0}, "f: line 2: record key 'a' must be an integer, got True"),
         ({"a": 1, "b": None, "c": 0}, "f: line 2: record key 'b' must be a string, got None"),
-    ], ids=["not-an-object", "lacks", "bool-a", "null-b"])
+        # A missing key is reported before a bad value seen first.
+        ({"a": True}, "f: line 2: record lacks c"),
+    ], ids=["not-an-object", "lacks", "bool-a", "null-b", "bad-a-lacks-c"])
     def test_names_where_and_the_fault(self, record, message):
         with pytest.raises(KeyError) as info:
             check_record(record, self.FIELDS, "f: line 2", KeyError)
