@@ -265,6 +265,13 @@ def ratios(text):
     return values
 
 
+def positive_int(text):
+    """The argparse type of --synthetic: an integer >= 1."""
+    if (value := int(text)) < 1:
+        raise ValueError(text)
+    return value
+
+
 SIDE = arg("--side", choices=corpus.SIDES, default="src")
 TOP_K = arg("--top-k", type=int, default=10)
 SPLIT_DIR = arg("--split-dir")
@@ -591,7 +598,7 @@ def cmd_export_ft(ctx, args):
 STAGES = {  # name -> (run(ctx, args), help, argparse option specs...)
     "ingest": (cmd_ingest, "load (or synthesize) a parallel corpus",
                arg("--input"), arg("--format", dest="corpus.format", choices=corpus.FORMATS),
-               arg("--synthetic", type=int, metavar="N",
+               arg("--synthetic", type=positive_int, metavar="N",
                    help="generate N synthetic units instead of reading a file")),
     "stats": (cmd_stats, "corpus-level word statistics", SIDE, TOP_K),
     "split": (cmd_split, "segment, classify and split the corpus",

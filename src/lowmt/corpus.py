@@ -54,12 +54,6 @@ class ParallelUnit:
     src: str
     tgt: str
 
-    def __post_init__(self):
-        if self.chapter < 0 or self.verse < 0:
-            raise CorpusError(f"unit {self.id}: negative chapter/verse")
-        if not self.src or not self.tgt:
-            raise CorpusError(f"unit {self.id}: empty src or tgt after normalization")
-
 
 @dataclass
 class Corpus:

@@ -10,8 +10,10 @@ B rows (hidden B x d). Training runs one pair at a time, as blocks of B=1.
 Greedy translation and the validation loss sort their inputs by length into
 buckets of BUCKET_SIZE rows and run each in lockstep: the encoder freezes a
 row's hidden state past its source length and leaves its outputs there zero,
-so attention over the max_len positions means what it does for one sentence;
-a done-mask (translation) or a target mask (loss) ends each row at its </s>.
+so attention over the max_len positions means what it does for one sentence.
+Training and the loss share one gold-fed loop, _decode_gold, which ends each
+row's loss at its gold </s>; translate_batch's own loop has a done-mask that
+ends each row at the </s> it emits.
 
 Gate equations, per step with input x and previous hidden h:
     z = sigmoid(Wz x + Uz h + bz)
@@ -27,10 +29,10 @@ encoder_outputs, combined = relu(W_comb [x; context] + b), GRU step on the
 combined vector, log-softmax output layer.
 
 Backward (BPTT): the training forward records the pair's inputs once (source,
-previous-token and gold ids, dropout masks) and, per step, only what the
-backward cannot rebuild exactly, as 1-row blocks: log-probs, h', attention
-weights, context, comb_pre, z|r and c. The backward concatenates each into
-one T-row array once and rebuilds the rest by elementwise ops and
+fed and gold ids, dropout masks) and, through _decode_gold, per step only
+what the backward cannot rebuild exactly, as 1-row blocks: log-probs, h',
+attention weights, context, comb_pre, z|r and c. The backward concatenates
+each into one T-row array once and rebuilds the rest by elementwise ops and
 concatenation (probs, the decoder GRU's input, r*h, [x; h], [x; context],
 the encoder's inputs and previous hidden states). Only the dh recurrence
 runs step by step, in reverse: each step writes its gate pre-activation
@@ -239,11 +241,11 @@ def _gru_weight_grads(tape):
 
 def _padded(seqs):
     """(B x longest id array of seqs, right-padded with PAD_ID; lengths)."""
-    lengths = np.array([len(seq) for seq in seqs])
-    ids = np.full((len(seqs), lengths.max()), PAD_ID)
+    lengths = [len(seq) for seq in seqs]
+    ids = np.full((len(seqs), max(lengths)), PAD_ID)
     for row, seq in zip(ids, seqs):
         row[:len(seq)] = seq
-    return ids, lengths
+    return ids, np.array(lengths)
 
 
 def encode_sequence(model, sources, gates=None):
@@ -308,32 +310,39 @@ def _dropout_mask(cfg, rng):
     return (rng.random(cfg.hidden) < keep).astype(np.float64) / keep
 
 
-def _forward_pair(model, src_ids, tgt_ids, tf_gold=None, dropout_masks=None):
-    """Teacher-forced/free decoding of one pair.
+def _decode_gold(model, enc_out, h, gold, lengths, tf_gold=None, masks=None, steps=None):
+    """Decode a row block against gold, B x T ids with </s> included, padded
+    past each row's length in lengths. Step t+1 feeds gold where tf_gold[t + 1]
+    (default: always) and the greedy id elsewhere; masks[t] is step t's
+    dropout mask; steps, if given, gets each step's outputs. Returns (each
+    row's NLL summed over its length, the B x T ids fed, SOS first)."""
+    block = np.arange(len(gold))
+    fed = np.full(gold.T.shape, SOS_ID)
+    fed[1:] = gold.T[:-1]
+    # nll[t] is each row's NLL over its first t steps, summed in step order.
+    nll = np.zeros((len(fed) + 1, len(gold)))
+    for t, gold_ids in enumerate(gold.T):
+        logp, h, a, rest = _decode_step(model, fed[t], h, enc_out,
+                                        None if masks is None else masks[t])
+        if steps is not None:
+            steps.append((logp, h, a, *rest))
+        np.subtract(nll[t], logp[block, gold_ids], out=nll[t + 1])
+        if tf_gold is not None and t + 1 < len(fed) and not tf_gold[t + 1]:
+            fed[t + 1] = _greedy_ids(logp)
+    return nll[lengths, block], fed.T
 
-    tf_gold[t] says whether step t consumes the gold previous token (default:
-    every step does); step 0 always starts from SOS. Returns (mean NLL, the
-    record that _backward_pair reads; see the module docstring).
-    """
+
+def _forward_pair(model, src_ids, tgt_ids, tf_gold=None, dropout_masks=None):
+    """_decode_gold on one pair: (mean NLL, the record _backward_pair reads)."""
     _check_ids(tgt_ids, model.config.tgt_vocab_size, "target")
-    enc_gates = []
+    enc_gates, steps = [], []
     enc_out, h = encode_sequence(model, [src_ids], enc_gates)
     gold = list(tgt_ids) + [EOS_ID]
-    prev_ids = np.full(len(gold), SOS_ID)
-    steps = []
-    loss = 0.0
-    for t, gold_id in enumerate(gold):
-        mask = None if dropout_masks is None else dropout_masks[t]
-        logp, h, a, rest = _decode_step(model, prev_ids[t:t + 1], h, enc_out, mask)
-        steps.append((logp, h, a, *rest))
-        loss -= logp[0, gold_id]
-        if t + 1 < len(gold):
-            prev_ids[t + 1] = (gold_id if tf_gold is None or tf_gold[t + 1]
-                               else _greedy_ids(logp)[0])
-    loss /= len(gold)
-    return loss, {"src_ids": list(src_ids), "prev_ids": prev_ids.tolist(), "gold": gold,
-                  "masks": dropout_masks, "enc_out": enc_out[0], "enc_gates": enc_gates,
-                  "steps": steps}
+    loss, fed = _decode_gold(model, enc_out, h, *_padded([gold]), tf_gold,
+                             dropout_masks, steps)
+    return loss[0] / len(gold), {"src_ids": list(src_ids), "prev_ids": fed[0].tolist(),
+                                 "gold": gold, "masks": dropout_masks, "enc_out": enc_out[0],
+                                 "enc_gates": enc_gates, "steps": steps}
 
 
 def _greedy_ids(logp):
@@ -599,8 +608,8 @@ def train(model, pairs, train_config, validation_pairs=None, on_epoch=None):
 def mean_loss(model, pairs):
     """Mean teacher-forced NLL without dropout (evaluation loss).
 
-    Pairs run in length-sorted row blocks; a target mask ends each row's
-    loss at its </s>, and the per-pair losses are summed in input order.
+    Pairs run through _decode_gold in length-sorted row blocks, and the
+    per-pair losses are summed in input order.
     """
     for _, tgt_ids in pairs:
         _check_ids(tgt_ids, model.config.tgt_vocab_size, "target")
@@ -608,13 +617,7 @@ def mean_loss(model, pairs):
     for rows in _buckets([len(tgt_ids) for _, tgt_ids in pairs]):
         enc_out, h = encode_sequence(model, [pairs[i][0] for i in rows])
         gold, n_steps = _padded([list(pairs[i][1]) + [EOS_ID] for i in rows])
-        block = np.arange(len(rows))
-        loss = np.zeros(len(rows))
-        prev = np.full(len(rows), SOS_ID)
-        for t in range(gold.shape[1]):
-            logp, h, _, _ = _decode_step(model, prev, h, enc_out)
-            loss -= np.where(t < n_steps, logp[block, gold[:, t]], 0.0)
-            prev = gold[:, t]
+        loss, _ = _decode_gold(model, enc_out, h, gold, n_steps)
         for b, i in enumerate(rows):
             losses[i] = loss[b] / n_steps[b]
     total = 0.0
@@ -658,11 +661,6 @@ def translate(model, src_ids):
     return translate_batch(model, [src_ids])[0]
 
 
-def pair_loss(model, src_ids, tgt_ids):
-    """Deterministic loss (teacher forcing 1, no dropout). Used by gradient_check."""
-    return mean_loss(model, [(src_ids, tgt_ids)])
-
-
 def pair_gradients(model, src_ids, tgt_ids):
     """(loss, dense gradients) from the backward pass that train uses."""
     loss, fwd = _forward_pair(model, src_ids, tgt_ids)
@@ -693,9 +691,9 @@ def gradient_check(model, pair, epsilon=1e-5, n_params_sampled=200, seed=0):
             offset -= arr.size
         orig = arr.flat[offset]
         arr.flat[offset] = orig + epsilon
-        lp = pair_loss(model, src_ids, tgt_ids)
+        lp = mean_loss(model, [pair])
         arr.flat[offset] = orig - epsilon
-        lm = pair_loss(model, src_ids, tgt_ids)
+        lm = mean_loss(model, [pair])
         arr.flat[offset] = orig
         numeric = (lp - lm) / (2.0 * epsilon)
         analytic = grad.flat[offset]

@@ -152,9 +152,9 @@ def test_criterion_6_gradient_correctness():
     eps = 1e-5
     orig = arr.flat[idx]
     arr.flat[idx] = orig + eps
-    lp = nmt.pair_loss(model, *pair)
+    lp = nmt.mean_loss(model, [pair])
     arr.flat[idx] = orig - eps
-    lm = nmt.pair_loss(model, *pair)
+    lm = nmt.mean_loss(model, [pair])
     arr.flat[idx] = orig
     numeric = (lp - lm) / (2 * eps)
     flipped = -grads["out_W"].flat[idx]

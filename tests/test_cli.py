@@ -87,6 +87,16 @@ class TestIngestSplit:
     def test_missing_input_flag(self, work):
         assert run(["ingest"], work) == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("n", ["-3", "0"])
+    def test_synthetic_below_one_exits_2_before_any_write(self, work, capsys, n):
+        work.mkdir()
+        with pytest.raises(SystemExit) as exc:
+            run(["ingest", "--synthetic", n], work)
+        assert exc.value.code == 2
+        assert f"argument --synthetic: invalid positive_int value: '{n}'" in \
+            capsys.readouterr().err
+        assert list(work.iterdir()) == []
+
     def test_stats_runs(self, work):
         assert run(["ingest", "--synthetic", "30"], work) == 0
         assert run(["stats", "--side", "src"], work) == 0

@@ -67,6 +67,21 @@ class TestLoadCorpus:
         with pytest.raises(corpus.CorpusError, match="line 2"):
             corpus.load_corpus(path)
 
+    @pytest.mark.parametrize("fmt", ["jsonl", "tsv"])
+    def test_punctuation_only_src_names_file_and_line(self, tmp_path, fmt):
+        # Normalization leaves ",,," empty. Line 2 follows one good record,
+        # or the TSV header.
+        path = tmp_path / f"c.{fmt}"
+        if fmt == "jsonl":
+            self.write_jsonl(path, [{"id": "u1", "src": "a.", "tgt": "x."},
+                                    {"id": "u2", "src": ",,,", "tgt": "y."}])
+        else:
+            path.write_text("\t".join(corpus.TSV_COLUMNS) + "\nu2\tB\t1\t2\t,,,\ty.\n",
+                            encoding="utf-8")
+        with pytest.raises(corpus.CorpusError,
+                           match=re.escape(f"{path}: line 2: empty src or tgt")):
+            corpus.load_corpus(path, fmt)
+
     def test_malformed_json_names_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text('{"id": "u1", "src": "a.", "tgt": "x."}\nnot json\n',

@@ -303,6 +303,28 @@ def _ref_pair_loss(model, src_ids, tgt_ids):
     return loss / len(gold)
 
 
+# Frozen copy of lowmt 0.8.0's mean_loss, with its own per-bucket loop: the
+# reference that val_loss, and so loss.csv, keeps its bits against.
+def _ref_bucket_mean_loss(model, pairs):
+    losses = [0.0] * len(pairs)
+    for rows in nmt._buckets([len(tgt_ids) for _, tgt_ids in pairs]):
+        enc_out, h = nmt.encode_sequence(model, [pairs[i][0] for i in rows])
+        gold, n_steps = nmt._padded([list(pairs[i][1]) + [EOS_ID] for i in rows])
+        block = np.arange(len(rows))
+        loss = np.zeros(len(rows))
+        prev = np.full(len(rows), SOS_ID)
+        for t in range(gold.shape[1]):
+            logp, h, _, _ = nmt._decode_step(model, prev, h, enc_out)
+            loss -= np.where(t < n_steps, logp[block, gold[:, t]], 0.0)
+            prev = gold[:, t]
+        for b, i in enumerate(rows):
+            losses[i] = loss[b] / n_steps[b]
+    total = 0.0
+    for value in losses:
+        total += value
+    return total / len(pairs)
+
+
 @functools.lru_cache(maxsize=None)
 def _batch_case(seed, n):
     """A random tiny model and n sources in unsorted order, lengths 1 to
@@ -530,7 +552,7 @@ class TestTraining:
         before = copy.deepcopy(tiny_model.params)
         cfg = nmt.TrainConfig(epochs=1, grad_clip_norm=1.0, seed=0)
         with np.errstate(all="ignore"):
-            assert np.isfinite(nmt.pair_loss(tiny_model, *PAIR))
+            assert np.isfinite(nmt.mean_loss(tiny_model, [PAIR]))
         with np.errstate(all="ignore"), pytest.raises(
                 nmt.NmtNumericalError,
                 match=r"non-finite gradient norm (inf|nan) at epoch 0, pair 0"):
@@ -633,9 +655,29 @@ class TestBatchedMeanLoss:
         assert abs(nmt.mean_loss(model, pairs) - expected) <= 1e-12 * abs(expected)
 
     @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_frozen_bucket_loop(self, seed):
+        model, sources = _batch_case(seed, nmt.BUCKET_SIZE + 9)
+        cfg = model.config
+        rng = random.Random(50 + seed)
+        # Gold ids include PAD_ID, so only the lengths can end a row's loss.
+        pairs = [([tid % cfg.src_vocab_size for tid in src],
+                  [rng.randrange(cfg.tgt_vocab_size)
+                   for _ in range(rng.randint(0, cfg.max_len - 1))])
+                 for src in sources]
+        buckets = nmt._buckets([len(tgt) for _, tgt in pairs])
+        assert len(buckets[0]) > 1
+        assert any(len({len(pairs[i][1]) for i in rows}) > 1 for rows in buckets)
+        assert nmt.mean_loss(model, pairs) == _ref_bucket_mean_loss(model, pairs)
+        # Two-row buckets too: a mean over many pairs can round away a
+        # last-bit change in one pair's loss.
+        for i in range(0, len(pairs) - 1, 2):
+            two = pairs[i:i + 2]
+            assert nmt.mean_loss(model, two) == _ref_bucket_mean_loss(model, two), i
+
+    @pytest.mark.parametrize("seed", range(4))
     def test_pair_loss_bit_identical_to_0_4_0(self, seed):
         model, src, tgt, _, _ = _random_case(seed)
-        loss = nmt.pair_loss(model, src, tgt)
+        loss = nmt.mean_loss(model, [(src, tgt)])
         assert loss == _ref_pair_loss(model, src, tgt)
         assert loss == nmt._forward_pair(model, src, tgt)[0]
 
@@ -656,9 +698,9 @@ class TestGradientCheck:
         eps = 1e-5
         orig = arr.flat[idx]
         arr.flat[idx] = orig + eps
-        lp = nmt.pair_loss(corrupted, src_ids, tgt_ids)
+        lp = nmt.mean_loss(corrupted, [(src_ids, tgt_ids)])
         arr.flat[idx] = orig - eps
-        lm = nmt.pair_loss(corrupted, src_ids, tgt_ids)
+        lm = nmt.mean_loss(corrupted, [(src_ids, tgt_ids)])
         arr.flat[idx] = orig
         numeric = (lp - lm) / (2 * eps)
         flipped = -good[name].flat[idx]
