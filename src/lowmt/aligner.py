@@ -1,8 +1,9 @@
 """Sentence segmentation, unit classification/explosion, and dataset splitting.
 
-Units whose two sides segment into the same number of sentences are exploded
-into one-to-one sentence pairs; units with unequal counts are kept whole.
-Both groups are split 0.8/0.1/0.1 independently and merged partition-wise.
+A unit whose two sides segment into the same number of sentences becomes one
+`one2one` TextPair per sentence, any other unit one `variable` TextPair
+holding it whole. split_dataset splits each group 0.8/0.1/0.1 on its own and
+merges the parts in group order.
 """
 
 import json
@@ -19,12 +20,12 @@ _BOUNDARY = re.compile(r'[.!?]["\'\)\]\}”’»]*(?=\s|$)')
 
 GROUP_ONE2ONE = "one2one"
 GROUP_VARIABLE = "variable"
+GROUPS = (GROUP_ONE2ONE, GROUP_VARIABLE)
 _TEXT = (lambda v: isinstance(v, str) and v != "", "a non-empty string")
 RECORD_FIELDS = {
     "src": (True, *_TEXT), "tgt": (True, *_TEXT),
     "origin_id": (True, lambda v: isinstance(v, str), "a string"),
-    "group": (True, lambda v: v in (GROUP_ONE2ONE, GROUP_VARIABLE),
-              f"{GROUP_ONE2ONE} or {GROUP_VARIABLE}"),
+    "group": (True, lambda v: v in GROUPS, " or ".join(GROUPS)),
     "augmented": (False, lambda v: isinstance(v, bool), "a bool"),
     "aug_ops": (False, lambda v: isinstance(v, list)
                 and all(isinstance(op, str) for op in v), "a list of strings"),
@@ -35,23 +36,6 @@ SPLIT_FILES = tuple(f"{part}.jsonl" for part in SPLIT_PARTS) + ("manifest.json",
 
 class AlignError(ValueError):
     """Unit cannot be segmented or split parameters are invalid."""
-
-
-@dataclass(frozen=True)
-class SentencePair:
-    src: str
-    tgt: str
-    origin_id: str
-    index: int
-
-
-@dataclass(frozen=True)
-class VariableUnit:
-    src: str
-    tgt: str
-    origin_id: str
-    src_sentence_count: int
-    tgt_sentence_count: int
 
 
 @dataclass(frozen=True)
@@ -109,29 +93,21 @@ def segment_sentences(text):
 
 
 def classify_and_explode(unit):
-    """Return a list of SentencePair (same-length unit) or a VariableUnit."""
+    """Return the unit's TextPairs: one one2one pair per sentence when both
+    sides have as many sentences, else one variable pair holding the unit."""
     src_sents = segment_sentences(unit.src)
     tgt_sents = segment_sentences(unit.tgt)
     if not src_sents or not tgt_sents:
         raise AlignError(f"unit {unit.id}: zero sentences on one side")
     if len(src_sents) == len(tgt_sents):
-        return [SentencePair(src=s, tgt=t, origin_id=unit.id, index=i)
-                for i, (s, t) in enumerate(zip(src_sents, tgt_sents))]
-    return VariableUnit(src=unit.src, tgt=unit.tgt, origin_id=unit.id,
-                        src_sentence_count=len(src_sents),
-                        tgt_sentence_count=len(tgt_sents))
+        return [TextPair(s, t, unit.id, GROUP_ONE2ONE)
+                for s, t in zip(src_sents, tgt_sents)]
+    return [TextPair(unit.src, unit.tgt, unit.id, GROUP_VARIABLE)]
 
 
 def explode_corpus(corpus):
-    """Classify every unit; returns (sentence_pairs, variable_units)."""
-    pairs, variables = [], []
-    for unit in corpus.units:
-        out = classify_and_explode(unit)
-        if isinstance(out, VariableUnit):
-            variables.append(out)
-        else:
-            pairs.extend(out)
-    return pairs, variables
+    """Classify every unit; returns all their TextPairs in corpus order."""
+    return [pair for unit in corpus.units for pair in classify_and_explode(unit)]
 
 
 def _partition(items, ratios, rng):
@@ -151,37 +127,34 @@ def _partition(items, ratios, rng):
     return train, test, validation
 
 
-def split_dataset(one2one, variable, ratios=(0.8, 0.1, 0.1), seed=0):
-    """Split both groups independently and merge partition-wise.
+def split_dataset(pairs, ratios=(0.8, 0.1, 0.1), seed=0):
+    """Split each group in GROUPS independently and merge partition-wise.
 
     Shuffling uses Python's random.Random (Mersenne Twister, stable across
-    CPython versions) seeded per group via derive_seed(seed, group).
+    CPython versions) seeded per group via derive_seed(seed, "split", group).
+    A pair of any other group raises AlignError naming it: none is dropped.
     """
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
+    # Written so that a NaN ratio fails: every comparison with NaN is false.
+    if len(ratios) != 3 or not all(r >= 0 for r in ratios):
         raise AlignError(f"invalid split ratios {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise AlignError(f"split ratios {ratios} do not sum to 1")
+    stray = next((p for p in pairs if p.group not in GROUPS), None)
+    if stray is not None:
+        raise AlignError(f"pair from {stray.origin_id}: group {stray.group!r} "
+                         f"is not {' or '.join(GROUPS)}")
 
-    o_pairs = [TextPair(p.src, p.tgt, p.origin_id, GROUP_ONE2ONE) for p in one2one]
-    v_pairs = [TextPair(v.src, v.tgt, v.origin_id, GROUP_VARIABLE) for v in variable]
-
-    o_train, o_test, o_val = _partition(
-        o_pairs, ratios, random.Random(derive_seed(seed, "split", GROUP_ONE2ONE)))
-    v_train, v_test, v_val = _partition(
-        v_pairs, ratios, random.Random(derive_seed(seed, "split", GROUP_VARIABLE)))
-
-    manifest = {
-        "seed": seed,
-        "ratios": list(ratios),
-        "group_counts": {
-            GROUP_ONE2ONE: {"total": len(o_pairs), "train": len(o_train),
-                            "test": len(o_test), "validation": len(o_val)},
-            GROUP_VARIABLE: {"total": len(v_pairs), "train": len(v_train),
-                             "test": len(v_test), "validation": len(v_val)},
-        },
-    }
-    return DatasetSplit(train=o_train + v_train, test=o_test + v_test,
-                        validation=o_val + v_val, manifest=manifest)
+    parts = {part: [] for part in SPLIT_PARTS}
+    group_counts = {}
+    for group in GROUPS:
+        members = [p for p in pairs if p.group == group]
+        rng = random.Random(derive_seed(seed, "split", group))
+        group_counts[group] = {"total": len(members)}
+        for part, items in zip(SPLIT_PARTS, _partition(members, ratios, rng)):
+            parts[part].extend(items)
+            group_counts[group][part] = len(items)
+    manifest = {"seed": seed, "ratios": list(ratios), "group_counts": group_counts}
+    return DatasetSplit(**parts, manifest=manifest)
 
 
 def save_split(split, outdir):

@@ -364,6 +364,8 @@ def generate_synthetic_corpus(n_units, seed=0):
 # --- stages -----------------------------------------------------------------
 
 def cmd_ingest(ctx, args):
+    if args.synthetic and args.input is not None:
+        raise ValueError("ingest takes --input or --synthetic N, not both")
     if args.synthetic:
         raw = ctx.write(ctx.path("synthetic_raw.jsonl"))
         write_jsonl(raw, generate_synthetic_corpus(args.synthetic, ctx.seed()))
@@ -391,13 +393,12 @@ def cmd_stats(ctx, args):
 
 def cmd_split(ctx, args):
     corp = corpus.load_corpus(ctx.read(ctx.path("corpus.jsonl"), "corpus"))
-    pairs, variables = aligner.explode_corpus(corp)
-    split = aligner.split_dataset(pairs, variables,
+    split = aligner.split_dataset(aligner.explode_corpus(corp),
                                   ratios=tuple(ctx.config["split"]["ratios"]),
                                   seed=ctx.seed(value=args.split_seed))
     split.manifest["pre_explosion_units"] = len(corp.units)
-    split.manifest["post_explosion"] = {"one2one": len(pairs),
-                                        "variable": len(variables)}
+    split.manifest["post_explosion"] = {
+        group: counts["total"] for group, counts in split.manifest["group_counts"].items()}
     split_dir = _save_split(ctx, split, "split")
     print(f"split: train={len(split.train)} test={len(split.test)} "
           f"validation={len(split.validation)} -> {split_dir}")

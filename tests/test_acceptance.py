@@ -24,20 +24,19 @@ def report(number, ok, text):
 
 
 def make_pairs(n):
-    return [aligner.SentencePair(src=f"s{i}.", tgt=f"t{i}.", origin_id=f"o{i}",
-                                 index=0) for i in range(n)]
+    return [aligner.TextPair(src=f"s{i}.", tgt=f"t{i}.", origin_id=f"o{i}",
+                             group=aligner.GROUP_ONE2ONE) for i in range(n)]
 
 
 def make_variables(n):
-    return [aligner.VariableUnit(src=f"s{i}. More.", tgt=f"t{i}.",
-                                 origin_id=f"v{i}", src_sentence_count=2,
-                                 tgt_sentence_count=1) for i in range(n)]
+    return [aligner.TextPair(src=f"s{i}. More.", tgt=f"t{i}.", origin_id=f"v{i}",
+                             group=aligner.GROUP_VARIABLE) for i in range(n)]
 
 
 def test_criterion_1_split_arithmetic():
     start = time.time()
-    en = aligner.split_dataset(make_pairs(27295), make_variables(10950), seed=11)
-    bn = aligner.split_dataset(make_pairs(22764), make_variables(15452), seed=11)
+    en = aligner.split_dataset(make_pairs(27295) + make_variables(10950), seed=11)
+    bn = aligner.split_dataset(make_pairs(22764) + make_variables(15452), seed=11)
     elapsed = time.time() - start
     ok = (len(en.test) == 3824 and len(en.validation) == 3824
           and abs(len(en.train) - 30596) <= 1
@@ -59,9 +58,11 @@ def test_criterion_2_aligner_behavior():
                           tgt="Ek ache. Dui ache.")
     out_varied = aligner.classify_and_explode(varied)
     ok = (isinstance(out_same, list) and len(out_same) == 2
-          and isinstance(out_varied, aligner.VariableUnit)
-          and out_varied.src_sentence_count == 3
-          and out_varied.tgt_sentence_count == 2)
+          and len(out_varied) == 1
+          and out_varied[0].group == aligner.GROUP_VARIABLE
+          and out_varied[0].src == varied.src and out_varied[0].tgt == varied.tgt
+          and len(aligner.segment_sentences(out_varied[0].src)) == 3
+          and len(aligner.segment_sentences(out_varied[0].tgt)) == 2)
     report(2, ok, "same-length unit exploded to 2 pairs; unequal unit preserved")
 
 
@@ -72,9 +73,9 @@ def test_criterion_3_conservation_and_determinism():
         n_pairs = rng.randint(0, 30)
         n_vars = rng.randint(0, 20)
         seed = rng.randrange(1 << 31)
-        a = aligner.split_dataset(make_pairs(n_pairs), make_variables(n_vars),
+        a = aligner.split_dataset(make_pairs(n_pairs) + make_variables(n_vars),
                                   seed=seed)
-        b = aligner.split_dataset(make_pairs(n_pairs), make_variables(n_vars),
+        b = aligner.split_dataset(make_pairs(n_pairs) + make_variables(n_vars),
                                   seed=seed)
         total = len(a.train) + len(a.test) + len(a.validation)
         ids = [p.origin_id for part in (a.train, a.test, a.validation)
@@ -250,8 +251,7 @@ def test_criterion_10_non_reproducible_results_and_export():
                           verse=r["verse"], src=r["src"], tgt=r["tgt"])
              for r in records]
     from lowmt.corpus import Corpus
-    pairs, variables = aligner.explode_corpus(Corpus(units=units))
-    split = aligner.split_dataset(pairs, variables, seed=1)
+    split = aligner.split_dataset(aligner.explode_corpus(Corpus(units=units)), seed=1)
     export = cli.export_records(split)
     assert len(export) >= 10000
     validate_export(export[:10000])

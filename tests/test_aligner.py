@@ -49,14 +49,14 @@ class TestClassifyAndExplode:
         out = aligner.classify_and_explode(unit(FIG_SRC, FIG_TGT))
         assert isinstance(out, list)
         assert len(out) == 2
-        assert [p.index for p in out] == [0, 1]
+        assert [p.src for p in out] == aligner.segment_sentences(FIG_SRC)
+        assert {p.group for p in out} == {aligner.GROUP_ONE2ONE}
 
     def test_unequal_counts_preserved(self):
         out = aligner.classify_and_explode(
             unit("One. Two. Three.", "Ek. Do."))
-        assert isinstance(out, aligner.VariableUnit)
-        assert out.src_sentence_count == 3
-        assert out.tgt_sentence_count == 2
+        assert out == [aligner.TextPair("One. Two. Three.", "Ek. Do.", "u0",
+                                        aligner.GROUP_VARIABLE)]
 
     def test_single_sentence_identity(self):
         u = unit("Only one.", "Ekta.")
@@ -75,43 +75,49 @@ class TestClassifyAndExplode:
 
 
 def make_pairs(n):
-    return [aligner.SentencePair(src=f"s{i}.", tgt=f"t{i}.", origin_id=f"o{i}",
-                                 index=0) for i in range(n)]
+    return [aligner.TextPair(src=f"s{i}.", tgt=f"t{i}.", origin_id=f"o{i}",
+                             group=aligner.GROUP_ONE2ONE) for i in range(n)]
 
 
 def make_variables(n):
-    return [aligner.VariableUnit(src=f"s{i}. More.", tgt=f"t{i}.",
-                                 origin_id=f"v{i}", src_sentence_count=2,
-                                 tgt_sentence_count=1) for i in range(n)]
+    return [aligner.TextPair(src=f"s{i}. More.", tgt=f"t{i}.", origin_id=f"v{i}",
+                             group=aligner.GROUP_VARIABLE) for i in range(n)]
 
 
 class TestSplitDataset:
     def test_exact_division(self):
-        split = aligner.split_dataset(make_pairs(10), [], seed=1)
+        split = aligner.split_dataset(make_pairs(10), seed=1)
         assert (len(split.train), len(split.test), len(split.validation)) == (8, 1, 1)
 
     def test_full_scale_counts(self):
-        split = aligner.split_dataset(make_pairs(27295), make_variables(10950), seed=5)
+        split = aligner.split_dataset(make_pairs(27295) + make_variables(10950), seed=5)
         assert len(split.test) == 3824
         assert len(split.validation) == 3824
         assert len(split.train) == 30597
 
     def test_ratio_validation(self):
         with pytest.raises(aligner.AlignError):
-            aligner.split_dataset(make_pairs(4), [], ratios=(0.5, 0.2, 0.2))
+            aligner.split_dataset(make_pairs(4), ratios=(0.5, 0.2, 0.2))
         with pytest.raises(aligner.AlignError):
-            aligner.split_dataset(make_pairs(4), [], ratios=(1.2, -0.1, -0.1))
+            aligner.split_dataset(make_pairs(4), ratios=(1.2, -0.1, -0.1))
+        with pytest.raises(aligner.AlignError):
+            aligner.split_dataset(make_pairs(10), ratios=(float("nan"), 0.5, 0.5))
+
+    def test_unknown_group_raises(self):
+        stray = aligner.TextPair(src="x.", tgt="y.", origin_id="u", group="foo")
+        with pytest.raises(aligner.AlignError, match="'foo'"):
+            aligner.split_dataset(make_pairs(10) + [stray])
 
     def test_determinism(self):
-        a = aligner.split_dataset(make_pairs(100), make_variables(40), seed=9)
-        b = aligner.split_dataset(make_pairs(100), make_variables(40), seed=9)
+        a = aligner.split_dataset(make_pairs(100) + make_variables(40), seed=9)
+        b = aligner.split_dataset(make_pairs(100) + make_variables(40), seed=9)
         assert a.train == b.train
         assert a.test == b.test
         assert a.validation == b.validation
 
     def test_different_seeds_same_sizes(self):
-        a = aligner.split_dataset(make_pairs(100), make_variables(40), seed=1)
-        b = aligner.split_dataset(make_pairs(100), make_variables(40), seed=2)
+        a = aligner.split_dataset(make_pairs(100) + make_variables(40), seed=1)
+        b = aligner.split_dataset(make_pairs(100) + make_variables(40), seed=2)
         assert len(a.train) == len(b.train)
         assert len(a.test) == len(b.test)
         assert a.train != b.train
@@ -120,7 +126,7 @@ class TestSplitDataset:
     @given(n_pairs=st.integers(0, 60), n_vars=st.integers(0, 40),
            seed=st.integers(0, 1000))
     def test_conservation_and_disjointness(self, n_pairs, n_vars, seed):
-        split = aligner.split_dataset(make_pairs(n_pairs), make_variables(n_vars),
+        split = aligner.split_dataset(make_pairs(n_pairs) + make_variables(n_vars),
                                       seed=seed)
         total = len(split.train) + len(split.test) + len(split.validation)
         assert total == n_pairs + n_vars
@@ -129,7 +135,7 @@ class TestSplitDataset:
         assert len(ids) == len(set(ids))
 
     def test_manifest_counts(self):
-        split = aligner.split_dataset(make_pairs(20), make_variables(10), seed=3)
+        split = aligner.split_dataset(make_pairs(20) + make_variables(10), seed=3)
         counts = split.manifest["group_counts"]
         assert counts["one2one"]["total"] == 20
         assert counts["variable"]["total"] == 10
@@ -138,7 +144,7 @@ class TestSplitDataset:
 
 class TestSplitPersistence:
     def test_save_load_round_trip(self, tmp_path):
-        split = aligner.split_dataset(make_pairs(20), make_variables(10), seed=3)
+        split = aligner.split_dataset(make_pairs(20) + make_variables(10), seed=3)
         aligner.save_split(split, tmp_path / "split")
         loaded = aligner.load_split(tmp_path / "split")
         assert loaded.train == split.train
@@ -152,7 +158,7 @@ class TestSplitPersistence:
         ('["x.", "y."]', "expected a JSON object"),
     ], ids=["src", "origin_id-group", "list"])
     def test_record_without_keys_names_file_and_line(self, tmp_path, line, message):
-        split = aligner.split_dataset(make_pairs(20), make_variables(10), seed=3)
+        split = aligner.split_dataset(make_pairs(20) + make_variables(10), seed=3)
         aligner.save_split(split, tmp_path / "split")
         path = tmp_path / "split" / "test.jsonl"
         path.write_text("\n" + line + "\n" + path.read_text())
@@ -170,7 +176,7 @@ class TestSplitPersistence:
     ], ids=["int-src", "empty-src", "group", "augmented", "aug_ops", "origin_id"])
     def test_bad_record_value_names_file_line_and_key(self, tmp_path, change, key,
                                                        kind):
-        split = aligner.split_dataset(make_pairs(20), make_variables(10), seed=3)
+        split = aligner.split_dataset(make_pairs(20) + make_variables(10), seed=3)
         aligner.save_split(split, tmp_path / "split")
         path = tmp_path / "split" / "test.jsonl"
         record = {"src": "x.", "tgt": "y.", "origin_id": "u", "group": "one2one",
@@ -186,7 +192,7 @@ class TestSplitPersistence:
         ('[3]', "expected a JSON object"),
     ], ids=["malformed", "list"])
     def test_bad_manifest_names_file(self, tmp_path, text, message):
-        split = aligner.split_dataset(make_pairs(20), make_variables(10), seed=3)
+        split = aligner.split_dataset(make_pairs(20) + make_variables(10), seed=3)
         aligner.save_split(split, tmp_path / "split")
         (tmp_path / "split" / "manifest.json").write_text(text)
         with pytest.raises(aligner.AlignError,

@@ -97,6 +97,16 @@ class TestIngestSplit:
             capsys.readouterr().err
         assert list(work.iterdir()) == []
 
+    def test_input_with_synthetic_exits_3_before_any_write(self, work, tmp_path,
+                                                           capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        corpus_path.write_text('{"id": "u1", "src": "ba.", "tgt": "BA."}\n')
+        assert run(["ingest", "--input", str(corpus_path), "--synthetic", "5"],
+                   work) == cli.EXIT_DATA
+        assert ("error: ingest takes --input or --synthetic N, not both"
+                in capsys.readouterr().err)
+        assert list(work.iterdir()) == []
+
     def test_stats_runs(self, work):
         assert run(["ingest", "--synthetic", "30"], work) == 0
         assert run(["stats", "--side", "src"], work) == 0
@@ -1027,6 +1037,8 @@ class TestImportCost:
         ("evaluate", {"bleu.corpus_bleu", "util.sha256_file"}),
         ("augment", {"augment.augment_training_set", "aligner.load_split",
                      "aligner.save_split", "util.sha256_file"}),
+        ("split", {"corpus.load_corpus", "aligner.explode_corpus",
+                   "aligner.split_dataset", "aligner.save_split", "util.sha256_file"}),
     ])
     def test_tracer_wraps_lazily_bound_modules(self, small, work, tmp_path, stage, spans):
         """bench/tracer.py wraps the functions of modules that cli binds
@@ -1036,7 +1048,7 @@ class TestImportCost:
         text = tmp_path / "text.txt"
         text.write_text("a b c d\n")
         stage_args = {"evaluate": ["evaluate", "--hyp", str(text), "--ref", str(text)],
-                      "augment": ["augment"]}[stage]
+                      "augment": ["augment"], "split": ["split"]}[stage]
         spans_path = tmp_path / "spans.json"
         result = self.python(str(ROOT / "bench" / "tracer.py"), str(spans_path), "run-0",
                              "--workdir", str(work), "--config",

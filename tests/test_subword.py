@@ -233,8 +233,8 @@ def _bench_train_sides():
     sides = {}
     for name, records in corpora.items():
         units = [corpus._unit_from_record(r, name) for r in records]
-        pairs, variables = aligner.explode_corpus(corpus.Corpus(units=units))
-        split = aligner.split_dataset(pairs, variables, seed=1)
+        split = aligner.split_dataset(
+            aligner.explode_corpus(corpus.Corpus(units=units)), seed=1)
         for side in corpus.SIDES:
             sides[f"{name}.{side}"] = [getattr(p, side) for p in split.train]
     return sides
