@@ -366,6 +366,8 @@ def generate_synthetic_corpus(n_units, seed=0):
 def cmd_ingest(ctx, args):
     if args.synthetic and args.input is not None:
         raise ValueError("ingest takes --input or --synthetic N, not both")
+    if args.synthetic and vars(args)["corpus.format"] is not None:
+        raise ValueError("ingest --format applies to --input, not --synthetic N")
     if args.synthetic:
         raw = ctx.write(ctx.path("synthetic_raw.jsonl"))
         write_jsonl(raw, generate_synthetic_corpus(args.synthetic, ctx.seed()))
@@ -535,6 +537,11 @@ def cmd_train(ctx, args):
 def cmd_translate(ctx, args):
     model = nmt.load_checkpoint(ctx.read(ctx.path("model.ckpt"), "model checkpoint"))
     src_vocab, tgt_vocab = _load_vocab(ctx, "src"), _load_vocab(ctx, "tgt")
+    for side, vocab in (("src", src_vocab), ("tgt", tgt_vocab)):
+        trained = getattr(model.config, f"{side}_vocab_size")
+        if len(vocab) != trained:
+            raise ValueError(f"{ctx.path(f'vocab.{side}.tsv')} has {len(vocab)} pieces, "
+                             f"but {ctx.path('model.ckpt')} was trained with {trained}")
     max_len = model.config.max_len
     sources = []
     truncated = []

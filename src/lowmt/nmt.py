@@ -46,9 +46,9 @@ block, d out_W = dlogits^T h'), and the backward returns it as such terms,
 matrices: |A^T B|^2 = <A A^T, B B^T> (Goodfellow 2015, arXiv:1510.01799).
 The SGD step multiplies each term out UPDATE_CHUNK_BYTES at a time into one
 buffer that train allocates once, so no dense gradient exists in full (at
-H=256 and V=8k it would be 23 MB per pair). Bias gradients are column sums;
-embedding gradients are sparse (touched rows, row gradients). Both count in
-the clip norm, and train updates only the touched embedding rows.
+H=256 and V=8k it would be 23 MB per pair). Bias and embedding gradients
+are (rows, values) pairs, all rows for a bias and the touched rows for an
+embedding: train updates only those. Both count in the clip norm.
 
 Checkpoint format 2 (util.save_arrays) holds the config, then PARAM_ORDER.
 """
@@ -129,11 +129,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise NmtError("epochs must be >= 1")
-        if self.learning_rate < 0:
+        # not x >= 0, so that NaN fails too: a NaN clip norm would clip nothing.
+        if not self.learning_rate >= 0:
             raise NmtError("learning_rate must be >= 0")
         if not (0.0 <= self.teacher_forcing_ratio <= 1.0):
             raise NmtError("teacher_forcing_ratio must be in [0, 1]")
-        if self.grad_clip_norm < 0:
+        if not self.grad_clip_norm >= 0:
             raise NmtError("grad_clip_norm must be >= 0 (0: no clipping)")
 
 
@@ -230,13 +231,13 @@ def _gru_step_back(tape, t, dh_new):
 
 def _gru_weight_grads(tape):
     """The GRU's W and U gradients over the whole sequence, as factored terms
-    (see _backward_pair), and its bias gradient."""
+    (see _backward_pair), and its bias gradient as a row gradient."""
     DA = tape["DA"]
     d = tape["H"].shape[1]
     return ([(slice(None), DA, tape["X"])],
             [(slice(None, 2 * d), DA[:, :2 * d], tape["H"]),
              (slice(2 * d, None), DA[:, 2 * d:], tape["RH"])],
-            np.sum(DA, axis=0))
+            (slice(None), np.sum(DA, axis=0)))
 
 
 def _padded(seqs):
@@ -374,8 +375,8 @@ def _backward_pair(model, fwd):
     its gate, comb and attention gradients as rows. Every weight gradient is
     then a list of factored terms (rows, A, B): the gradient of
     param[rows] is A.T @ B, a product over the whole sequence that is never
-    formed here (see _sgd_step). Biases get vectors, and embeddings sparse
-    (rows, row grads) pairs; _dense_grads turns all three into arrays.
+    formed here (see _sgd_step). Biases and embeddings get (rows, values)
+    pairs, a bias over all rows; _dense_grads turns both forms into arrays.
     """
     p = model.params
     d = model.config.hidden
@@ -394,7 +395,7 @@ def _backward_pair(model, fwd):
     dlogits = np.exp(LOGP, out=LOGP)
     dlogits /= T
     dlogits[np.arange(T), fwd["gold"]] -= 1.0 / T
-    g = {"out_W": [(slice(None), dlogits, H_NEW)], "out_b": np.sum(dlogits, axis=0)}
+    g = {"out_W": [(slice(None), dlogits, H_NEW)], "out_b": (slice(None), np.sum(dlogits, axis=0))}
     dh_out = dlogits @ p["out_W"]
 
     tape = _gru_tape(p["dec_U"], np.maximum(COMB_PRE, 0.0), H, ZR, C)
@@ -415,9 +416,9 @@ def _backward_pair(model, fwd):
 
     g["dec_W"], g["dec_U"], g["dec_b"] = _gru_weight_grads(tape)
     g["comb_W"] = [(slice(None), dcomb_pre, np.concatenate([XD, CTX], axis=1))]
-    g["comb_b"] = np.sum(dcomb_pre, axis=0)
+    g["comb_b"] = (slice(None), np.sum(dcomb_pre, axis=0))
     g["attn_W"] = [(slice(None), dattn, np.concatenate([XD, H], axis=1))]
-    g["attn_b"] = np.sum(dattn, axis=0)
+    g["attn_b"] = (slice(None), np.sum(dattn, axis=0))
     dxd = dcomb_pre @ p["comb_W"][:, :d] + dattn @ p["attn_W"][:, :d]
     g["dec_embed"] = _row_grads(prev_ids, dxd * masks)
 
@@ -434,12 +435,9 @@ def _backward_pair(model, fwd):
 
 
 def _dense_grads(model, grads):
-    """grads with each factored and each sparse gradient as a full-size array."""
+    """grads with each factored and each row gradient as a full-size array."""
     dense = {}
     for name, grad in grads.items():
-        if isinstance(grad, np.ndarray):
-            dense[name] = grad
-            continue
         dense[name] = np.zeros_like(model.params[name])
         if isinstance(grad, tuple):
             rows, row_grads = grad
@@ -451,7 +449,7 @@ def _dense_grads(model, grads):
 
 
 def _grad_norm(grads):
-    """L2 norm of _backward_pair's gradients, sparse embedding rows included.
+    """L2 norm of _backward_pair's gradients, row gradients included.
 
     A term's square |A^T B|^2 is <A A^T, B B^T>, from two T x T Gram
     matrices. Rounding can take an exactly cancelling term just below 0, so
@@ -463,8 +461,7 @@ def _grad_norm(grads):
             for _, A, B in grad:
                 squares += max(float(np.vdot(A @ A.T, B @ B.T)), 0.0)
         else:
-            v = grad[1] if isinstance(grad, tuple) else grad
-            squares += float(np.vdot(v, v))
+            squares += float(np.vdot(grad[1], grad[1]))
     return math.sqrt(squares)
 
 
@@ -499,7 +496,7 @@ def _subtract_product(target, A, B, step, buffer):
 
 def _sgd_step(params, grads, learning_rate, max_norm, buffer):
     """Clip grads (from _backward_pair) to L2 norm max_norm and take one SGD
-    step in place, through buffer (from _update_buffer); bias and embedding
+    step in place, through buffer (from _update_buffer); (rows, values)
     gradients are scaled in place too. A non-finite norm raises
     NmtNumericalError before any parameter moves.
 
@@ -514,13 +511,10 @@ def _sgd_step(params, grads, learning_rate, max_norm, buffer):
         if isinstance(grad, list):
             for rows, A, B in grad:
                 _subtract_product(params[name][rows], A, B, step, buffer)
-        elif isinstance(grad, tuple):
+        else:
             rows, row_grads = grad
             row_grads *= step
             params[name][rows] -= row_grads
-        else:
-            grad *= step
-            params[name] -= grad
     return total, clipped
 
 

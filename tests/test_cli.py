@@ -107,6 +107,13 @@ class TestIngestSplit:
                 in capsys.readouterr().err)
         assert list(work.iterdir()) == []
 
+    @pytest.mark.parametrize("fmt", corpus.FORMATS)
+    def test_format_with_synthetic_exits_3_before_any_write(self, work, capsys, fmt):
+        assert run(["ingest", "--synthetic", "5", "--format", fmt], work) == cli.EXIT_DATA
+        assert ("error: ingest --format applies to --input, not --synthetic N"
+                in capsys.readouterr().err)
+        assert list(work.iterdir()) == []
+
     def test_stats_runs(self, work):
         assert run(["ingest", "--synthetic", "30"], work) == 0
         assert run(["stats", "--side", "src"], work) == 0
@@ -606,13 +613,33 @@ class TestRunContext:
         err = capsys.readouterr().err
         assert "model.ckpt is stale" in err and "vocab.src.tsv" in err
 
-    def test_stale_checkpoint_warns_by_default(self, small, capsys):
+    def test_stale_checkpoint_warns_by_default(self, small, work, capsys):
         train_small(small)
-        assert small("tok-train", "--vocab-size", "60") == 0
+        # A changed vocab file of the size the checkpoint was trained with.
+        with open(work / "vocab.src.tsv", "a") as f:
+            f.write("\n")
         capsys.readouterr()
         assert small("translate", "--text", "ba ce di fo.") == 0
         err = capsys.readouterr().err
         assert "warning: model.ckpt is stale" in err
+
+    @pytest.mark.parametrize("vocab_size", ["60", "32"])
+    def test_vocab_size_mismatch_exits_3_before_decoding(self, small, work, tmp_path,
+                                                         capsys, monkeypatch, vocab_size):
+        train_small(small)
+        trained = len(subword.load_vocab(work / "vocab.src.tsv"))
+        assert small("tok-train", "--vocab-size", vocab_size) == 0
+        size = len(subword.load_vocab(work / "vocab.src.tsv"))
+        assert size != trained
+        monkeypatch.setattr(nmt, "translate_batch", lambda *args: pytest.fail("decoded"))
+        capsys.readouterr()
+        out = tmp_path / "hyp.txt"
+        assert small("translate", "--text", "ba ce di fo.",
+                     "--output", str(out)) == cli.EXIT_DATA
+        assert (f"error: {work / 'vocab.src.tsv'} has {size} pieces, but "
+                f"{work / 'model.ckpt'} was trained with {trained}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_resplit_makes_vocab_stale(self, small, capsys):
         for args in (["ingest", "--synthetic", "30"], ["split"],
@@ -954,6 +981,69 @@ class TestRunContext:
         assert small("embed", "--query", "ba") == 0
         assert calls == [1]
         assert len(capsys.readouterr().out.splitlines()) == 11  # 10 neighbours
+
+
+class TestAugmentedSplit:
+    """embed_replace, the projection TSV and --split-dir augmented: the path
+    by which augmented pairs reach training and the export."""
+
+    def test_embed_replace_reads_the_embedding_file(self, work, tmp_path, capsys):
+        cfg = tmp_path / "embed_replace.yaml"
+        cfg.write_text(SMALL_CONFIG.replace("[random_delete, random_swap]",
+                                            "[embed_replace]"))
+
+        def stage(*args):
+            return cli.main(["--workdir", str(work), "--config", str(cfg), *args])
+        assert stage("ingest", "--synthetic", "30") == 0
+        assert stage("split") == 0
+        capsys.readouterr()
+        assert stage("augment") == cli.EXIT_DATA
+        assert "missing embedding model" in capsys.readouterr().err
+        assert not (work / "augmented").exists()
+        assert stage("embed", "--side", "tgt") == 0
+        assert stage("augment") == 0
+        train = aligner.load_split(work / "augmented").train
+        augmented = [p for p in train if p.augmented]
+        assert augmented and all(p.aug_ops == ("embed_replace",) for p in augmented)
+        inputs = manifest(work, "augment")["inputs"]
+        assert inputs["embeddings.tgt.bin"] == sha256_file(work / "embeddings.tgt.bin")
+
+    def test_report_writes_the_projection(self, small, work):
+        for args in (["ingest", "--synthetic", "30"], ["split"], ["embed"],
+                     ["report", "--project-word", "ba", "--top-k", "3"]):
+            assert small(*args) == 0
+        lines = (work / "projection.src.tsv").read_text().splitlines()
+        assert lines[0] == "word\tx\ty\tclass"
+        rows = [line.split("\t") for line in lines[1:]]
+        assert [row[3] for row in rows] == ["source"] + ["similar"] * 3 + ["dissimilar"] * 3
+        assert rows[0][0] == "ba"
+        assert "projection.src.tsv" in manifest(work, "report.src")["outputs"]
+
+    def test_train_and_export_read_the_augmented_split(self, small, work, capsys):
+        for args in (["ingest", "--synthetic", "30"], ["split"],
+                     ["tok-train", "--vocab-size", "80"], ["augment"]):
+            assert small(*args) == 0
+        train = aligner.load_split(work / "augmented").train
+        n_augmented = sum(p.augmented for p in train)
+        assert n_augmented > 0
+        capsys.readouterr()
+        assert small("train", "--split-dir", "augmented") == 0
+        err = capsys.readouterr().err
+        inputs = manifest(work, "train")["inputs"]
+        for name in aligner.SPLIT_FILES:
+            key = f"augmented/{name}"
+            assert inputs[key] == sha256_file(work / key), key
+        assert not any(key.startswith("split/") for key in inputs)
+        assert "skipped" not in err
+        epoch = json.loads(next(line for line in err.splitlines()
+                                if line.startswith('{"event": "epoch"')))
+        assert epoch["pairs"] == len(train)
+        assert small("export-ft", "--split-dir", "augmented") == 0
+        records = [json.loads(line)
+                   for line in (work / "finetune.jsonl").read_text().splitlines()]
+        validate_export(records)
+        assert sum(r["augmented"] for r in records) == n_augmented
+        assert all(r["split"] == "train" for r in records if r["augmented"])
 
 
 class TestImportCost:

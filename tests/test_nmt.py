@@ -369,6 +369,10 @@ class TestConfigValidation:
             nmt.TrainConfig(epochs=0)
         with pytest.raises(nmt.NmtError, match="grad_clip_norm"):
             nmt.TrainConfig(grad_clip_norm=-1.0)
+        with pytest.raises(nmt.NmtError, match="learning_rate"):
+            nmt.TrainConfig(learning_rate=math.nan)
+        with pytest.raises(nmt.NmtError, match="grad_clip_norm"):
+            nmt.TrainConfig(grad_clip_norm=math.nan)
         assert nmt.TrainConfig(grad_clip_norm=0.0).grad_clip_norm == 0.0
 
 
@@ -829,7 +833,7 @@ class TestFactoredUpdate:
     def test_non_finite_norm_raises_before_any_update(self, tiny_model):
         _, fwd = nmt._forward_pair(tiny_model, *PAIR)
         grads = nmt._backward_pair(tiny_model, fwd)
-        grads["out_b"][0] = np.nan
+        grads["out_b"][1][0] = np.nan
         before = copy.deepcopy(tiny_model.params)
         with pytest.raises(nmt.NmtNumericalError, match="non-finite gradient norm nan"):
             nmt._sgd_step(tiny_model.params, grads, 0.1, 1.0,
