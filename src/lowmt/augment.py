@@ -156,12 +156,10 @@ def augment_training_set(split, side, policy, lexicon=None, model=None):
     if policy.max_pairs is not None and policy.max_pairs < len(candidates):
         cap_rng = random.Random(derive_seed(policy.seed, "cap"))
         candidates = sorted(cap_rng.sample(candidates, policy.max_pairs))
-    chosen = set(candidates)
 
     new_train = list(split.train)
-    for idx, pair in enumerate(split.train):
-        if idx not in chosen:
-            continue
+    for idx in candidates:
+        pair = split.train[idx]
         for variant in range(policy.n_aug):
             rng = random.Random(derive_seed(policy.seed, "pair", idx, variant))
             tokens = _augment_tokens(getattr(pair, side).split(), policy,
@@ -173,7 +171,7 @@ def augment_training_set(split, side, policy, lexicon=None, model=None):
     manifest["augmentation"] = {
         "side": side, "ops": list(policy.ops), "alpha": policy.alpha,
         "n_aug": policy.n_aug, "seed": policy.seed,
-        "augmented_pairs": len(chosen),
+        "augmented_pairs": len(candidates),
         "train_before": len(split.train), "train_after": len(new_train),
     }
     return aligner.DatasetSplit(train=new_train, test=list(split.test),

@@ -28,16 +28,16 @@ softmax(W_attn [x; h] + b) over encoder positions, context = weights @
 encoder_outputs, combined = relu(W_comb [x; context] + b), GRU step on the
 combined vector, log-softmax output layer.
 
-Backward (BPTT): the training forward records the pair's inputs once (source,
-fed and gold ids, dropout masks) and, through _decode_gold, per step only
-what the backward cannot rebuild exactly, as 1-row blocks: log-probs, h',
-attention weights, context, comb_pre, z|r and c. The backward concatenates
-each into one T-row array once and rebuilds the rest by elementwise ops and
-concatenation (probs, the decoder GRU's input, r*h, [x; h], [x; context],
-the encoder's inputs and previous hidden states). Only the dh recurrence
-runs step by step, in reverse: each step writes its gate pre-activation
-gradients as a row of DA (T x 3d, z|r|h order) and its comb and attention
-gradients as rows of T x d arrays. The output layer's come before the loop.
+Backward (BPTT): _pair_grads runs one pair's forward through _decode_gold,
+keeping per step only what the backward cannot rebuild exactly, as 1-row
+blocks: log-probs, h', attention weights, context, comb_pre, z|r and c. Its
+backward concatenates each into one T-row array once and rebuilds the rest
+by elementwise ops and concatenation (probs, the decoder GRU's input, r*h,
+[x; h], [x; context], the encoder's inputs and previous hidden states). Only
+the dh recurrence runs step by step, in reverse: each step writes its gate
+pre-activation gradients as a row of DA (T x 3d, z|r|h order) and its comb
+and attention gradients as rows of T x d arrays. The output layer's come
+before the loop.
 
 Factored gradients: every weight gradient is a sum over the sequence, so it
 is one product A^T B of two T-row factors (dW = DA^T X, dU = DA^T H per gate
@@ -231,7 +231,7 @@ def _gru_step_back(tape, t, dh_new):
 
 def _gru_weight_grads(tape):
     """The GRU's W and U gradients over the whole sequence, as factored terms
-    (see _backward_pair), and its bias gradient as a row gradient."""
+    (see _pair_grads), and its bias gradient as a row gradient."""
     DA = tape["DA"]
     d = tape["H"].shape[1]
     return ([(slice(None), DA, tape["X"])],
@@ -255,12 +255,9 @@ def encode_sequence(model, sources, gates=None):
     (z|r, c) is appended to gates, if given.
 
     A row's hidden state is frozen past its source length and its outputs
-    there stay zero.
+    there stay zero. Sources must have passed _check_pairs.
     """
     cfg, p = model.config, model.params
-    for src_ids in sources:
-        _check_pair(cfg, src_ids)
-        _check_ids(src_ids, cfg.src_vocab_size, "source")
     ids, lengths = _padded(sources)
     gru = p["enc_W"], p["enc_U"], p["enc_b"]
     X = p["enc_embed"][ids.T]  # time-major: X[t] is step t's B x d block
@@ -333,19 +330,6 @@ def _decode_gold(model, enc_out, h, gold, lengths, tf_gold=None, masks=None, ste
     return nll[lengths, block], fed.T
 
 
-def _forward_pair(model, src_ids, tgt_ids, tf_gold=None, dropout_masks=None):
-    """_decode_gold on one pair: (mean NLL, the record _backward_pair reads)."""
-    _check_ids(tgt_ids, model.config.tgt_vocab_size, "target")
-    enc_gates, steps = [], []
-    enc_out, h = encode_sequence(model, [src_ids], enc_gates)
-    gold = list(tgt_ids) + [EOS_ID]
-    loss, fed = _decode_gold(model, enc_out, h, *_padded([gold]), tf_gold,
-                             dropout_masks, steps)
-    return loss[0] / len(gold), {"src_ids": list(src_ids), "prev_ids": fed[0].tolist(),
-                                 "gold": gold, "masks": dropout_masks, "enc_out": enc_out[0],
-                                 "enc_gates": enc_gates, "steps": steps}
-
-
 def _greedy_ids(logp):
     """Each row's most likely next token that is neither PAD nor SOS."""
     masked = logp.copy()
@@ -368,8 +352,9 @@ def _row_grads(ids, grads):
     return np.array(list(index)), summed
 
 
-def _backward_pair(model, fwd):
-    """Gradients of the pair's mean NLL, by name.
+def _pair_grads(model, src_ids, tgt_ids, tf_gold=None, masks=None):
+    """One pair's mean NLL and its gradients by name, from _decode_gold on
+    one row (tf_gold and masks as there).
 
     Only the dh recurrence runs step by step in reverse; each step records
     its gate, comb and attention gradients as rows. Every weight gradient is
@@ -380,13 +365,17 @@ def _backward_pair(model, fwd):
     """
     p = model.params
     d = model.config.hidden
-    # The steps leave the record here, so each one's 1-row blocks die as
-    # soon as they are concatenated into T-row arrays.
-    LOGP, H_NEW, A, CTX, COMB_PRE, ZR, C = map(np.concatenate, zip(*fwd.pop("steps")))
+    src_ids = list(src_ids)
+    enc_gates, steps = [], []
+    enc_out, h = encode_sequence(model, [src_ids], enc_gates)
+    gold = list(tgt_ids) + [EOS_ID]
+    loss, fed = _decode_gold(model, enc_out, h, *_padded([gold]), tf_gold, masks, steps)
+    LOGP, H_NEW, A, CTX, COMB_PRE, ZR, C = map(np.concatenate, zip(*steps))
+    del steps  # each step's 1-row blocks die here, not at the return
     T = len(LOGP)
-    src_ids, prev_ids, enc_out = fwd["src_ids"], fwd["prev_ids"], fwd["enc_out"]
+    prev_ids, enc_out = fed[0].tolist(), enc_out[0]
     S = len(src_ids)
-    masks = 1.0 if fwd["masks"] is None else np.array(fwd["masks"])
+    masks = 1.0 if masks is None else np.array(masks)
     XD = p["dec_embed"][prev_ids] * masks
     H = np.concatenate([enc_out[S - 1:S], H_NEW[:-1]])
 
@@ -394,7 +383,7 @@ def _backward_pair(model, fwd):
     # large vocabulary LOGP is the largest array of the backward.
     dlogits = np.exp(LOGP, out=LOGP)
     dlogits /= T
-    dlogits[np.arange(T), fwd["gold"]] -= 1.0 / T
+    dlogits[np.arange(T), gold] -= 1.0 / T
     g = {"out_W": [(slice(None), dlogits, H_NEW)], "out_b": (slice(None), np.sum(dlogits, axis=0))}
     dh_out = dlogits @ p["out_W"]
 
@@ -425,13 +414,13 @@ def _backward_pair(model, fwd):
     denc_out = A[:, :S].T @ dcontext
     tape = _gru_tape(p["enc_U"], p["enc_embed"][src_ids],
                      np.concatenate([np.zeros((1, d)), enc_out[:S - 1]]),
-                     *map(np.concatenate, zip(*fwd["enc_gates"])))
+                     *map(np.concatenate, zip(*enc_gates)))
     dh_carry = dh_next
     for t in range(S - 1, -1, -1):
         dh_carry = _gru_step_back(tape, t, denc_out[t] + dh_carry)
     g["enc_W"], g["enc_U"], g["enc_b"] = _gru_weight_grads(tape)
     g["enc_embed"] = _row_grads(src_ids, tape["DA"] @ p["enc_W"])
-    return g
+    return loss[0] / len(gold), g
 
 
 def _dense_grads(model, grads):
@@ -449,7 +438,7 @@ def _dense_grads(model, grads):
 
 
 def _grad_norm(grads):
-    """L2 norm of _backward_pair's gradients, row gradients included.
+    """L2 norm of _pair_grads' gradients, row gradients included.
 
     A term's square |A^T B|^2 is <A A^T, B B^T>, from two T x T Gram
     matrices. Rounding can take an exactly cancelling term just below 0, so
@@ -495,10 +484,9 @@ def _subtract_product(target, A, B, step, buffer):
 
 
 def _sgd_step(params, grads, learning_rate, max_norm, buffer):
-    """Clip grads (from _backward_pair) to L2 norm max_norm and take one SGD
-    step in place, through buffer (from _update_buffer); (rows, values)
-    gradients are scaled in place too. A non-finite norm raises
-    NmtNumericalError before any parameter moves.
+    """Clip grads (from _pair_grads) to L2 norm max_norm and take one SGD
+    step in place, through buffer (from _update_buffer). A non-finite norm
+    raises NmtNumericalError before any parameter moves.
 
     Returns (pre-clip norm, whether it was clipped).
     """
@@ -513,8 +501,7 @@ def _sgd_step(params, grads, learning_rate, max_norm, buffer):
                 _subtract_product(params[name][rows], A, B, step, buffer)
         else:
             rows, row_grads = grad
-            row_grads *= step
-            params[name][rows] -= row_grads
+            params[name][rows] -= step * row_grads
     return total, clipped
 
 
@@ -528,15 +515,17 @@ def length_error(max_len, src_ids, tgt_ids=()):
     return None
 
 
-def _check_pair(cfg, src_ids, tgt_ids=()):
-    if error := length_error(cfg.max_len, src_ids, tgt_ids):
-        raise NmtError(error)
-
-
-def _check_ids(ids, vocab_size, side):
-    for tid in ids:
-        if not (0 <= tid < vocab_size):
-            raise NmtError(f"{side} token id {tid} out of range")
+def _check_pairs(cfg, pairs):
+    """Raise NmtError on the first (source, target) pair that does not fit
+    the model: its length_error, or an id outside its side's vocabulary."""
+    for src_ids, tgt_ids in pairs:
+        if error := length_error(cfg.max_len, src_ids, tgt_ids):
+            raise NmtError(error)
+        for ids, vocab_size, side in ((src_ids, cfg.src_vocab_size, "source"),
+                                      (tgt_ids, cfg.tgt_vocab_size, "target")):
+            for tid in ids:
+                if not (0 <= tid < vocab_size):
+                    raise NmtError(f"{side} token id {tid} out of range")
 
 
 def train(model, pairs, train_config, validation_pairs=None, on_epoch=None):
@@ -545,15 +534,15 @@ def train(model, pairs, train_config, validation_pairs=None, on_epoch=None):
     Each history entry has the epoch, its mean_loss, the mean pre-clip
     gradient L2 norm (grad_norm), the fraction of pairs whose gradient was
     clipped (clip_rate) and, with validation pairs, val_loss. on_epoch, if
-    given, is called with each entry as soon as its epoch ends. A non-finite
-    loss or gradient norm (naming the epoch and pair) or val_loss (naming the
-    epoch) raises NmtNumericalError.
+    given, is called with each entry as soon as its epoch ends. A training or
+    validation pair that does not fit the model raises NmtError before the
+    first update. A non-finite loss or gradient norm (naming the epoch and
+    pair) or val_loss (naming the epoch) raises NmtNumericalError.
     """
     cfg = model.config
     if not pairs:
         raise NmtError("no training pairs")
-    for src_ids, tgt_ids in pairs:
-        _check_pair(cfg, src_ids, tgt_ids)
+    _check_pairs(cfg, [*pairs, *(validation_pairs or ())])
 
     tf_rng = random.Random(derive_seed(train_config.seed, "teacher_forcing"))
     drop_rng = np.random.default_rng(derive_seed(train_config.seed, "dropout"))
@@ -571,17 +560,16 @@ def train(model, pairs, train_config, validation_pairs=None, on_epoch=None):
                        for _ in range(n_steps)]
             masks = ([_dropout_mask(cfg, drop_rng) for _ in range(n_steps)]
                      if cfg.dropout_p > 0.0 else None)
-            loss, fwd = _forward_pair(model, src_ids, tgt_ids, tf_gold, masks)
+            loss, grads = _pair_grads(model, src_ids, tgt_ids, tf_gold, masks)
             if not np.isfinite(loss):
                 raise NmtNumericalError(
                     f"non-finite loss at epoch {epoch}, pair {idx}: {loss}")
             try:
-                norm, clipped = _sgd_step(model.params, _backward_pair(model, fwd),
-                                          train_config.learning_rate,
+                norm, clipped = _sgd_step(model.params, grads, train_config.learning_rate,
                                           train_config.grad_clip_norm, buffer)
             except NmtNumericalError as e:
                 raise NmtNumericalError(f"{e} at epoch {epoch}, pair {idx}") from None
-            del fwd  # before the next pair's forward, not after it
+            del grads  # before the next pair's forward, not after it
             epoch_loss += loss
             norm_sum += norm
             n_clipped += clipped
@@ -605,8 +593,9 @@ def mean_loss(model, pairs):
     Pairs run through _decode_gold in length-sorted row blocks, and the
     per-pair losses are summed in input order.
     """
-    for _, tgt_ids in pairs:
-        _check_ids(tgt_ids, model.config.tgt_vocab_size, "target")
+    if not pairs:
+        raise NmtError("no pairs to score")
+    _check_pairs(model.config, pairs)
     losses = [0.0] * len(pairs)
     for rows in _buckets([len(tgt_ids) for _, tgt_ids in pairs]):
         enc_out, h = encode_sequence(model, [pairs[i][0] for i in rows])
@@ -629,11 +618,12 @@ def translate_batch(model, sources):
     steps have run; a row's ids end at its eos.
     """
     cfg = model.config
+    sources = [[tid if 0 <= tid < cfg.src_vocab_size else UNK_ID for tid in src_ids]
+               for src_ids in sources]
+    _check_pairs(cfg, [(src_ids, ()) for src_ids in sources])
     results = [None] * len(sources)
     for rows in _buckets([len(src_ids) for src_ids in sources]):
-        enc_out, h = encode_sequence(model, [
-            [tid if 0 <= tid < cfg.src_vocab_size else UNK_ID for tid in sources[i]]
-            for i in rows])
+        enc_out, h = encode_sequence(model, [sources[i] for i in rows])
         out = np.empty((len(rows), cfg.max_len), dtype=np.int64)
         n_steps = np.zeros(len(rows), dtype=np.int64)
         done = np.zeros(len(rows), dtype=bool)
@@ -657,15 +647,14 @@ def translate(model, src_ids):
 
 def pair_gradients(model, src_ids, tgt_ids):
     """(loss, dense gradients) from the backward pass that train uses."""
-    loss, fwd = _forward_pair(model, src_ids, tgt_ids)
-    return loss, _dense_grads(model, _backward_pair(model, fwd))
+    _check_pairs(model.config, [(src_ids, tgt_ids)])
+    loss, grads = _pair_grads(model, src_ids, tgt_ids)
+    return loss, _dense_grads(model, grads)
 
 
 def gradient_check(model, pair, epsilon=1e-5, n_params_sampled=200, seed=0):
     """Max relative error between analytic and central-difference gradients."""
-    src_ids, tgt_ids = pair
-    _check_pair(model.config, src_ids, tgt_ids)
-    _, grads = pair_gradients(model, src_ids, tgt_ids)
+    _, grads = pair_gradients(model, *pair)
 
     # Flat indices run over lowmt 0.2.0's per-gate layout, so a seed samples
     # the same scalars as it did there.

@@ -434,7 +434,7 @@ class TestEncodeSequence:
 
     def test_too_long_rejected(self, tiny_model):
         with pytest.raises(nmt.NmtError, match="max_len"):
-            nmt.encode_sequence(tiny_model, [[4] * 7])
+            nmt.translate_batch(tiny_model, [[4] * 7])
 
     def test_finiteness_random_inputs(self, tiny_model):
         rng = random.Random(0)
@@ -475,7 +475,7 @@ class TestDecodeStep:
         assert np.array_equal(a[1], b[1])
 
     def test_bad_token_rejected(self, tiny_model):
-        # mean_loss and the training forward check target ids before any step.
+        # mean_loss and train check target ids before any step.
         with pytest.raises(nmt.NmtError, match="target token id 99 out of range"):
             nmt.mean_loss(tiny_model, [(PAIR[0], [99])])
 
@@ -524,6 +524,16 @@ class TestTraining:
             nmt.train(tiny_model, [([4] * 7, [5])], cfg)
         with pytest.raises(nmt.NmtError):
             nmt.train(tiny_model, [([4], [5] * 6)], cfg)
+
+    def test_bad_validation_pair_rejected_before_any_update(self, tiny_model):
+        before = copy.deepcopy(tiny_model.params)
+        cfg = nmt.TrainConfig(epochs=1, learning_rate=0.1, seed=0)
+        with pytest.raises(nmt.NmtError, match="target token id 99 out of range"):
+            nmt.train(tiny_model, [PAIR], cfg, validation_pairs=[([4], [99])])
+        with pytest.raises(nmt.NmtError, match="target length 6[+]eos exceeds max_len=6"):
+            nmt.train(tiny_model, [PAIR], cfg, validation_pairs=[([4], [5] * 6)])
+        for name in nmt.PARAM_ORDER:
+            assert np.array_equal(before[name], tiny_model.params[name]), name
 
     def test_history_records_grad_norm_and_clip_rate(self, tiny_model):
         _, grads = nmt.pair_gradients(tiny_model, *PAIR)
@@ -654,7 +664,7 @@ class TestBatchedMeanLoss:
                    for _ in range(rng.randint(0, cfg.max_len - 1))])
                  for src in sources]
         assert len({len(tgt) for _, tgt in pairs}) > 2
-        per_pair = [nmt._forward_pair(model, src, tgt)[0] for src, tgt in pairs]
+        per_pair = [nmt._pair_grads(model, src, tgt)[0] for src, tgt in pairs]
         expected = sum(per_pair) / len(pairs)
         assert abs(nmt.mean_loss(model, pairs) - expected) <= 1e-12 * abs(expected)
 
@@ -678,12 +688,28 @@ class TestBatchedMeanLoss:
             two = pairs[i:i + 2]
             assert nmt.mean_loss(model, two) == _ref_bucket_mean_loss(model, two), i
 
+    def test_no_pairs_rejected(self, tiny_model):
+        with pytest.raises(nmt.NmtError, match="no pairs"):
+            nmt.mean_loss(tiny_model, [])
+
+    @pytest.mark.parametrize("score", [
+        lambda model, pair: nmt.mean_loss(model, [pair]),
+        lambda model, pair: nmt.pair_gradients(model, *pair)])
+    def test_target_without_room_for_eos_rejected_as_train_does(self, tiny_model, score):
+        too_long = ([4], [5] * tiny_model.config.max_len)
+        with pytest.raises(nmt.NmtError) as train_error:
+            nmt.train(tiny_model, [too_long], nmt.TrainConfig(epochs=1, seed=0))
+        with pytest.raises(nmt.NmtError) as error:
+            score(tiny_model, too_long)
+        assert str(error.value) == str(train_error.value) == \
+            "target length 6+eos exceeds max_len=6"
+
     @pytest.mark.parametrize("seed", range(4))
     def test_pair_loss_bit_identical_to_0_4_0(self, seed):
         model, src, tgt, _, _ = _random_case(seed)
         loss = nmt.mean_loss(model, [(src, tgt)])
         assert loss == _ref_pair_loss(model, src, tgt)
-        assert loss == nmt._forward_pair(model, src, tgt)[0]
+        assert loss == nmt._pair_grads(model, src, tgt)[0]
 
 class TestGradientCheck:
     def test_tiny_model_below_threshold(self, tiny_model):
@@ -723,9 +749,9 @@ class TestBackwardEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_frozen_per_step_backward(self, seed):
         model, src, tgt, tf_gold, masks = _random_case(seed)
-        loss, fwd = nmt._forward_pair(model, src, tgt, tf_gold, masks)
+        loss, grads = nmt._pair_grads(model, src, tgt, tf_gold, masks)
         assert len(set(src)) < len(src) or len(set(tgt)) < len(tgt) + 1
-        new = nmt._dense_grads(model, nmt._backward_pair(model, fwd))
+        new = nmt._dense_grads(model, grads)
         ref_loss, ref = _ref_gradients(model, src, tgt, tf_gold, masks)
         assert loss == ref_loss
         assert new.keys() == ref.keys()
@@ -745,8 +771,7 @@ class TestBackwardEquivalence:
         buffer = nmt._update_buffer(cfg)
         ref_params = copy.deepcopy(model.params)
         for pair in ((src, tgt, tf_gold, masks), (src2, tgt2, None, masks2)):
-            _, fwd = nmt._forward_pair(model, *pair)
-            nmt._sgd_step(model.params, nmt._backward_pair(model, fwd), 0.1, 0.0, buffer)
+            nmt._sgd_step(model.params, nmt._pair_grads(model, *pair)[1], 0.1, 0.0, buffer)
             ref_model = nmt.Seq2SeqModel(ref_params, cfg)
             _ref_sgd_step(ref_params, _ref_gradients(ref_model, *pair)[1], 0.1, 0.0)
             for name in nmt.PARAM_ORDER:
@@ -772,8 +797,8 @@ class TestBackwardEquivalence:
                 tf_gold = [tf_rng.random() < tcfg.teacher_forcing_ratio
                            for _ in range(len(tgt) + 1)]
                 masks = [nmt._dropout_mask(cfg, drop_rng) for _ in tf_gold]
-                _, fwd = nmt._forward_pair(model, src, tgt, tf_gold, masks)
-                nmt._sgd_step(model.params, nmt._backward_pair(model, fwd),
+                _, grads = nmt._pair_grads(model, src, tgt, tf_gold, masks)
+                nmt._sgd_step(model.params, grads,
                               tcfg.learning_rate, tcfg.grad_clip_norm,
                               nmt._update_buffer(cfg))
         for name in nmt.PARAM_ORDER:
@@ -789,12 +814,11 @@ class TestBackwardEquivalence:
     @pytest.mark.parametrize("max_norm", [0.0, 1e-3, 1e6])
     def test_sgd_step_matches_dense_clip_and_update(self, max_norm):
         model, src, tgt, tf_gold, masks = _random_case(3)
-        _, fwd = nmt._forward_pair(model, src, tgt, tf_gold, masks)
+        _, grads = nmt._pair_grads(model, src, tgt, tf_gold, masks)
         ref_params = copy.deepcopy(model.params)
         ref_norm = _ref_sgd_step(ref_params,
                                  _ref_gradients(model, src, tgt, tf_gold, masks)[1],
                                  0.1, max_norm)
-        grads = nmt._backward_pair(model, fwd)
         norm, clipped = nmt._sgd_step(model.params, grads, 0.1, max_norm,
                                       nmt._update_buffer(model.config))
         assert abs(norm - ref_norm) <= 1e-12
@@ -816,8 +840,7 @@ class TestFactoredUpdate:
     @pytest.mark.parametrize("seed", range(8))
     def test_gram_norm_equals_dense_norm(self, seed):
         model, src, tgt, tf_gold, masks = _random_case(seed)
-        _, fwd = nmt._forward_pair(model, src, tgt, tf_gold, masks)
-        grads = nmt._backward_pair(model, fwd)
+        _, grads = nmt._pair_grads(model, src, tgt, tf_gold, masks)
         dense = nmt._dense_grads(model, grads)
         expected = math.sqrt(sum(float(np.vdot(g, g)) for g in dense.values()))
         assert abs(nmt._grad_norm(grads) - expected) <= 1e-12 * expected
@@ -831,8 +854,7 @@ class TestFactoredUpdate:
         assert nmt._grad_norm({"out_W": [(slice(None), A, B)]}) == 0.0
 
     def test_non_finite_norm_raises_before_any_update(self, tiny_model):
-        _, fwd = nmt._forward_pair(tiny_model, *PAIR)
-        grads = nmt._backward_pair(tiny_model, fwd)
+        _, grads = nmt._pair_grads(tiny_model, *PAIR)
         grads["out_b"][1][0] = np.nan
         before = copy.deepcopy(tiny_model.params)
         with pytest.raises(nmt.NmtNumericalError, match="non-finite gradient norm nan"):
@@ -855,10 +877,8 @@ class TestFactoredUpdate:
         tgt = [rng.randrange(4, 37) for _ in range(7)]
         masks = [nmt._dropout_mask(cfg, np.random.default_rng(4)) for _ in range(8)]
         model = nmt.init_model(cfg)
-        _, fwd = nmt._forward_pair(model, src, tgt, [True, False] * 4, masks)
-        grads = nmt._backward_pair(model, fwd)
-        # A copy: _sgd_step scales the bias gradients in place.
-        dense = copy.deepcopy(nmt._dense_grads(model, grads))
+        _, grads = nmt._pair_grads(model, src, tgt, [True, False] * 4, masks)
+        dense = nmt._dense_grads(model, grads)
         ref_params = copy.deepcopy(model.params)
         buffer = nmt._update_buffer(cfg)
         assert buffer.size == (4 * cfg.hidden if chunk == "one row" else 37 * 12)
@@ -872,6 +892,22 @@ class TestFactoredUpdate:
         _dense_sgd_step(ref_params, dense, 0.1 * (max_norm / norm if clipped else 1.0))
         for name in nmt.PARAM_ORDER:
             assert np.array_equal(model.params[name], ref_params[name]), name
+
+    def test_update_leaves_its_gradients_unchanged(self):
+        model, src, tgt, tf_gold, masks = _random_case(2)
+        _, grads = nmt._pair_grads(model, src, tgt, tf_gold, masks)
+        kept = copy.deepcopy(grads)
+        _, clipped = nmt._sgd_step(model.params, grads, 0.1, 1e-3,
+                                   nmt._update_buffer(model.config))
+        assert clipped
+
+        def arrays(grads):
+            """The values of each (rows, values) pair, A and B of each term."""
+            return [array for grad in grads.values()
+                    for term in ([grad] if isinstance(grad, tuple) else grad)
+                    for array in term[1:]]
+
+        assert all(map(np.array_equal, arrays(grads), arrays(kept)))
 
     def test_train_allocates_less_than_dense_gradients(self):
         cfg = nmt.ModelConfig(src_vocab_size=2000, tgt_vocab_size=2000, hidden=64,
@@ -900,13 +936,13 @@ class TestFactoredUpdate:
                   [rng.randrange(4, 2000) for _ in range(rng.randint(8, 20))])
                  for _ in range(3)]
         model = nmt.init_model(cfg)
-        forward, at_entry = nmt._forward_pair, []
+        forward, at_entry = nmt._pair_grads, []
 
         def traced_forward(*args, **kwargs):
             at_entry.append(tracemalloc.get_traced_memory()[0])
             return forward(*args, **kwargs)
 
-        monkeypatch.setattr(nmt, "_forward_pair", traced_forward)
+        monkeypatch.setattr(nmt, "_pair_grads", traced_forward)
         tracemalloc.start()
         try:
             nmt.train(model, pairs, nmt.TrainConfig(epochs=1, seed=0))
