@@ -2,6 +2,8 @@
 
 Embeddings are trained with negative sampling (unigram^0.75 noise) in a
 single thread so that a fixed seed gives a bitwise-identical vector table.
+Each center word takes one update, as in word2vec.c. lowmt 0.8.0 updated once
+per (center, context) pair: for one seed its vectors differ, but its files load.
 The 2-D projection uses PCA on the selected word subset.
 """
 
@@ -101,27 +103,22 @@ def train_embeddings(sentences, dim=100, window=5, negatives=5, epochs=5,
             for pos, center in enumerate(sent):
                 alpha = max(min_lr, LEARNING_RATE * (1.0 - seen / total_centers))
                 seen += 1
-                lo = max(0, pos - window)
-                hi = min(len(sent), pos + window + 1)
+                ctx = sent[max(0, pos - window):pos] + sent[pos + 1:pos + window + 1]
+                if not ctx:
+                    continue
+                # One update per center: every context word and its negatives
+                # are scored against h and C as they stand before it.
+                draws = np.minimum(np.searchsorted(
+                    noise_cdf, rng.random(len(ctx) * negatives)), n - 1)
+                targets = np.concatenate((ctx, draws[draws != center]))
+                labels = np.zeros(len(targets))
+                labels[:len(ctx)] = 1.0
                 h = W[center]
-                for cpos in range(lo, hi):
-                    if cpos == pos:
-                        continue
-                    targets = [sent[cpos]]
-                    labels = [1.0]
-                    draws = np.minimum(np.searchsorted(noise_cdf, rng.random(negatives)),
-                                       n - 1)
-                    for neg in draws:
-                        if neg != center:
-                            targets.append(int(neg))
-                            labels.append(0.0)
-                    grad_h = np.zeros(dim)
-                    for t, label in zip(targets, labels):
-                        s = 1.0 / (1.0 + np.exp(-np.dot(h, C[t])))
-                        g = alpha * (label - s)
-                        grad_h += g * C[t]
-                        C[t] += g * h
-                    W[center] = h = h + grad_h
+                rows = C[targets]
+                g = alpha * (labels - 1.0 / (1.0 + np.exp(-(rows @ h))))
+                # add.at, so that a target that repeats gets each of its updates.
+                np.add.at(C, targets, np.outer(g, h))
+                W[center] = h + g @ rows
 
     if not np.all(np.isfinite(W)):
         raise AnalysisError("non-finite embedding values after training")

@@ -26,7 +26,9 @@ from .util import (check_record, config_hash, derive_seed, lazy_module, numpy_ve
                    read_lines, sha256_file, write_jsonl)
 
 # Each runs its import at its first use, so a stage process compiles and runs
-# only the lowmt modules that stage uses.
+# only the lowmt modules that stage uses. Not so augment and bleu:
+# DEFAULT_CONFIG and CONFIG_CHOICES read their constants at import, so every
+# stage runs those two imports.
 aligner, analysis, augment, bleu, nmt, subword = map(lazy_module, (
     "lowmt.aligner", "lowmt.analysis", "lowmt.augment", "lowmt.bleu", "lowmt.nmt",
     "lowmt.subword"))

@@ -124,8 +124,9 @@ def save_arrays(path, magic, version, header, arrays):
 
 
 def load_arrays(path, magic, version, fields, shapes, error, what):
-    """(header, name -> array) of a save_arrays file whose header passes fields
-    and whose arrays have shapes(header), name -> shape in file order; else error."""
+    """(header, name -> array) of a save_arrays file whose header passes fields,
+    whose arrays have shapes(header), name -> shape in file order, and whose
+    values are all finite; else error."""
     import numpy as np
     with open(path, "rb") as f:
         if f.read(len(magic)) != magic:
@@ -150,6 +151,9 @@ def load_arrays(path, magic, version, fields, shapes, error, what):
         arrays = {name: np.empty(shape, dtype="<f8") for name, shape in layout.items()}
         for array in arrays.values():
             f.readinto(memoryview(array).cast("B"))
+            # One array at a time: the mask is one byte per value of one array.
+            if not np.isfinite(array).all():
+                raise error(f"{path}: non-finite {what} values")
     return header, arrays
 
 

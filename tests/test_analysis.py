@@ -77,6 +77,70 @@ class TestTrainEmbeddings:
         b = analysis.train_embeddings(sents, dim=8, epochs=1, seed=2)
         assert not np.array_equal(a.vectors, b.vectors)
 
+    def test_one_update_per_center_matches_a_per_target_loop(self):
+        """Each center's context words and their negatives are scored against
+        W and C as they stood before it, and a target that repeats gets every
+        one of its updates."""
+        sents = [["a", "b", "a", "c"], ["b", "a"], ["c"]]
+        dim, window, negatives, epochs, seed = 3, 2, 2, 2, 4
+        model = analysis.train_embeddings(sents, dim=dim, window=window,
+                                          negatives=negatives, epochs=epochs, seed=seed)
+
+        counts = analysis.vocabulary(sents)
+        words = list(counts)
+        n = len(words)
+        rng = np.random.default_rng(seed)
+        W = (rng.random((n, dim)) - 0.5) / dim
+        C = np.zeros((n, dim))
+        noise = np.array(list(counts.values()), dtype=np.float64) ** 0.75
+        noise_cdf = np.cumsum(noise / noise.sum())
+        encoded = [[words.index(w) for w in sent] for sent in sents]
+        total = sum(len(sent) for sent in encoded) * epochs
+        seen = repeated = center_drawn = 0
+        for _ in range(epochs):
+            for sent in encoded:
+                for pos, center in enumerate(sent):
+                    alpha = max(analysis.LEARNING_RATE * 1e-4,
+                                analysis.LEARNING_RATE * (1.0 - seen / total))
+                    seen += 1
+                    ctx = [sent[j] for j in range(len(sent))
+                           if j != pos and abs(j - pos) <= window]
+                    if not ctx:
+                        continue
+                    draws = [min(int(np.searchsorted(noise_cdf, u)), n - 1)
+                             for u in rng.random(len(ctx) * negatives)]
+                    center_drawn += center in draws
+                    targets = [(t, 1.0) for t in ctx]
+                    targets += [(t, 0.0) for t in draws if t != center]
+                    repeated += len({t for t, _ in targets}) < len(targets)
+                    h, before = W[center].copy(), C.copy()
+                    for t, label in targets:
+                        s = 1.0 / (1.0 + np.exp(-(h @ before[t])))
+                        g = alpha * (label - s)
+                        W[center] += g * before[t]
+                        C[t] += g * h
+        assert repeated and center_drawn
+        np.testing.assert_allclose(model.vectors, W, rtol=0, atol=1e-12)
+
+    def test_one_word_sentences_leave_the_initial_draw(self, monkeypatch):
+        sizes = []
+        default_rng = np.random.default_rng
+
+        class Recording:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def random(self, size):
+                sizes.append(size)
+                return self.rng.random(size)
+
+        monkeypatch.setattr(np.random, "default_rng", Recording)
+        model = analysis.train_embeddings([["a"], ["b"], ["a"]], dim=4, epochs=2, seed=3)
+        monkeypatch.undo()
+        assert sizes == [(2, 4)]  # the initial draw, and no negative
+        assert np.array_equal(model.vectors,
+                              (np.random.default_rng(3).random((2, 4)) - 0.5) / 4)
+
     def test_self_cosine_is_one(self, cluster_model):
         model, a, b = cluster_model
         unit = analysis._unit_rows(model.vectors)
@@ -212,6 +276,18 @@ class TestPersistence:
         analysis.save_embeddings(cluster_model[0], path)
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(analysis.AnalysisError, match=f"emb.bin: {message}"):
+            analysis.load_embeddings(path)
+
+    def test_non_finite_row_names_file(self, tmp_path, cluster_model):
+        model = cluster_model[0]
+        vectors = model.vectors.copy()
+        vectors[3] = np.nan
+        path = tmp_path / "emb.bin"
+        analysis.save_embeddings(analysis.EmbeddingModel(
+            **{key: getattr(model, key) for key in analysis.HEADER_FIELDS},
+            vectors=vectors), path)
+        with pytest.raises(analysis.AnalysisError,
+                           match="emb.bin: non-finite embedding values"):
             analysis.load_embeddings(path)
 
     def test_config_missing_key_names_file(self, tmp_path, cluster_model):

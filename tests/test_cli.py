@@ -884,6 +884,16 @@ class TestRunContext:
         assert small("translate", "--text", "ba ce.") == cli.EXIT_DATA
         assert "model.ckpt: " in capsys.readouterr().err
 
+    def test_non_finite_checkpoint_exits_3_naming_it(self, small, work, capsys):
+        train_small(small)
+        blob = (work / "model.ckpt").read_bytes()
+        (work / "model.ckpt").write_bytes(blob[:-8] + struct.pack("<d", float("nan")))
+        capsys.readouterr()
+        assert small("translate", "--text", "ba ce di.") == cli.EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "model.ckpt: non-finite checkpoint values" in err
+
     @pytest.mark.parametrize("key, value", [("hidden", 16.0), ("seed", "x")])
     def test_checkpoint_header_type_exits_3_naming_key(self, small, work, capsys,
                                                        key, value):

@@ -1020,6 +1020,15 @@ class TestCheckpoint:
         with pytest.raises(nmt.NmtError, match="m.ckpt: bad checkpoint config"):
             nmt.load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_names_file(self, tiny_model, tmp_path, value):
+        path = tmp_path / "m.ckpt"
+        nmt.save_checkpoint(tiny_model, path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-8] + struct.pack("<d", value))
+        with pytest.raises(nmt.NmtError, match="m.ckpt: non-finite checkpoint values"):
+            nmt.load_checkpoint(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"junkdata")

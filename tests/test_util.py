@@ -109,6 +109,16 @@ class TestArrays:
         with pytest.raises(ValueError, match=f"x.bin: {message}"):
             self.load(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("array", ["a", "b"])
+    def test_non_finite_value_names_the_file(self, tmp_path, value, array):
+        path = tmp_path / "x.bin"
+        arrays = {"a": np.zeros((2, 2)), "b": np.ones(3)}
+        arrays[array].flat[-1] = value
+        save_arrays(path, b"TEST", 5, {"n": 2}, arrays.values())
+        with pytest.raises(ValueError, match="x.bin: non-finite test values$"):
+            self.load(path)
+
 
 class TestLazyNumpy:
     def test_import_leaves_numpy_unrun_until_used(self):
