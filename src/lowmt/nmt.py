@@ -44,11 +44,13 @@ is one product A^T B of two T-row factors (dW = DA^T X, dU = DA^T H per gate
 block, d out_W = dlogits^T h'), and the backward returns it as such terms,
 (rows, A, B), never as a dense array. Its L2 norm comes from the T x T Gram
 matrices: |A^T B|^2 = <A A^T, B B^T> (Goodfellow 2015, arXiv:1510.01799).
-The SGD step multiplies each term out UPDATE_CHUNK_BYTES at a time into one
-buffer that train allocates once, so no dense gradient exists in full (at
-H=256 and V=8k it would be 23 MB per pair). Bias and embedding gradients
-are (rows, values) pairs, all rows for a bias and the touched rows for an
-embedding: train updates only those. Both count in the clip norm.
+The SGD step and the dense view (_dense_grads) add scale * gradient by one
+function, _add_grads. It multiplies each term out UPDATE_CHUNK_BYTES at a
+time, into a chunk that each product allocates for itself, so the step forms
+no dense gradient in full (at H=256 and V=8k it would be 23 MB per pair).
+Bias and embedding gradients are (rows, values) pairs, all rows for a bias
+and the touched rows for an embedding: train updates only those. Both count
+in the clip norm.
 
 Checkpoint format 2 (util.save_arrays) holds the config, then PARAM_ORDER.
 """
@@ -69,8 +71,8 @@ FORMAT_VERSION = 2
 # while the buffers of one bucket stay well under a MiB at the bench sizes.
 BUCKET_SIZE = 32
 
-# The SGD step multiplies a factored weight gradient out in row chunks of
-# about this many bytes, into one buffer reused for every chunk.
+# _add_product multiplies a factored weight gradient out in row chunks of at
+# most this many bytes (at least two rows), into one chunk per product.
 UPDATE_CHUNK_BYTES = 256 * 1024
 
 PARAM_ORDER = [
@@ -360,7 +362,7 @@ def _pair_grads(model, src_ids, tgt_ids, tf_gold=None, masks=None):
     its gate, comb and attention gradients as rows. Every weight gradient is
     then a list of factored terms (rows, A, B): the gradient of
     param[rows] is A.T @ B, a product over the whole sequence that is never
-    formed here (see _sgd_step). Biases and embeddings get (rows, values)
+    formed here (see _add_grads). Biases and embeddings get (rows, values)
     pairs, a bias over all rows; _dense_grads turns both forms into arrays.
     """
     p = model.params
@@ -424,16 +426,10 @@ def _pair_grads(model, src_ids, tgt_ids, tf_gold=None, masks=None):
 
 
 def _dense_grads(model, grads):
-    """grads with each factored and each row gradient as a full-size array."""
-    dense = {}
-    for name, grad in grads.items():
-        dense[name] = np.zeros_like(model.params[name])
-        if isinstance(grad, tuple):
-            rows, row_grads = grad
-            dense[name][rows] = row_grads
-        else:
-            for rows, A, B in grad:
-                dense[name][rows] = A.T @ B
+    """grads as full-size arrays: _add_grads on zeros, so each array holds
+    the bits of its products and row values."""
+    dense = {name: np.zeros_like(model.params[name]) for name in grads}
+    _add_grads(dense, grads, 1.0)
     return dense
 
 
@@ -454,39 +450,42 @@ def _grad_norm(grads):
     return math.sqrt(squares)
 
 
-def _update_buffer(config):
-    """The buffer _sgd_step multiplies weight gradients out into: at most
-    UPDATE_CHUNK_BYTES or the largest weight, at least two rows of the
-    widest."""
-    shapes = [shape for name, shape in param_shapes(config).items()
-              if len(shape) == 2 and not name.endswith("_embed")]
-    widest = max(cols for _, cols in shapes)
-    return np.empty(min(max(UPDATE_CHUNK_BYTES // 8, 2 * widest),
-                        max(math.prod(shape) for shape in shapes)))
-
-
-def _subtract_product(target, A, B, step, buffer):
-    """target -= step * (A.T @ B), multiplied out in row chunks that fill buffer.
+def _add_product(target, A, B, scale):
+    """target += scale * (A.T @ B), multiplied out in row chunks of at most
+    UPDATE_CHUNK_BYTES, into one chunk this call allocates.
 
     Every chunk has at least two rows, a short last one being recomputed from
     a full chunk: numpy multiplies a single row by gemv, whose bits can differ
     from that row of the whole product's gemm.
     """
     m, n = target.shape
-    k = min(m, max(2, buffer.size // n))
-    chunk = buffer[:k * n].reshape(k, n)
+    k = min(m, max(2, UPDATE_CHUNK_BYTES // (8 * n)))
+    chunk = np.empty((k, n))
     for i in range(0, m, k):
         lo = min(i, m - k)
         np.matmul(A[:, lo:lo + k].T, B, out=chunk)
         rows = chunk[i - lo:]
-        rows *= step
-        target[i:i + k] -= rows
+        rows *= scale
+        target[i:i + k] += rows
 
 
-def _sgd_step(params, grads, learning_rate, max_norm, buffer):
+def _add_grads(arrays, grads, scale):
+    """arrays[name] += scale * gradient in place, for each of grads (from
+    _pair_grads): a factored term through _add_product, a (rows, values)
+    pair directly."""
+    for name, grad in grads.items():
+        if isinstance(grad, list):
+            for rows, A, B in grad:
+                _add_product(arrays[name][rows], A, B, scale)
+        else:
+            rows, values = grad
+            arrays[name][rows] += scale * values
+
+
+def _sgd_step(params, grads, learning_rate, max_norm):
     """Clip grads (from _pair_grads) to L2 norm max_norm and take one SGD
-    step in place, through buffer (from _update_buffer). A non-finite norm
-    raises NmtNumericalError before any parameter moves.
+    step in place, by _add_grads. A non-finite norm raises
+    NmtNumericalError before any parameter moves.
 
     Returns (pre-clip norm, whether it was clipped).
     """
@@ -494,14 +493,7 @@ def _sgd_step(params, grads, learning_rate, max_norm, buffer):
     if not math.isfinite(total):
         raise NmtNumericalError(f"non-finite gradient norm {total}")
     clipped = max_norm > 0 and total > max_norm
-    step = learning_rate * (max_norm / total if clipped else 1.0)
-    for name, grad in grads.items():
-        if isinstance(grad, list):
-            for rows, A, B in grad:
-                _subtract_product(params[name][rows], A, B, step, buffer)
-        else:
-            rows, row_grads = grad
-            params[name][rows] -= step * row_grads
+    _add_grads(params, grads, -learning_rate * (max_norm / total if clipped else 1.0))
     return total, clipped
 
 
@@ -546,7 +538,6 @@ def train(model, pairs, train_config, validation_pairs=None, on_epoch=None):
 
     tf_rng = random.Random(derive_seed(train_config.seed, "teacher_forcing"))
     drop_rng = np.random.default_rng(derive_seed(train_config.seed, "dropout"))
-    buffer = _update_buffer(cfg)
     history = []
     for epoch in range(train_config.epochs):
         order = list(range(len(pairs)))
@@ -566,7 +557,7 @@ def train(model, pairs, train_config, validation_pairs=None, on_epoch=None):
                     f"non-finite loss at epoch {epoch}, pair {idx}: {loss}")
             try:
                 norm, clipped = _sgd_step(model.params, grads, train_config.learning_rate,
-                                          train_config.grad_clip_norm, buffer)
+                                          train_config.grad_clip_norm)
             except NmtNumericalError as e:
                 raise NmtNumericalError(f"{e} at epoch {epoch}, pair {idx}") from None
             del grads  # before the next pair's forward, not after it

@@ -760,18 +760,17 @@ class TestBackwardEquivalence:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_one_workspace_for_two_pairs(self, seed):
-        """Two SGD steps through one update buffer: the second pair's
-        products overwrite the first's in every chunk."""
+        """Two SGD steps in a row: the second pair's products are
+        multiplied out on the parameters the first step left."""
         model, src, tgt, tf_gold, masks = _random_case(seed)
         cfg = model.config
         rng = random.Random(100 + seed)
         src2 = [rng.randrange(4, cfg.src_vocab_size) for _ in range(cfg.max_len)]
         tgt2 = [rng.randrange(4, cfg.tgt_vocab_size) for _ in range(2)]
         masks2 = [nmt._dropout_mask(cfg, np.random.default_rng(seed)) for _ in range(3)]
-        buffer = nmt._update_buffer(cfg)
         ref_params = copy.deepcopy(model.params)
         for pair in ((src, tgt, tf_gold, masks), (src2, tgt2, None, masks2)):
-            nmt._sgd_step(model.params, nmt._pair_grads(model, *pair)[1], 0.1, 0.0, buffer)
+            nmt._sgd_step(model.params, nmt._pair_grads(model, *pair)[1], 0.1, 0.0)
             ref_model = nmt.Seq2SeqModel(ref_params, cfg)
             _ref_sgd_step(ref_params, _ref_gradients(ref_model, *pair)[1], 0.1, 0.0)
             for name in nmt.PARAM_ORDER:
@@ -785,7 +784,7 @@ class TestBackwardEquivalence:
         pairs = [PAIR, ([5, 4, 4], [6, 5]), ([7], [4, 4, 5, 6])]
         trained, _ = nmt.train(nmt.init_model(cfg), pairs, tcfg)
 
-        # train's seeded streams and order, with a new update buffer per pair
+        # train's seeded streams and order, one _sgd_step per pair
         model = nmt.init_model(cfg)
         tf_rng = random.Random(derive_seed(tcfg.seed, "teacher_forcing"))
         drop_rng = np.random.default_rng(derive_seed(tcfg.seed, "dropout"))
@@ -799,8 +798,7 @@ class TestBackwardEquivalence:
                 masks = [nmt._dropout_mask(cfg, drop_rng) for _ in tf_gold]
                 _, grads = nmt._pair_grads(model, src, tgt, tf_gold, masks)
                 nmt._sgd_step(model.params, grads,
-                              tcfg.learning_rate, tcfg.grad_clip_norm,
-                              nmt._update_buffer(cfg))
+                              tcfg.learning_rate, tcfg.grad_clip_norm)
         for name in nmt.PARAM_ORDER:
             assert np.array_equal(trained.params[name], model.params[name]), name
 
@@ -819,8 +817,7 @@ class TestBackwardEquivalence:
         ref_norm = _ref_sgd_step(ref_params,
                                  _ref_gradients(model, src, tgt, tf_gold, masks)[1],
                                  0.1, max_norm)
-        norm, clipped = nmt._sgd_step(model.params, grads, 0.1, max_norm,
-                                      nmt._update_buffer(model.config))
+        norm, clipped = nmt._sgd_step(model.params, grads, 0.1, max_norm)
         assert abs(norm - ref_norm) <= 1e-12
         assert clipped == (max_norm == 1e-3)
         for name in nmt.PARAM_ORDER:
@@ -858,8 +855,7 @@ class TestFactoredUpdate:
         grads["out_b"][1][0] = np.nan
         before = copy.deepcopy(tiny_model.params)
         with pytest.raises(nmt.NmtNumericalError, match="non-finite gradient norm nan"):
-            nmt._sgd_step(tiny_model.params, grads, 0.1, 1.0,
-                          nmt._update_buffer(tiny_model.config))
+            nmt._sgd_step(tiny_model.params, grads, 0.1, 1.0)
         for name in nmt.PARAM_ORDER:
             assert np.array_equal(before[name], tiny_model.params[name]), name
 
@@ -880,25 +876,48 @@ class TestFactoredUpdate:
         _, grads = nmt._pair_grads(model, src, tgt, [True, False] * 4, masks)
         dense = nmt._dense_grads(model, grads)
         ref_params = copy.deepcopy(model.params)
-        buffer = nmt._update_buffer(cfg)
-        assert buffer.size == (4 * cfg.hidden if chunk == "one row" else 37 * 12)
         # Step 1 on zero parameters leaves -A.T @ B itself, every bit of it.
         zeros = {name: np.zeros_like(value) for name, value in model.params.items()}
-        nmt._sgd_step(zeros, grads, 1.0, 0.0, buffer)
+        nmt._sgd_step(zeros, grads, 1.0, 0.0)
         for name in nmt.PARAM_ORDER:
             assert np.array_equal(zeros[name], -dense[name]), name
-        norm, clipped = nmt._sgd_step(model.params, grads, 0.1, max_norm, buffer)
+        norm, clipped = nmt._sgd_step(model.params, grads, 0.1, max_norm)
         assert clipped == (max_norm > 0)
         _dense_sgd_step(ref_params, dense, 0.1 * (max_norm / norm if clipped else 1.0))
         for name in nmt.PARAM_ORDER:
             assert np.array_equal(model.params[name], ref_params[name]), name
 
+    @pytest.mark.parametrize("case", [*range(8), "wide"])
+    def test_dense_view_equals_direct_products(self, case):
+        """pair_gradients' arrays against products formed here, not by the
+        chunked update that _dense_grads shares with _sgd_step."""
+        if case == "wide":
+            cfg = nmt.ModelConfig(src_vocab_size=2000, tgt_vocab_size=2000, hidden=64,
+                                  max_len=24, dropout_p=0.1, seed=0)
+            model = nmt.init_model(cfg)
+            rng = random.Random(0)
+            src = [rng.randrange(4, 2000) for _ in range(rng.randint(8, 20))]
+            tgt = [rng.randrange(4, 2000) for _ in range(rng.randint(8, 20))]
+        else:
+            model, src, tgt, _, _ = _random_case(case)
+        _, dense = nmt.pair_gradients(model, src, tgt)
+        _, grads = nmt._pair_grads(model, src, tgt)
+        assert dense.keys() == grads.keys()
+        for name, grad in grads.items():
+            if isinstance(grad, list):
+                for rows, A, B in grad:
+                    assert np.array_equal(dense[name][rows], A.T @ B), name
+            else:
+                rows, values = grad
+                expected = np.zeros_like(dense[name])
+                expected[rows] = values
+                assert np.array_equal(dense[name], expected), name
+
     def test_update_leaves_its_gradients_unchanged(self):
         model, src, tgt, tf_gold, masks = _random_case(2)
         _, grads = nmt._pair_grads(model, src, tgt, tf_gold, masks)
         kept = copy.deepcopy(grads)
-        _, clipped = nmt._sgd_step(model.params, grads, 0.1, 1e-3,
-                                   nmt._update_buffer(model.config))
+        _, clipped = nmt._sgd_step(model.params, grads, 0.1, 1e-3)
         assert clipped
 
         def arrays(grads):
