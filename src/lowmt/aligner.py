@@ -3,14 +3,15 @@
 A unit whose two sides segment into the same number of sentences becomes one
 `one2one` TextPair per sentence, any other unit one `variable` TextPair
 holding it whole. split_dataset splits each group 0.8/0.1/0.1 on its own and
-merges the parts in group order.
+merges the parts in group order. A split directory holds the SPLIT_FILES,
+one JSONL file per part, and nothing else: the split stage's manifest, which
+cli writes, records the seed, the ratios and the counts.
 """
 
-import json
 import os
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .util import check_record, derive_seed, read_jsonl, write_jsonl
 
@@ -31,7 +32,7 @@ RECORD_FIELDS = {
                 and all(isinstance(op, str) for op in v), "a list of strings"),
 }
 SPLIT_PARTS = ("train", "test", "validation")
-SPLIT_FILES = tuple(f"{part}.jsonl" for part in SPLIT_PARTS) + ("manifest.json",)
+SPLIT_FILES = tuple(f"{part}.jsonl" for part in SPLIT_PARTS)
 
 
 class AlignError(ValueError):
@@ -69,7 +70,6 @@ class DatasetSplit:
     train: list
     test: list
     validation: list
-    manifest: dict = field(default_factory=dict)
 
 
 def segment_sentences(text):
@@ -145,25 +145,19 @@ def split_dataset(pairs, ratios=(0.8, 0.1, 0.1), seed=0):
                          f"is not {' or '.join(GROUPS)}")
 
     parts = {part: [] for part in SPLIT_PARTS}
-    group_counts = {}
     for group in GROUPS:
         members = [p for p in pairs if p.group == group]
         rng = random.Random(derive_seed(seed, "split", group))
-        group_counts[group] = {"total": len(members)}
         for part, items in zip(SPLIT_PARTS, _partition(members, ratios, rng)):
             parts[part].extend(items)
-            group_counts[group][part] = len(items)
-    manifest = {"seed": seed, "ratios": list(ratios), "group_counts": group_counts}
-    return DatasetSplit(**parts, manifest=manifest)
+    return DatasetSplit(**parts)
 
 
 def save_split(split, outdir):
     os.makedirs(outdir, exist_ok=True)
-    for part in SPLIT_PARTS:
-        write_jsonl(os.path.join(outdir, f"{part}.jsonl"),
+    for part, name in zip(SPLIT_PARTS, SPLIT_FILES):
+        write_jsonl(os.path.join(outdir, name),
                     [p.to_record() for p in getattr(split, part)])
-    with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as f:
-        json.dump(split.manifest, f, indent=2, ensure_ascii=False)
 
 
 def _pairs_from_file(path):
@@ -173,18 +167,7 @@ def _pairs_from_file(path):
 
 
 def load_split(outdir):
-    """Read a save_split directory; a record that RECORD_FIELDS rejects, or a
-    manifest.json that is not a JSON object, raises AlignError naming the
-    file (and the line)."""
-    parts = {part: _pairs_from_file(os.path.join(outdir, f"{part}.jsonl"))
-             for part in SPLIT_PARTS}
-    manifest_path = os.path.join(outdir, "manifest.json")
-    manifest = {}
-    if os.path.exists(manifest_path):
-        with open(manifest_path, "r", encoding="utf-8") as f:
-            try:
-                manifest = json.load(f)
-            except ValueError as e:
-                raise AlignError(f"{manifest_path}: not valid JSON: {e}") from e
-        check_record(manifest, {}, manifest_path, AlignError)
-    return DatasetSplit(**parts, manifest=manifest)
+    """Read the SPLIT_FILES of a save_split directory; a record that
+    RECORD_FIELDS rejects raises AlignError naming the file and the line."""
+    return DatasetSplit(**{part: _pairs_from_file(os.path.join(outdir, name))
+                           for part, name in zip(SPLIT_PARTS, SPLIT_FILES)})

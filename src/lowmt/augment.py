@@ -41,6 +41,8 @@ class AugmentPolicy:
             raise AugmentError(f"n_aug must be >= 1, got {self.n_aug}")
         if self.max_pairs is not None and self.max_pairs < 0:
             raise AugmentError(f"max_pairs must be >= 0, got {self.max_pairs}")
+        if not self.ops:
+            raise AugmentError("augmentation ops must not be empty")
         unknown = [op for op in self.ops if op not in ALL_OPS]
         if unknown:
             raise AugmentError(f"unknown augmentation ops {unknown}")
@@ -166,13 +168,5 @@ def augment_training_set(split, side, policy, lexicon=None, model=None):
                                      lexicon or {}, model, rng)
             new_train.append(replace(pair, augmented=True, aug_ops=tuple(policy.ops),
                                      **{side: " ".join(tokens)}))
-
-    manifest = dict(split.manifest)
-    manifest["augmentation"] = {
-        "side": side, "ops": list(policy.ops), "alpha": policy.alpha,
-        "n_aug": policy.n_aug, "seed": policy.seed,
-        "augmented_pairs": len(candidates),
-        "train_before": len(split.train), "train_after": len(new_train),
-    }
     return aligner.DatasetSplit(train=new_train, test=list(split.test),
-                                validation=list(split.validation), manifest=manifest)
+                                validation=list(split.validation))

@@ -3,9 +3,11 @@ augment -> train -> translate -> evaluate -> export-ft.
 
 Every stage is one entry of STAGES, run by run_stage() with a StageContext
 that checks what the stage reads and records it, with what it writes, the
-seeds it draws and the lowmt and numpy versions, in <stage>.manifest.json
-(<stage>.<side>.manifest.json for a stage run with --side). A single
-top-level seed derives every stage seed via derive_seed(seed, stage_name).
+config after flag overrides, the seeds it draws, the counts it fills and the
+lowmt and numpy versions, in <stage>.manifest.json
+(<stage>.<side>.manifest.json for a stage run with --side); that manifest is
+the only record of a stage run. A single top-level seed derives every stage
+seed via derive_seed(seed, stage_name).
 """
 
 import argparse
@@ -142,8 +144,8 @@ def stage_seed(config, stage):
 # --- stage runner -----------------------------------------------------------
 
 class StageContext:
-    """One stage run: its config and workdir, and the inputs, outputs and
-    seeds recorded for its manifest.
+    """One stage run: its config (flags applied) and workdir, and the
+    inputs, outputs, seeds and counts recorded for its manifest.
 
     read() checks each artifact against the manifest of the stage that wrote
     it: that stage must have run under the same config, and every file it
@@ -161,6 +163,7 @@ class StageContext:
         self.inputs = {}      # path relative to the workdir -> sha256
         self.outputs = []     # paths, in write order
         self.seeds = {}
+        self.counts = {}      # filled by the stage: what it kept, skipped, wrote
         self._manifests = None
         self._upstream = {}   # manifest name -> the artifact read from it
 
@@ -200,7 +203,9 @@ class StageContext:
         manifest = {
             "stage": self.stage,
             "config_hash": self.config_hash,
+            "effective_config": self.config,
             "seeds": self.seeds,
+            "counts": self.counts,
             "versions": {"lowmt": __version__, "numpy": numpy_version()},
             "inputs": self.inputs,
             "outputs": {os.path.relpath(p, self.workdir): sha256_file(p)
@@ -303,9 +308,7 @@ def run_stage(name, config, args):
 def _load_split(ctx, args):
     split_dir = ctx.path(args.split_dir or "split")
     for name in aligner.SPLIT_FILES:
-        path = os.path.join(split_dir, name)
-        if name.endswith(".jsonl") or os.path.exists(path):  # manifest is optional
-            ctx.read(path, "dataset split file")
+        ctx.read(os.path.join(split_dir, name), "dataset split file")
     return aligner.load_split(split_dir)
 
 
@@ -400,9 +403,11 @@ def cmd_split(ctx, args):
     split = aligner.split_dataset(aligner.explode_corpus(corp),
                                   ratios=tuple(ctx.config["split"]["ratios"]),
                                   seed=ctx.seed(value=args.split_seed))
-    split.manifest["pre_explosion_units"] = len(corp.units)
-    split.manifest["post_explosion"] = {
-        group: counts["total"] for group, counts in split.manifest["group_counts"].items()}
+    ctx.counts["units"] = len(corp.units)
+    ctx.counts["pairs"] = {
+        group: {part: sum(p.group == group for p in getattr(split, part))
+                for part in aligner.SPLIT_PARTS}
+        for group in aligner.GROUPS}
     split_dir = _save_split(ctx, split, "split")
     print(f"split: train={len(split.train)} test={len(split.test)} "
           f"validation={len(split.validation)} -> {split_dir}")
@@ -487,6 +492,7 @@ def cmd_augment(ctx, args):
     augmented = augment.augment_training_set(split, acfg["side"], policy,
                                              lexicon=lexicon, model=model)
     out_dir = _save_split(ctx, augmented, "augmented")
+    ctx.counts.update(train_before=len(split.train), train_after=len(augmented.train))
     print(f"augment: train {len(split.train)} -> {len(augmented.train)} pairs "
           f"-> {out_dir}")
 
@@ -515,6 +521,8 @@ def cmd_train(ctx, args):
     if val_skipped:
         print(f"warning: skipped {val_skipped} over-length validation pairs",
               file=sys.stderr)
+    ctx.counts.update(pairs=len(pairs), skipped=skipped,
+                      validation_pairs=len(val_pairs), validation_skipped=val_skipped)
     model = nmt.init_model(model_config)
     start = last = time.perf_counter()
 
@@ -563,6 +571,7 @@ def cmd_translate(ctx, args):
         print(f"warning: truncated {len(truncated)} source lines longer than "
               f"max_len={max_len} tokens (first: line {truncated[0]})", file=sys.stderr)
     if args.output:
+        ctx.counts.update(lines=len(out), truncated=len(truncated))
         with open(ctx.write(args.output), "w", encoding="utf-8") as f:
             f.write("".join(line + "\n" for line in out))
         print(f"translated {len(out)} lines -> {args.output}")

@@ -210,7 +210,7 @@ def test_criterion_8_augmentation_accounting():
                        origin_id=f"v{i}", group="variable") for i in range(6724)]
     test = [TextPair(src="a.", tgt="b.", origin_id="t0", group="one2one")]
     val = [TextPair(src="c.", tgt="d.", origin_id="v0", group="one2one")]
-    split = DatasetSplit(train=train, test=test, validation=val, manifest={})
+    split = DatasetSplit(train=train, test=test, validation=val)
 
     policy = augment.AugmentPolicy(n_aug=1, seed=6)
     out = augment.augment_training_set(split, "tgt", policy, lexicon=lexicon)

@@ -119,7 +119,7 @@ def make_split(n_one2one, n_variable):
                        group="variable") for i in range(n_variable)]
     test = [TextPair(src="ts.", tgt="tt.", origin_id="t0", group="one2one")]
     val = [TextPair(src="vs.", tgt="vt.", origin_id="val0", group="one2one")]
-    return DatasetSplit(train=train, test=test, validation=val, manifest={})
+    return DatasetSplit(train=train, test=test, validation=val)
 
 
 class TestAugmentTrainingSet:
@@ -184,7 +184,7 @@ class TestAugmentTrainingSet:
         assert len(out.train) == 30 + 10
 
     def test_empty_train_error(self):
-        split = DatasetSplit(train=[], test=[], validation=[], manifest={})
+        split = DatasetSplit(train=[], test=[], validation=[])
         with pytest.raises(augment.AugmentError):
             augment.augment_training_set(split, "tgt",
                                          augment.AugmentPolicy(seed=0),
@@ -206,6 +206,12 @@ class TestPolicyValidation:
         with pytest.raises(augment.AugmentError, match="max_pairs must be >= 0, got -1"):
             augment.AugmentPolicy(max_pairs=-1)
         assert augment.AugmentPolicy(max_pairs=0).max_pairs == 0
+
+    def test_empty_ops(self):
+        # An empty op list would append verbatim copies marked augmented.
+        with pytest.raises(augment.AugmentError,
+                           match="augmentation ops must not be empty"):
+            augment.AugmentPolicy(ops=())
 
     def test_unknown_op(self):
         for op in ("grammar_rewrite", "round_trip"):

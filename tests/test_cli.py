@@ -13,7 +13,7 @@ import pytest
 
 import lowmt
 from lowmt import aligner, analysis, cli, corpus, nmt, subword
-from lowmt.util import sha256_file
+from lowmt.util import config_hash, sha256_file
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -147,8 +147,9 @@ class TestIngestSplit:
     def test_flags_override_config_keys(self, work):
         assert run(["ingest", "--synthetic", "60"], work) == 0
         assert run(["split", "--ratios", "0.5,0.25,0.25"], work) == 0
-        split = json.loads((work / "split" / "manifest.json").read_text())
-        assert split["ratios"] == [0.5, 0.25, 0.25]
+        split = manifest(work, "split")
+        assert split["effective_config"]["split"]["ratios"] == [0.5, 0.25, 0.25]
+        assert split["config_hash"] == config_hash(cli.load_config(None))
         assert run(["tok-train", "--vocab-size", "40"], work) == 0
         sizes = {side: subword.load_vocab(work / f"vocab.{side}.tsv").target_size
                  for side in ("src", "tgt")}
@@ -518,6 +519,16 @@ class TestTrainReporting:
         assert 0 < events[0]["elapsed_s"] < events[1]["elapsed_s"] < events[2]["elapsed_s"]
         assert manifest(work, "train")["outputs"].keys() == {"model.ckpt", "loss.csv"}
 
+    def test_manifest_counts_kept_and_skipped_pairs(self, work, tmp_path, capsys):
+        self.chain(work, tmp_path, max_len=6, epochs=1)
+        kept, skipped = self.over_length(work, "train", 6)
+        val_kept, val_skipped = self.over_length(work, "validation", 6)
+        assert kept and skipped and val_kept and val_skipped
+        assert manifest(work, "train")["counts"] == {
+            "pairs": len(kept), "skipped": skipped,
+            "validation_pairs": len(val_kept), "validation_skipped": val_skipped}
+        err = capsys.readouterr().err
+        assert f"warning: skipped {skipped} over-length pairs\n" in err
 
     @pytest.mark.parametrize("failure", ["updates", "validation"])
     def test_non_finite_training_exits_4_before_writing(self, work, tmp_path, capsys,
@@ -590,8 +601,7 @@ class TestRunContext:
                             ("augment", "augment"), ("export-ft", "export-ft")):
             assert small(stage) == 0
             inputs = manifest(work, name)["inputs"]
-            for name in ("train.jsonl", "test.jsonl", "validation.jsonl",
-                         "manifest.json"):
+            for name in ("train.jsonl", "test.jsonl", "validation.jsonl"):
                 key = f"split/{name}"
                 assert inputs[key] == sha256_file(work / key), (stage, key)
 
@@ -869,6 +879,15 @@ class TestRunContext:
         assert small("translate", "--text", "ba ce di.") == 0
         assert "truncated" not in capsys.readouterr().err
 
+    def test_translate_output_records_lines_and_truncated(self, small, work,
+                                                         tmp_path):
+        train_small(small)
+        src = tmp_path / "src.txt"
+        src.write_text("ba ce di.\n\n" + " ".join(["ba"] * 40) + ".\n")
+        hyp = tmp_path / "hyp.txt"
+        assert small("translate", "--input", str(src), "--output", str(hyp)) == 0
+        assert manifest(work, "translate")["counts"] == {"lines": 3, "truncated": 1}
+
     def test_tok_train_records_no_seed(self, small, work):
         for args in (["ingest", "--synthetic", "30"], ["split"],
                      ["tok-train", "--vocab-size", "80"]):
@@ -993,6 +1012,70 @@ class TestRunContext:
         assert len(capsys.readouterr().out.splitlines()) == 11  # 10 neighbours
 
 
+class TestStageRecord:
+    """The stage manifest is a stage run's only record: the split directories
+    hold their three JSONL files, and the manifest the counts and the config
+    the stage ran under."""
+
+    @staticmethod
+    def lines(path):
+        return path.read_text(encoding="utf-8").splitlines()
+
+    def test_split_counts_tally_the_split_files(self, small, work):
+        assert small("ingest", "--synthetic", "30") == 0
+        assert small("split") == 0
+        assert sorted(os.listdir(work / "split")) == sorted(aligner.SPLIT_FILES)
+        tally = {group: dict.fromkeys(aligner.SPLIT_PARTS, 0) for group in aligner.GROUPS}
+        for part in aligner.SPLIT_PARTS:
+            for line in self.lines(work / "split" / f"{part}.jsonl"):
+                tally[json.loads(line)["group"]][part] += 1
+        assert all(sum(parts.values()) for parts in tally.values())
+        assert manifest(work, "split")["counts"] == {
+            "units": len(self.lines(work / "corpus.jsonl")), "pairs": tally}
+
+    def test_augment_counts_match_the_augmented_train_file(self, work, tmp_path):
+        cfg = tmp_path / "n_aug.yaml"
+        cfg.write_text(SMALL_CONFIG + "  n_aug: 2\n")
+        for args in (["ingest", "--synthetic", "30"], ["split"], ["augment"]):
+            assert cli.main(["--workdir", str(work), "--config", str(cfg), *args]) == 0
+        assert sorted(os.listdir(work / "augmented")) == sorted(aligner.SPLIT_FILES)
+        before = [json.loads(line) for line in self.lines(work / "split" / "train.jsonl")]
+        after = [json.loads(line)
+                 for line in self.lines(work / "augmented" / "train.jsonl")]
+        record = manifest(work, "augment")
+        assert record["counts"] == {"train_before": len(before),
+                                    "train_after": len(after)}
+        n_aug = record["effective_config"]["augment"]["n_aug"]
+        assert n_aug == 2
+        assert len(after) - len(before) == sum(r.get("augmented", False) for r in after)
+        # Every one2one train pair is augmented n_aug times.
+        assert (len(after) - len(before)) // n_aug == sum(
+            r["group"] == aligner.GROUP_ONE2ONE for r in before) > 0
+
+    def test_every_manifest_holds_effective_config_and_counts(self, small, work):
+        train_small(small)
+        for stage in ("ingest", "split", "tok-train", "train"):
+            record = manifest(work, stage)
+            assert record["effective_config"]["model"]["hidden"] == 16, stage
+            assert isinstance(record["counts"], dict), stage
+        assert manifest(work, "tok-train")["effective_config"]["tokenizer"] == {
+            "vocab_size": 80}
+        assert manifest(work, "ingest")["counts"] == {}
+
+    @pytest.mark.parametrize("text", [
+        '{"seed": 0, "ratios": [0.8, 0.1, 0.1], "group_counts": {}}', '{"seed": 3,'],
+        ids=["0.9.0", "malformed"])
+    def test_old_split_manifest_is_ignored(self, small, work, text):
+        assert small("ingest", "--synthetic", "30") == 0
+        assert small("split") == 0
+        (work / "split" / "manifest.json").write_text(text)
+        for args, name in ((["embed"], "embed.src"),
+                           (["tok-train", "--vocab-size", "80"], "tok-train"),
+                           (["train"], "train")):
+            assert small(*args, strict=True) == 0, args
+            assert "split/manifest.json" not in manifest(work, name)["inputs"], args
+
+
 class TestAugmentedSplit:
     """embed_replace, the projection TSV and --split-dir augmented: the path
     by which augmented pairs reach training and the export."""
@@ -1017,6 +1100,21 @@ class TestAugmentedSplit:
         assert augmented and all(p.aug_ops == ("embed_replace",) for p in augmented)
         inputs = manifest(work, "augment")["inputs"]
         assert inputs["embeddings.tgt.bin"] == sha256_file(work / "embeddings.tgt.bin")
+
+    def test_empty_ops_exit_3_writing_nothing(self, work, tmp_path, capsys):
+        cfg = tmp_path / "no_ops.yaml"
+        cfg.write_text(SMALL_CONFIG.replace("[random_delete, random_swap]", "[]"))
+
+        def stage(*args):
+            return cli.main(["--workdir", str(work), "--config", str(cfg), *args])
+        assert stage("ingest", "--synthetic", "30") == 0
+        assert stage("split") == 0
+        capsys.readouterr()
+        assert stage("augment") == cli.EXIT_DATA
+        assert ("error: augmentation ops must not be empty"
+                in capsys.readouterr().err)
+        assert not (work / "augmented").exists()
+        assert not (work / "augment.manifest.json").exists()
 
     def test_report_writes_the_projection(self, small, work):
         for args in (["ingest", "--synthetic", "30"], ["split"], ["embed"],
