@@ -13,11 +13,12 @@ import random
 import re
 from dataclasses import dataclass
 
+from .corpus import TERMINAL_MARKS
 from .util import check_record, derive_seed, read_jsonl, write_jsonl
 
 # Sentence boundary: terminal mark, optional closing quotes/brackets that
 # adhere to the preceding sentence, then whitespace or end of text.
-_BOUNDARY = re.compile(r'[.!?]["\'\)\]\}”’»]*(?=\s|$)')
+_BOUNDARY = re.compile(f"[{re.escape(TERMINAL_MARKS)}]" + r'["\'\)\]\}”’»]*(?=\s|$)')
 
 GROUP_ONE2ONE = "one2one"
 GROUP_VARIABLE = "variable"

@@ -23,17 +23,15 @@ from collections import Counter
 
 import yaml
 
-from . import __version__, corpus
+from . import __version__, augment, bleu, corpus
 from .util import (check_record, config_hash, derive_seed, lazy_module, numpy_version,
                    read_lines, sha256_file, write_jsonl)
 
-# Each runs its import at its first use, so a stage process compiles and runs
-# only the lowmt modules that stage uses. Not so augment and bleu:
-# DEFAULT_CONFIG and CONFIG_CHOICES read their constants at import, so every
-# stage runs those two imports.
-aligner, analysis, augment, bleu, nmt, subword = map(lazy_module, (
-    "lowmt.aligner", "lowmt.analysis", "lowmt.augment", "lowmt.bleu", "lowmt.nmt",
-    "lowmt.subword"))
+# augment and bleu are imported plainly: DEFAULT_CONFIG and CONFIG_CHOICES read
+# them in every stage. These run their import at their first use, so a stage
+# process compiles and runs only the lowmt modules that stage uses.
+aligner, analysis, nmt, subword = map(lazy_module, (
+    "lowmt.aligner", "lowmt.analysis", "lowmt.nmt", "lowmt.subword"))
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -374,9 +372,10 @@ def cmd_ingest(ctx, args):
     if args.synthetic and vars(args)["corpus.format"] is not None:
         raise ValueError("ingest --format applies to --input, not --synthetic N")
     if args.synthetic:
-        raw = ctx.write(ctx.path("synthetic_raw.jsonl"))
-        write_jsonl(raw, generate_synthetic_corpus(args.synthetic, ctx.seed()))
-        corp = corpus.load_corpus(raw, "jsonl")
+        # Its text is normalized already, and its keys are in field order.
+        corp = corpus.Corpus(units=[
+            corpus.ParallelUnit(**record)
+            for record in generate_synthetic_corpus(args.synthetic, ctx.seed())])
     elif args.input:
         corp = corpus.load_corpus(ctx.read(args.input, "input corpus"),
                                   ctx.config["corpus"]["format"])

@@ -97,7 +97,7 @@ class ModelConfig:
     src_vocab_size: int
     tgt_vocab_size: int
     hidden: int = 256
-    max_len: int = 32
+    max_len: int = 64
     dropout_p: float = 0.1
     seed: int = 0
 

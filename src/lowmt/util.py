@@ -10,7 +10,6 @@ import math
 import os
 import struct
 import sys
-import types
 
 
 def derive_seed(base_seed, *labels):
@@ -92,23 +91,14 @@ def check_record(record, fields, where, error):
     (None: any is), kind what it asks for. Else error naming where."""
     if not isinstance(record, dict):
         raise error(f"{where}: expected a JSON object")
-    for key, (required, check, _) in fields.items():
-        if key in record:
-            if check and not check(record[key]):
-                break
-        elif required:
-            break
-    else:
-        return record
-    # A field failed. Missing keys are reported before a bad value, so the
-    # first failure seen above need not be the one reported.
     missing = [key for key, (required, _, _) in fields.items()
                if required and key not in record]
     if missing:
         raise error(f"{where}: record lacks {', '.join(missing)}")
-    key, kind = next((key, kind) for key, (_, check, kind) in fields.items()
-                     if check and key in record and not check(record[key]))
-    raise error(f"{where}: record key {key!r} must be {kind}, got {record[key]!r}")
+    for key, (_, check, kind) in fields.items():
+        if check and key in record and not check(record[key]):
+            raise error(f"{where}: record key {key!r} must be {kind}, got {record[key]!r}")
+    return record
 
 
 def save_arrays(path, magic, version, header, arrays):
@@ -181,14 +171,8 @@ def lazy_module(name):
 
 
 def numpy_version():
-    """numpy.__version__. If numpy's import has not run, it is read from
-    numpy/version.py, the file numpy.__init__ takes it from, and numpy's
-    import still does not run."""
-    module = sys.modules.get("numpy")
-    # A lazily bound module that nothing has used yet is of a ModuleType
-    # subclass until its first attribute access runs its import.
-    if type(module) is types.ModuleType:
-        return module.__version__
+    """numpy.__version__, read from numpy/version.py, the file numpy.__init__
+    takes it from, so that numpy's import does not run."""
     # Not importlib.util.find_spec: it returns a lazy numpy's __spec__, and
     # reading that runs numpy's import.
     spec = importlib.machinery.PathFinder.find_spec("numpy")

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib.util
+import inspect
 import json
 import os
 import random
@@ -12,7 +14,7 @@ import numpy
 import pytest
 
 import lowmt
-from lowmt import aligner, analysis, cli, corpus, nmt, subword
+from lowmt import aligner, analysis, augment, bleu, cli, corpus, nmt, subword
 from lowmt.util import config_hash, sha256_file
 
 
@@ -70,6 +72,11 @@ class TestIngestSplit:
         assert run(["ingest", "--synthetic", "30"], work) == 0
         assert (work / "corpus.jsonl").exists()
         assert (work / "ingest.manifest.json").exists()
+
+    def test_ingest_synthetic_writes_only_the_corpus(self, work):
+        assert run(["ingest", "--synthetic", "30"], work) == 0
+        assert sorted(os.listdir(work)) == ["corpus.jsonl", "ingest.manifest.json"]
+        assert list(manifest(work, "ingest")["outputs"]) == ["corpus.jsonl"]
 
     def test_split_deterministic_digests(self, work):
         assert run(["ingest", "--synthetic", "60"], work) == 0
@@ -322,6 +329,35 @@ class TestConfig:
     def test_defaults_load(self):
         config = cli.load_config(None)
         assert config["split"]["ratios"] == [0.8, 0.1, 0.1]
+
+    def test_library_defaults_match_default_config(self):
+        """Each library default that mirrors a config key equals it, so a
+        library call without that argument runs as the pipeline does."""
+        def defaults(obj):
+            if dataclasses.is_dataclass(obj):
+                return {f.name: f.default for f in dataclasses.fields(obj)}
+            return {name: p.default
+                    for name, p in inspect.signature(obj).parameters.items()}
+
+        mirrors = [
+            (nmt.ModelConfig, "model", ["hidden", "max_len", "dropout_p"]),
+            (nmt.TrainConfig, "train",
+             ["epochs", "learning_rate", "teacher_forcing_ratio", "grad_clip_norm"]),
+            (augment.AugmentPolicy, "augment", ["ops", "alpha", "n_aug", "max_pairs"]),
+            (analysis.train_embeddings, "embeddings",
+             ["dim", "window", "negatives", "epochs", "min_count"]),
+            (aligner.split_dataset, "split", ["ratios"]),
+            (corpus.load_corpus, "corpus", ["format"]),
+            (bleu.corpus_bleu, "evaluation", ["smoothing"]),
+        ]
+        for obj, section, keys in mirrors:
+            found = defaults(obj)
+            for key in keys:
+                default = found[key]
+                if isinstance(default, tuple):
+                    default = list(default)
+                assert default == cli.DEFAULT_CONFIG[section][key], \
+                    f"{obj.__qualname__} {key}: {default!r}"
 
     def test_override_merges(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -970,10 +1006,12 @@ class TestRunContext:
         src.write_text("ba ce.\n")
         before = sorted(os.listdir(work))
         for stage in ("tok-apply", "translate"):
-            capsys.readouterr()
-            assert small(stage, "--text", "di fo.", "--input", str(src)) == cli.EXIT_DATA
-            assert (f"error: {stage} takes --text or --input, not both"
-                    in capsys.readouterr().err)
+            for args, message in ((["--text", "di fo.", "--input", str(src)],
+                                   "takes --text or --input, not both"),
+                                  ([], "requires --text or --input")):
+                capsys.readouterr()
+                assert small(stage, *args) == cli.EXIT_DATA
+                assert f"error: {stage} {message}" in capsys.readouterr().err
         assert sorted(os.listdir(work)) == before
 
     def test_unknown_query_word_leaves_no_file(self, small, work, capsys):
