@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import top_words
-from .util import check_record, lazy_module, load_arrays, save_arrays
+from .util import at_least, check_record, lazy_module, load_arrays, save_arrays
 
 np = lazy_module("numpy")
 
@@ -24,14 +24,10 @@ class AnalysisError(ValueError):
     pass
 
 
-def _at_least(low):
-    return True, lambda v: type(v) is int and v >= low, f"an integer >= {low}"
-
-
 # Embedding format 2 (util.save_arrays): a header of EmbeddingModel's keys but
 # vectors. train_embeddings checks its settings against the same table.
-HEADER_FIELDS = {"dim": _at_least(2), "window": _at_least(1), "negatives": _at_least(1),
-                 "epochs": _at_least(1), "min_count": _at_least(0), "seed": _at_least(0),
+HEADER_FIELDS = {"dim": at_least(2), "window": at_least(1), "negatives": at_least(1),
+                 "epochs": at_least(1), "min_count": at_least(0), "seed": at_least(0),
                  "words": (True, lambda v: type(v) is list and all(type(w) is str for w in v)
                            and len(set(v)) == len(v), "a list of distinct strings")}
 

@@ -39,7 +39,6 @@ EXIT_NUMERICAL = 4
 
 DEFAULT_CONFIG = {
     "seed": 0,
-    "workdir": "work",
     "corpus": {"format": "jsonl"},
     "split": {"ratios": [0.8, 0.1, 0.1]},
     "tokenizer": {"vocab_size": 32000},
@@ -142,8 +141,8 @@ def stage_seed(config, stage):
 # --- stage runner -----------------------------------------------------------
 
 class StageContext:
-    """One stage run: its config (flags applied) and workdir, and the
-    inputs, outputs, seeds and counts recorded for its manifest.
+    """One stage run: its config (flags applied), its args' workdir and
+    --strict, and the inputs, outputs, seeds and counts for its manifest.
 
     read() checks each artifact against the manifest of the stage that wrote
     it: that stage must have run under the same config, and every file it
@@ -151,13 +150,13 @@ class StageContext:
     A mismatch warns, or raises under --strict.
     """
 
-    def __init__(self, stage, config, config_hash, strict, manifest_name):
+    def __init__(self, stage, config, config_hash, args, manifest_name):
         self.stage = stage
         self.manifest_name = manifest_name
         self.config = config
         self.config_hash = config_hash
-        self.workdir = config["workdir"]
-        self.strict = strict
+        self.workdir = args.workdir
+        self.strict = args.strict
         self.inputs = {}      # path relative to the workdir -> sha256
         self.outputs = []     # paths, in write order
         self.seeds = {}
@@ -283,21 +282,20 @@ SPLIT_DIR = arg("--split-dir")
 
 
 def run_stage(name, config, args):
-    """Run one stage under a copy of config in which each flag given whose
-    dest is a config key ("workdir", "train.epochs", ...) sets that key.
-    Then write its manifest, which hashes config as given, if it wrote any
-    artifact; a stage run with --side gets one manifest per side."""
+    """Run one stage in args.workdir under a copy of config in which each flag
+    given whose dest is a dotted config key ("train.epochs", ...) sets that
+    key. Then write its manifest, which hashes config as given, if it wrote
+    any artifact; a stage run with --side gets one manifest per side."""
     hashed = config_hash(config)
     config = copy.deepcopy(config)
     for dest, value in vars(args).items():
         section, _, key = dest.rpartition(".")
-        node = config[section] if section else config
-        if value is not None and key in node:
-            node[key] = value
-    os.makedirs(config["workdir"], exist_ok=True)
+        if value is not None and section:
+            config[section][key] = value
+    os.makedirs(args.workdir, exist_ok=True)
     side = getattr(args, "side", None)
     manifest_name = (f"{name}.{side}" if side else name) + MANIFEST_SUFFIX
-    ctx = StageContext(name, config, hashed, args.strict, manifest_name)
+    ctx = StageContext(name, config, hashed, args, manifest_name)
     STAGES[name][0](ctx, args)
     if ctx.outputs:
         ctx.write_manifest()
@@ -654,8 +652,8 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="lowmt", description="Low-resource MT pipeline toolkit")
     parser.add_argument("--config", help="YAML pipeline config")
-    parser.add_argument("--workdir", default=os.environ.get("LOWMT_WORKDIR") or None,
-                        help="artifact directory (or $LOWMT_WORKDIR)")
+    parser.add_argument("--workdir", default=os.environ.get("LOWMT_WORKDIR") or "work",
+                        help="artifact directory (default: $LOWMT_WORKDIR, else work)")
     parser.add_argument("--strict", action="store_true",
                         help="treat stale inputs and config hash mismatches as errors")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -60,7 +60,7 @@ import random
 from dataclasses import asdict, dataclass
 
 from .subword import PAD_ID, SOS_ID, EOS_ID, UNK_ID
-from .util import derive_seed, lazy_module, load_arrays, save_arrays
+from .util import at_least, check_record, derive_seed, lazy_module, load_arrays, save_arrays
 
 np = lazy_module("numpy")
 
@@ -92,6 +92,14 @@ class NmtNumericalError(RuntimeError):
     """Training produced a NaN/inf loss or gradient norm."""
 
 
+# The model config, as the checkpoint header holds it and ModelConfig checks it.
+HEADER_FIELDS = {"src_vocab_size": at_least(EOS_ID + 1),
+                 "tgt_vocab_size": at_least(EOS_ID + 1),
+                 "hidden": at_least(1), "max_len": at_least(2),
+                 "dropout_p": (True, lambda v: type(v) in (int, float) and 0 <= v < 1,
+                               "a number in [0, 1)"), "seed": at_least(0)}
+
+
 @dataclass
 class ModelConfig:
     src_vocab_size: int
@@ -102,22 +110,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.src_vocab_size < 4 or self.tgt_vocab_size < 4:
-            raise NmtError("vocab sizes must be >= 4 (pad/unk/sos/eos)")
-        if self.max_len < 2:
-            raise NmtError("max_len must be >= 2")
-        if not (0.0 <= self.dropout_p < 1.0):
-            raise NmtError("dropout_p must be in [0, 1)")
-        if self.hidden < 1:
-            raise NmtError("hidden must be positive")
-
-
-_INT = (lambda v: type(v) is int, "an integer")
-# The checkpoint header's types; ModelConfig checks the ranges.
-HEADER_FIELDS = {"src_vocab_size": (True, *_INT), "tgt_vocab_size": (True, *_INT),
-                 "hidden": (False, *_INT), "max_len": (False, *_INT),
-                 "dropout_p": (False, lambda v: type(v) in (int, float), "a number"),
-                 "seed": (False, *_INT)}
+        check_record(asdict(self), HEADER_FIELDS, "model config", NmtError)
 
 
 @dataclass

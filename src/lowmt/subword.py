@@ -28,7 +28,6 @@ class SubwordError(ValueError):
 class SubwordVocab:
     pieces: list            # [(piece, id, score)] with dense ids
     merges: list            # [(left, right)] in learned order
-    target_size: int
     piece_to_id: dict = field(init=False)
     _merge_rank: dict = field(init=False)
     _word_ids: dict = field(init=False, compare=False, repr=False)  # encode's memo
@@ -138,7 +137,7 @@ def train_tokenizer(sentences, vocab_size):
                  for (left, right), score in zip(merges, merge_scores)])
     pieces = [(piece, i, score) for i, (piece, score) in enumerate(scored)]
 
-    return SubwordVocab(pieces=pieces, merges=merges, target_size=vocab_size)
+    return SubwordVocab(pieces=pieces, merges=merges)
 
 
 def _encode_word(vocab, word):
@@ -179,10 +178,7 @@ def decode(vocab, ids):
 
 def save_vocab(vocab, path):
     with open(path, "w", encoding="utf-8") as f:
-        f.write("# algorithm\tbpe\n")
-        f.write(f"# vocab_size\t{vocab.target_size}\n")
         f.write(f"# marker\t{MARKER}\n")
-        f.write("# specials\t" + " ".join(SPECIALS) + "\n")
         for left, right in vocab.merges:
             f.write(f"# merge\t{left}\t{right}\n")
         for piece, pid, score in vocab.pieces:
@@ -192,13 +188,13 @@ def save_vocab(vocab, path):
 def load_vocab(path):
     """Read a save_vocab file; a marker line must name MARKER, each piece must
     be new and have its position as id, ids 0-3 must be the SPECIALS, and
-    each merge must join two strings into a listed piece."""
+    each merge must join two strings into a listed piece. Other "# " lines,
+    such as 0.11.0's algorithm, vocab_size and specials, are skipped."""
     name = os.path.basename(path)
     pieces = []
     merges = []
     merge_lines = []
     seen = set()
-    target_size = None
     for lineno, line in read_lines(path):
         if not line:
             continue
@@ -208,9 +204,7 @@ def load_vocab(path):
         try:
             if line.startswith("# "):
                 fields = line[2:].split("\t")
-                if fields[0] == "vocab_size":
-                    target_size = int(fields[1])
-                elif fields[0] == "merge":
+                if fields[0] == "merge":
                     merges.append((fields[1], fields[2]))
                     merge_lines.append(lineno)
                 continue
@@ -225,8 +219,6 @@ def load_vocab(path):
             raise SubwordError(f"{name}: line {lineno}: id {pid} must be "
                                f"{SPECIALS[len(pieces) - 1]!r}, got {piece!r}")
         seen.add(piece)
-    if target_size is None:
-        target_size = len(pieces)
     if len(pieces) < len(SPECIALS):
         raise SubwordError(f"{name}: {len(pieces)} pieces, fewer than the "
                            f"{len(SPECIALS)} specials {' '.join(SPECIALS)}")
@@ -234,4 +226,4 @@ def load_vocab(path):
         if left + right not in seen:
             raise SubwordError(f"{name}: line {lineno}: merge {left!r} {right!r} makes "
                                f"{left + right!r}, which is not a listed piece")
-    return SubwordVocab(pieces=pieces, merges=merges, target_size=target_size)
+    return SubwordVocab(pieces=pieces, merges=merges)

@@ -85,6 +85,11 @@ def read_jsonl(path):
     return records
 
 
+def at_least(low):
+    """The field table entry of a required integer >= low."""
+    return True, lambda v: type(v) is int and v >= low, f"an integer >= {low}"
+
+
 def check_record(record, fields, where, error):
     """record, if it is a JSON object that passes fields, a table of
     key -> (required, check, kind): check(value) says if a value is allowed

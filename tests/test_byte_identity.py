@@ -114,6 +114,21 @@ BYTE_TABLES = {
         "vocab.tgt.tsv": "10cc241b8ab002021f54bfa03c36839effe5e1e6aca0f82362527ae52144fd88",
         "finetune.jsonl": "6084c7050b258ca8a0d20dbe83a35bde95b7cf134328bca46a9ef328d094e52b",
     },
+    "0.12.0": {
+        "corpus.jsonl": "9d87d2abb785ae740af156a494ca9414d2a564bdf48b1783884d540679cc4c3a",
+        "split/train.jsonl": "3b878a87e415eed7f3cb04bc097c5d1b0ee3ec857b0d79b0a2afaab9713662d6",
+        "split/test.jsonl": "35a393abf8ba9f64b9ce2ec33d8f741a20ffc9ca9596acb3cabdcd0cf06032c4",
+        "split/validation.jsonl": "cc056fd4d5c8cc30db40fcf0400291b61310ed15bd0799a9f72958c85294db3a",
+        "augmented/train.jsonl": "97aee980a15184095ba35477db5213ec7e8a7bd742eb20f48766659822899797",
+        "augmented/test.jsonl": "35a393abf8ba9f64b9ce2ec33d8f741a20ffc9ca9596acb3cabdcd0cf06032c4",
+        "augmented/validation.jsonl": "cc056fd4d5c8cc30db40fcf0400291b61310ed15bd0799a9f72958c85294db3a",
+        "stats.src.json": "f17632cb0ee23174429b5576a77ff8f1d6a13c0e73e1e0ff563669511efe5bf0",
+        "freq.tgt.most.tsv": "ee2157812677f9814ed959b2fb3ced3166ad057b2ffacdb1714b157507543710",
+        "freq.tgt.least.tsv": "e79b3eb2bab8002304ad5449845eb9b7e1f8fbefdbf70ea44ca8fd3a8f90d71a",
+        "vocab.src.tsv": "65c99770f2854f64c1c063437ad2415adc3276226b77266bef3b6ddeeb228cca",
+        "vocab.tgt.tsv": "f8f231e5ffed3d27817434d418dfd134c2e9dcc3b126837329763ae82811e9cd",
+        "finetune.jsonl": "6084c7050b258ca8a0d20dbe83a35bde95b7cf134328bca46a9ef328d094e52b",
+    },
 }
 
 

@@ -151,6 +151,26 @@ class TestIngestSplit:
             capsys.readouterr().err
         assert not (work / "split").exists()
 
+    def test_manifests_do_not_depend_on_the_workdir(self, tmp_path):
+        for workdir in (tmp_path / "a" / "work", tmp_path / "b" / "work"):
+            for args in (["ingest", "--synthetic", "30"], ["split"],
+                         ["tok-train", "--vocab-size", "60"]):
+                assert run(args, workdir) == 0
+        for stage in ("ingest", "split", "tok-train"):
+            name = f"{stage}.manifest.json"
+            assert (tmp_path / "a" / "work" / name).read_bytes() == \
+                (tmp_path / "b" / "work" / name).read_bytes(), stage
+
+    def test_workdir_defaults_to_env_else_work(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("LOWMT_WORKDIR", raising=False)
+        assert cli.main(["ingest", "--synthetic", "3"]) == 0
+        monkeypatch.setenv("LOWMT_WORKDIR", "elsewhere")
+        assert cli.main(["ingest", "--synthetic", "3"]) == 0
+        for workdir in ("work", "elsewhere"):
+            assert sorted(os.listdir(tmp_path / workdir)) == ["corpus.jsonl",
+                                                             "ingest.manifest.json"]
+
     def test_flags_override_config_keys(self, work):
         assert run(["ingest", "--synthetic", "60"], work) == 0
         assert run(["split", "--ratios", "0.5,0.25,0.25"], work) == 0
@@ -158,9 +178,8 @@ class TestIngestSplit:
         assert split["effective_config"]["split"]["ratios"] == [0.5, 0.25, 0.25]
         assert split["config_hash"] == config_hash(cli.load_config(None))
         assert run(["tok-train", "--vocab-size", "40"], work) == 0
-        sizes = {side: subword.load_vocab(work / f"vocab.{side}.tsv").target_size
-                 for side in ("src", "tgt")}
-        assert sizes == {"src": 40, "tgt": 40}
+        assert manifest(work, "tok-train")["effective_config"]["tokenizer"] == \
+            {"vocab_size": 40}
         # the manifests hash the config as given, without the flags
         hashes = {json.loads((work / f"{stage}.manifest.json").read_text())["config_hash"]
                   for stage in ("ingest", "split", "tok-train")}
@@ -373,7 +392,8 @@ class TestConfig:
         ("corpus:\n  path: c.jsonl\n", "unknown config key 'corpus.path'"),
         ("model: 64\n", "config key 'model' must be a mapping"),
         ("train:\n", "config key 'train' must be a mapping"),
-    ], ids=["train.epoch", "seeds", "corpus.path", "model", "train"])
+        ("workdir: elsewhere\n", "unknown config key 'workdir'"),
+    ], ids=["train.epoch", "seeds", "corpus.path", "model", "train", "workdir"])
     def test_unknown_key_exits_3_naming_it(self, work, tmp_path, capsys, text,
                                            message):
         cfg = tmp_path / "cfg.yaml"
@@ -949,15 +969,17 @@ class TestRunContext:
         assert out == ""
         assert "model.ckpt: non-finite checkpoint values" in err
 
-    @pytest.mark.parametrize("key, value", [("hidden", 16.0), ("seed", "x")])
+    @pytest.mark.parametrize("key, value, kind", [("hidden", 16.0, "an integer >= 1"),
+                                                  ("seed", "x", "an integer >= 0")],
+                             ids=["hidden-16.0", "seed-x"])
     def test_checkpoint_header_type_exits_3_naming_key(self, small, work, capsys,
-                                                       key, value):
+                                                       key, value, kind):
         train_small(small)
         rewrite_header(work / "model.ckpt", lambda header: {**header, key: value})
         capsys.readouterr()
         assert small("translate", "--text", "ba ce.") == cli.EXIT_DATA
-        assert (f"model.ckpt: bad checkpoint config: record key {key!r} must be an "
-                f"integer, got {value!r}") in capsys.readouterr().err
+        assert (f"model.ckpt: bad checkpoint config: record key {key!r} must be "
+                f"{kind}, got {value!r}") in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda h: {**h, "window": "x"},
@@ -1048,6 +1070,42 @@ class TestRunContext:
         assert small("embed", "--query", "ba") == 0
         assert calls == [1]
         assert len(capsys.readouterr().out.splitlines()) == 11  # 10 neighbours
+
+    def test_tsv_with_a_bad_header_exits_3(self, small, work, tmp_path, capsys):
+        assert small("ingest", "--synthetic", "30") == 0
+        path = tmp_path / "corpus.tsv"
+        path.write_text("id\tsrc\ttgt\nu1\tba ce.\tBA CE.\n", encoding="utf-8")
+        before = sorted(os.listdir(work))
+        capsys.readouterr()
+        assert small("ingest", "--input", str(path), "--format", "tsv") == cli.EXIT_DATA
+        assert (f"error: {path}: bad TSV header ['id', 'src', 'tgt']"
+                in capsys.readouterr().err)
+        assert sorted(os.listdir(work)) == before
+
+    def test_train_with_no_pair_within_max_len_exits_3(self, work, tmp_path, capsys):
+        cfg = tmp_path / "short.yaml"
+        cfg.write_text(SMALL_CONFIG.replace("max_len: 24", "max_len: 2"))
+        for args in (["ingest", "--synthetic", "30"], ["split"],
+                     ["tok-train", "--vocab-size", "80"]):
+            assert cli.main(["--workdir", str(work), "--config", str(cfg), *args]) == 0
+        before = sorted(os.listdir(work))
+        capsys.readouterr()
+        assert cli.main(["--workdir", str(work), "--config", str(cfg),
+                         "train"]) == cli.EXIT_DATA
+        assert "error: no training pairs" in capsys.readouterr().err
+        assert sorted(os.listdir(work)) == before
+        assert not {"model.ckpt", "loss.csv", "train.manifest.json"} & set(before)
+
+    def test_embed_on_an_empty_train_split_exits_3(self, small, work, capsys):
+        # 20 units make groups of even size, so no remainder lands in train.
+        assert small("ingest", "--synthetic", "20") == 0
+        assert small("split", "--ratios", "0,0.5,0.5") == 0
+        assert (work / "split" / "train.jsonl").read_bytes() == b""
+        before = sorted(os.listdir(work))
+        capsys.readouterr()
+        assert small("embed") == cli.EXIT_DATA
+        assert "error: no training sentences" in capsys.readouterr().err
+        assert sorted(os.listdir(work)) == before
 
 
 class TestStageRecord:

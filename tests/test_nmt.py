@@ -1017,7 +1017,8 @@ class TestCheckpoint:
         with pytest.raises(nmt.NmtError, match="m.ckpt: .*do not match its config"):
             nmt.load_checkpoint(path)
         # A config whose parameters would need petabytes fails on size alone.
-        config = b'{"hidden": 100000000, "src_vocab_size": 12, "tgt_vocab_size": 12}'
+        config = (b'{"dropout_p": 0.1, "hidden": 100000000, "max_len": 6, "seed": 0, '
+                  b'"src_vocab_size": 12, "tgt_vocab_size": 12}')
         path.write_bytes(blob[:4] + struct.pack("<II", 2, len(config)) + config)
         with pytest.raises(nmt.NmtError, match="do not match its config"):
             nmt.load_checkpoint(path)
@@ -1032,7 +1033,8 @@ class TestCheckpoint:
         b"{not json", b'{"src_vocab_size": 12, "tgt_vocab_size": 12, "hidden": 4.0}',
         b'{"src_vocab_size": 12, "tgt_vocab_size": 12, "seed": "x"}',
         b'{"src_vocab_size": true, "tgt_vocab_size": 12}',
-        b'{"src_vocab_size": 12, "tgt_vocab_size": 12, "dropout_p": "0.1"}'])
+        b'{"src_vocab_size": 12, "tgt_vocab_size": 12, "dropout_p": "0.1"}',
+        b'{"src_vocab_size": 12, "tgt_vocab_size": 12, "hidden": 4}'])
     def test_bad_config_names_file(self, tmp_path, blob):
         path = tmp_path / "m.ckpt"
         path.write_bytes(nmt.MAGIC + struct.pack("<II", 2, len(blob)) + blob)

@@ -102,9 +102,24 @@ class TestPersistence:
         loaded = subword.load_vocab(path)
         assert loaded.pieces == vocab.pieces
         assert loaded.merges == vocab.merges
-        assert loaded.target_size == vocab.target_size
         for s in CORPUS:
             assert subword.encode(loaded, s) == subword.encode(vocab, s)
+
+    def test_only_marker_and_merge_comments_and_old_files_load(self, tmp_path):
+        """A saved vocab holds its marker, merges and pieces; the algorithm,
+        vocab_size and specials lines that lowmt 0.11.0 also wrote are skipped."""
+        old = ("# algorithm\tbpe\n# vocab_size\t8\n# marker\t\u2581\n"
+               "# specials\t<pad> <unk> <s> </s>\n# merge\ta\tb\n"
+               "<pad>\t0\t0.0\n<unk>\t1\t0.0\n<s>\t2\t0.0\n</s>\t3\t0.0\n"
+               "a\t4\t2.0\nb\t5\t2.0\n\u2581\t6\t2.0\nab\t7\t1.0\n")
+        vocab = train(["ab ba"], 8)
+        path = tmp_path / "vocab.src.tsv"
+        subword.save_vocab(vocab, path)
+        assert path.read_text(encoding="utf-8") == "".join(
+            line for line in old.splitlines(keepends=True)
+            if not line.startswith(("# algorithm", "# vocab_size", "# specials")))
+        (tmp_path / "old.tsv").write_text(old, encoding="utf-8")
+        assert subword.load_vocab(tmp_path / "old.tsv") == subword.load_vocab(path) == vocab
 
     @pytest.mark.parametrize("edit, at, message", [
         ({"a\t4\t": "a\t5\t", "b\t5\t": "b\t4\t"}, "a\t4\t",
@@ -127,7 +142,7 @@ class TestPersistence:
                            match=rf"vocab\.src\.tsv: line {lineno}: {message}"):
             subword.load_vocab(path)
 
-    @pytest.mark.parametrize("bad", ["ab\t9", "# vocab_size", "# merge\ta",
+    @pytest.mark.parametrize("bad", ["ab\t9", "# merge\ta",
                                      "ab\tnine\t1.0"])
     def test_malformed_line_names_file_and_line(self, tmp_path, bad):
         path = tmp_path / "vocab.src.tsv"
@@ -144,10 +159,10 @@ class TestPersistence:
         path = tmp_path / "vocab.src.tsv"
         subword.save_vocab(train(CORPUS, 60), path)
         text = path.read_text(encoding="utf-8")
-        assert "\n# marker\t\u2581\n" in text
+        assert text.startswith("# marker\t\u2581\n")
         path.write_text(text.replace("# marker\t\u2581", line), encoding="utf-8")
         with pytest.raises(subword.SubwordError,
-                           match=r"vocab\.src\.tsv: line 3: .* does not set the marker"):
+                           match=r"vocab\.src\.tsv: line 1: .* does not set the marker"):
             subword.load_vocab(path)
 
     @pytest.mark.parametrize("pieces, message", [
