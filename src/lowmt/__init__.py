@@ -6,4 +6,4 @@ augmentation, a from-scratch GRU attention seq2seq model, and BLEU-4
 evaluation. Every stage is deterministic under a single top-level seed.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"

@@ -74,7 +74,7 @@ class DatasetSplit:
 
 
 def segment_sentences(text):
-    """Split normalized text into sentences at ., !, ? boundaries.
+    """Split normalized text into sentences at corpus.TERMINAL_MARKS boundaries.
 
     Joining the result with single spaces reproduces the input.
     """
@@ -114,7 +114,8 @@ def explode_corpus(corpus):
 def _partition(items, ratios, rng):
     """Shuffle then slice: test first, validation second, train the remainder.
 
-    Remainder items from floor rounding always land in train.
+    Remainder items from floor rounding land in train, or in the first part
+    after it whose ratio is above 0 when train's ratio is 0.
     """
     shuffled = list(items)
     rng.shuffle(shuffled)
@@ -122,6 +123,11 @@ def _partition(items, ratios, rng):
     # +1e-9 guards against 0.1 rounding just below an exact multiple
     n_test = int(n * ratios[1] + 1e-9)
     n_val = int(n * ratios[2] + 1e-9)
+    if ratios[0] == 0:
+        if ratios[1] > 0:
+            n_test = n - n_val
+        else:
+            n_val = n
     test = shuffled[:n_test]
     validation = shuffled[n_test:n_test + n_val]
     train = shuffled[n_test + n_val:]

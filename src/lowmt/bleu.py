@@ -2,6 +2,11 @@
 
 Single reference per hypothesis; tokenization happens upstream (whitespace on
 normalized text). Scores are in [0, 1]; the CLI multiplies by 100 for display.
+
+Clipping takes one pass per segment, as sacreBLEU does: the reference's
+n-grams of every order are counted once, and each hypothesis n-gram then
+consumes one unmatched reference occurrence. So an n-gram matches at most
+min(hypothesis count, reference count) times.
 """
 
 import math
@@ -36,23 +41,44 @@ def ngram_counts(tokens, n):
     """Multiset of all contiguous n-grams of the token list."""
     if n < 1:
         raise BleuError(f"n must be >= 1, got {n}")
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def _clipped_counts(hypotheses, references, max_n):
+    """Corpus-level clipped matches and hypothesis n-gram totals of each
+    order n <= max_n, as two lists indexed by n - 1, from one pass over the
+    segments by the clipping rule in the module docstring."""
+    if len(hypotheses) != len(references):
+        raise BleuError(
+            f"hypothesis/reference count mismatch: {len(hypotheses)} vs {len(references)}")
+    if max_n < 1:
+        raise BleuError(f"n must be >= 1, got {max_n}")
+    clipped = [0] * max_n
+    totals = [0] * max_n
+    for hyp, ref in zip(hypotheses, references):
+        # Zipping the first n of a segment's shifted copies yields its n-grams.
+        shifted = [ref[i:] for i in range(max_n)]
+        unmatched = Counter()
+        for n in range(1, max_n + 1):
+            unmatched.update(zip(*shifted[:n]))
+        get = unmatched.get
+        shifted = [hyp[i:] for i in range(max_n)]
+        for n in range(1, min(max_n, len(hyp)) + 1):
+            totals[n - 1] += len(hyp) - n + 1
+            matches = 0
+            for gram in zip(*shifted[:n]):
+                left = get(gram)
+                if left:
+                    unmatched[gram] = left - 1
+                    matches += 1
+            clipped[n - 1] += matches
+    return clipped, totals
 
 
 def modified_precision(hypotheses, references, n):
     """Corpus-level clipped n-gram matches and total hypothesis n-grams."""
-    if len(hypotheses) != len(references):
-        raise BleuError(
-            f"hypothesis/reference count mismatch: {len(hypotheses)} vs {len(references)}")
-    clipped = 0
-    total = 0
-    for hyp, ref in zip(hypotheses, references):
-        hyp_counts = ngram_counts(hyp, n)
-        ref_counts = ngram_counts(ref, n)
-        for gram, count in hyp_counts.items():
-            clipped += min(count, ref_counts.get(gram, 0))
-        total += sum(hyp_counts.values())
-    return clipped, total
+    clipped, totals = _clipped_counts(hypotheses, references, n)
+    return clipped[n - 1], totals[n - 1]
 
 
 def brevity_penalty(hyp_len, ref_len):
@@ -75,9 +101,7 @@ def corpus_bleu(hypotheses, references, smoothing="none"):
     """
     if smoothing not in SMOOTHING_MODES:
         raise BleuError(f"unknown smoothing mode {smoothing!r}")
-    if len(hypotheses) != len(references):
-        raise BleuError(
-            f"hypothesis/reference count mismatch: {len(hypotheses)} vs {len(references)}")
+    all_clipped, all_totals = _clipped_counts(hypotheses, references, MAX_N)
     if not hypotheses:
         raise BleuError("empty corpus")
 
@@ -87,8 +111,7 @@ def corpus_bleu(hypotheses, references, smoothing="none"):
 
     precisions = []
     effective = []
-    for n in range(1, MAX_N + 1):
-        clipped, total = modified_precision(hypotheses, references, n)
+    for n, (clipped, total) in enumerate(zip(all_clipped, all_totals), start=1):
         if total == 0:
             precisions.append(0.0)
             continue

@@ -1,5 +1,11 @@
 """Verse-aligned parallel corpus: loading, normalization, statistics.
 
+Normalization keeps seven sentence-terminal marks (TERMINAL_MARKS): . ! ?
+for Santali and English in Roman script, the danda । and double danda ॥
+for Bangla (and Santali in Bengali or Devanagari script), and the Ol Chiki
+mucaad ᱾ and double mucaad ᱿ for Santali in Ol Chiki. Every other
+punctuation character becomes a space.
+
 Corpus files are JSONL (one object per line, UTF-8) with keys
 {id, book, chapter, verse, src, tgt}, or TSV with the same columns and a
 header row.
@@ -12,7 +18,8 @@ from dataclasses import asdict, dataclass, field
 
 from .util import check_record, read_jsonl, read_lines, write_jsonl
 
-TERMINAL_MARKS = ".!?"
+# . ! ?, danda U+0964, double danda U+0965, mucaad U+1C7E, double mucaad U+1C7F.
+TERMINAL_MARKS = ".!?\u0964\u0965\u1c7e\u1c7f"
 
 TSV_COLUMNS = ["id", "book", "chapter", "verse", "src", "tgt"]
 FORMATS = ("jsonl", "tsv")
@@ -23,12 +30,30 @@ class CorpusError(ValueError):
     """Malformed corpus input or invalid text."""
 
 
+class _PunctuationTable(dict):
+    """str.translate table: a punctuation code point (category P) that is not
+    in TERMINAL_MARKS maps to a space, any other to itself. Each entry is
+    made on its first lookup, so unicodedata runs once per distinct
+    character in the process, not once per character. The entries depend
+    on the code point alone, so one shared table serves every caller; it
+    holds at most one entry per code point."""
+
+    def __missing__(self, code):
+        ch = chr(code)
+        value = " " if ch not in TERMINAL_MARKS and unicodedata.category(ch)[0] == "P" else ch
+        self[code] = value
+        return value
+
+
+_PUNCTUATION = _PunctuationTable()
+
+
 def normalize_text(raw):
     """NFC-normalize, replace punctuation by spaces, collapse whitespace.
 
-    Sentence-terminal marks (. ! ?) are kept so the aligner can still segment;
-    they are stripped later for word counting and model input. Combining
-    diacritics are never touched (Santali Roman needs them).
+    The TERMINAL_MARKS are kept so the aligner can still segment; they are
+    stripped later for word counting and model input. Combining diacritics
+    are never touched (Santali Roman needs them).
     """
     if not isinstance(raw, str):
         raise CorpusError(f"expected text, got {type(raw).__name__}")
@@ -36,13 +61,7 @@ def normalize_text(raw):
         raw.encode("utf-8")
     except UnicodeEncodeError as e:
         raise CorpusError(f"invalid Unicode input: {e}") from e
-    out = []
-    for ch in unicodedata.normalize("NFC", raw):
-        if ch not in TERMINAL_MARKS and unicodedata.category(ch).startswith("P"):
-            out.append(" ")
-        else:
-            out.append(ch)
-    return " ".join("".join(out).split())
+    return " ".join(unicodedata.normalize("NFC", raw).translate(_PUNCTUATION).split())
 
 
 @dataclass(frozen=True)

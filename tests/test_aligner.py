@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lowmt import aligner
-from lowmt.corpus import ParallelUnit
+from lowmt.corpus import ParallelUnit, normalize_text
+
+# The danda and double danda (Bangla), the mucaad and double mucaad (Ol Chiki).
+NEW_MARKS = ["\u0964", "\u0965", "\u1c7e", "\u1c7f"]
 
 FIG_SRC = ('Isore menkeda Sermare marsalakko hoyokma. '
            'Onako do etak etak dinko eandoko ar bochorko reak cinhako tañemma.')
@@ -38,6 +41,11 @@ class TestSegmentSentences:
         sents = aligner.segment_sentences('He said go." Then left.')
         assert sents == ['He said go."', "Then left."]
 
+    @pytest.mark.parametrize("mark", NEW_MARKS)
+    def test_splits_at_danda_and_mucaad(self, mark):
+        assert aligner.segment_sentences(f"ab cd{mark} ef {mark} gh") == \
+            [f"ab cd{mark}", f"ef {mark}", "gh"]
+
     @given(st.lists(st.sampled_from(["Abc def.", "Gh ij!", "Kl mn?", "op qr."]),
                     min_size=1, max_size=6))
     def test_join_reproduces_input(self, parts):
@@ -65,6 +73,14 @@ class TestClassifyAndExplode:
         assert len(out) == 1
         assert out[0].src == u.src
         assert out[0].tgt == u.tgt
+
+    def test_ol_chiki_and_bengali_unit_explodes_into_two_pairs(self):
+        src = normalize_text("ᱚᱞ ᱪᱤᱠᱤ᱾ ᱥᱟᱱᱛᱟᱲᱤ ᱾")
+        tgt = normalize_text("আমি ভাত খাই। তুমি কি খাও?")
+        out = aligner.classify_and_explode(unit(src, tgt))
+        assert [(p.src, p.tgt, p.group) for p in out] == [
+            ("ᱚᱞ ᱪᱤᱠᱤ᱾", "আমি ভাত খাই।", aligner.GROUP_ONE2ONE),
+            ("ᱥᱟᱱᱛᱟᱲᱤ ᱾", "তুমি কি খাও?", aligner.GROUP_ONE2ONE)]
 
     def test_exploded_pair_is_fixed_point(self):
         out = aligner.classify_and_explode(unit("A b. C d.", "X y. Z w."))
@@ -95,6 +111,13 @@ class TestSplitDataset:
         assert len(split.test) == 3824
         assert len(split.validation) == 3824
         assert len(split.train) == 30597
+
+    @pytest.mark.parametrize("ratios, sizes", [
+        ((0, 0.5, 0.5), (0, 6, 5)), ((0, 0, 1), (0, 0, 11)), ((0, 1, 0), (0, 11, 0)),
+        ((0.5, 0, 0.5), (6, 0, 5))])
+    def test_a_part_with_ratio_0_gets_no_pairs(self, ratios, sizes):
+        split = aligner.split_dataset(make_pairs(11), ratios=ratios, seed=1)
+        assert (len(split.train), len(split.test), len(split.validation)) == sizes
 
     def test_ratio_validation(self):
         with pytest.raises(aligner.AlignError):

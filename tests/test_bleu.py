@@ -12,6 +12,24 @@ import pytest
 from lowmt import bleu
 
 
+def oracle_counts(hyps, refs, n):
+    """Clipped n-gram matches and hypothesis n-grams, summed over segments."""
+    num = 0
+    den = 0
+    for h, r in zip(hyps, refs):
+        hc, rc = {}, {}
+        for i in range(len(h) - n + 1):
+            g = tuple(h[i:i + n])
+            hc[g] = hc.get(g, 0) + 1
+        for i in range(len(r) - n + 1):
+            g = tuple(r[i:i + n])
+            rc[g] = rc.get(g, 0) + 1
+        for g, c in hc.items():
+            num += min(c, rc.get(g, 0))
+            den += c
+    return num, den
+
+
 def oracle_bleu(hyps, refs, max_n=4, smoothing="none"):
     total_hyp = sum(len(h) for h in hyps)
     total_ref = sum(len(r) for r in refs)
@@ -24,19 +42,7 @@ def oracle_bleu(hyps, refs, max_n=4, smoothing="none"):
 
     logs = []
     for n in range(1, max_n + 1):
-        num = 0
-        den = 0
-        for h, r in zip(hyps, refs):
-            hc, rc = {}, {}
-            for i in range(len(h) - n + 1):
-                g = tuple(h[i:i + n])
-                hc[g] = hc.get(g, 0) + 1
-            for i in range(len(r) - n + 1):
-                g = tuple(r[i:i + n])
-                rc[g] = rc.get(g, 0) + 1
-            for g, c in hc.items():
-                num += min(c, rc.get(g, 0))
-                den += c
+        num, den = oracle_counts(hyps, refs, n)
         if den == 0:
             continue  # order excluded, weights renormalized
         if num == 0 and smoothing == "add_one_for_n_ge_2" and n >= 2:
@@ -77,6 +83,22 @@ class TestModifiedPrecision:
     def test_length_mismatch(self):
         with pytest.raises(bleu.BleuError):
             bleu.modified_precision([REF], [], 1)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_order_below_1_rejected(self, n):
+        with pytest.raises(bleu.BleuError, match="n must be >= 1"):
+            bleu.modified_precision([REF], [REF], n)
+
+    def test_clipping_matches_oracle_counts_on_few_types(self):
+        # Over 1-3 token types every n-gram repeats, so clipping binds often.
+        rng = random.Random(11)
+        for _ in range(300):
+            types = "xyz"[:rng.randint(1, 3)]
+            k = rng.randint(1, 4)
+            hyps = [[rng.choice(types) for _ in range(rng.randint(0, 9))] for _ in range(k)]
+            refs = [[rng.choice(types) for _ in range(rng.randint(0, 9))] for _ in range(k)]
+            for n in range(1, 6):
+                assert bleu.modified_precision(hyps, refs, n) == oracle_counts(hyps, refs, n)
 
 
 class TestBrevityPenalty:

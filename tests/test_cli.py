@@ -151,6 +151,14 @@ class TestIngestSplit:
             capsys.readouterr().err
         assert not (work / "split").exists()
 
+    def test_a_part_with_ratio_0_gets_no_pairs(self, work, capsys):
+        assert run(["ingest", "--synthetic", "30"], work) == 0
+        assert run(["split", "--ratios", "0,0.5,0.5"], work) == 0
+        assert "split: train=0 " in capsys.readouterr().out
+        pairs = manifest(work, "split")["counts"]["pairs"]
+        assert all(counts["train"] == 0 for counts in pairs.values())
+        assert sum(counts["test"] + counts["validation"] for counts in pairs.values()) > 0
+
     def test_manifests_do_not_depend_on_the_workdir(self, tmp_path):
         for workdir in (tmp_path / "a" / "work", tmp_path / "b" / "work"):
             for args in (["ingest", "--synthetic", "30"], ["split"],

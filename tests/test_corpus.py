@@ -1,5 +1,7 @@
 import json
 import re
+import time
+import unicodedata
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +9,8 @@ from hypothesis import given, strategies as st
 from lowmt import corpus
 
 COUNT = "a non-negative integer or a string of decimal digits"
+# The danda and double danda (Bangla), the mucaad and double mucaad (Ol Chiki).
+NEW_MARKS = ["\u0964", "\u0965", "\u1c7e", "\u1c7f"]
 
 
 def make_corpus(texts):
@@ -34,6 +38,26 @@ class TestNormalizeText:
     def test_invalid_unicode_rejected(self):
         with pytest.raises(corpus.CorpusError):
             corpus.normalize_text("bad \ud800 surrogate")
+
+    def test_terminal_marks_are_the_seven(self):
+        assert sorted(corpus.TERMINAL_MARKS) == sorted(".!?" + "".join(NEW_MARKS))
+
+    @pytest.mark.parametrize("mark", NEW_MARKS)
+    def test_danda_and_mucaad_kept(self, mark):
+        assert unicodedata.category(mark) == "Po"
+        assert corpus.normalize_text(f" ab,{mark}  cd {mark}") == f"ab {mark} cd {mark}"
+
+    def test_table_maps_every_code_point_as_the_per_character_rule(self):
+        # A fresh table, so the module's cache does not grow to every code point.
+        table = corpus._PunctuationTable()
+        chars = "".join(chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF)
+        start = time.perf_counter()
+        got = chars.translate(table)
+        assert time.perf_counter() - start <= 2.0
+        want = "".join(" " if unicodedata.category(ch)[0] == "P" and ch not in ".!?।॥᱾᱿"
+                       else ch for ch in chars)
+        assert got == want
+        assert chars.translate(table) == want  # from the filled cache
 
     @given(st.text(max_size=200))
     def test_idempotent(self, raw):
@@ -181,6 +205,10 @@ class TestWords:
     def test_strips_terminal_marks(self):
         assert corpus.words("Let there be light. Amen!? ... x") == \
             ["Let", "there", "be", "light", "Amen", "x"]
+
+    @pytest.mark.parametrize("mark", NEW_MARKS)
+    def test_strips_danda_and_mucaad(self, mark):
+        assert corpus.words(f"ab{mark} cd {mark} e{mark}{mark}") == ["ab", "cd", "e"]
 
 
 class TestCorpusStats:
